@@ -210,7 +210,6 @@ fn main() {
     .install();
     if stats || json_out.is_some() || trace_out.is_some() || obs_listen.is_some() {
         cable_obs::set_enabled(true);
-        cable_obs::recorder::set_recording(true);
     }
     if let Some(path) = &events_out {
         let sink = JsonlSink::create(path).unwrap_or_else(|e| {

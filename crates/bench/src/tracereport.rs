@@ -17,7 +17,8 @@
 //! |  | uncategorised span self-time |
 //!
 //! Attribution is **self-time with nearest-categorised-ancestor**:
-//! each span's self time (duration minus its children's durations) is
+//! each span's self time (duration minus its children's durations, the
+//! same fold `cable_obs::chrome` runs for the `--stats` profile) is
 //! charged to the innermost enclosing span that names a stage, so a
 //! `lattice.insert` that internally waits on `wait.fsync` charges the
 //! fsync time to `fsync`, not `lattice`. Summed over the tree this
@@ -149,16 +150,18 @@ fn split_trace(trace: &Value) -> Result<StageSplit, String> {
         return Err(format!("trace {id}: root span {root_id:016x} missing"));
     };
 
-    // Children lists, then the set reachable from the root — spans
+    // Children lists and (parent index, duration) links for the shared
+    // self-time fold, then the set reachable from the root — spans
     // orphaned by the per-request cap are excluded so their time is
     // not double-counted against the root's self time.
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
+    let mut links = Vec::with_capacity(spans.len());
     for (i, s) in spans.iter().enumerate() {
-        if i != root {
-            if let Some(&p) = index.get(&s.parent) {
-                children[p].push(i);
-            }
+        let parent = index.get(&s.parent).copied().filter(|_| i != root);
+        if let Some(p) = parent {
+            children[p].push(i);
         }
+        links.push((parent, s.dur_ns));
     }
     let mut reachable = vec![false; spans.len()];
     let mut stack = vec![root];
@@ -171,16 +174,12 @@ fn split_trace(trace: &Value) -> Result<StageSplit, String> {
 
     // Self time, charged to the nearest categorised ancestor.
     let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let self_times = cable_obs::chrome::self_times(&links);
     for (i, s) in spans.iter().enumerate() {
         if !reachable[i] {
             continue;
         }
-        let child_ns: u64 = children[i]
-            .iter()
-            .filter(|&&c| reachable[c])
-            .map(|&c| spans[c].dur_ns)
-            .sum();
-        let self_ns = s.dur_ns.saturating_sub(child_ns);
+        let self_ns = self_times[i];
         let mut stage = stage_of(&s.name);
         let mut cursor = i;
         while stage.is_none() && cursor != root {

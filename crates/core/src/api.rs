@@ -36,7 +36,7 @@ use cable_fa::templates;
 use cable_fca::ConceptId;
 use cable_guard::{Budget, GuardError};
 use cable_obs::json::Value;
-use cable_obs::{ApiHandler, ApiRequest, ApiResponse};
+use cable_obs::{ApiHandler, ApiRequest, ApiResponse, Span};
 use cable_store::StoreError;
 use cable_trace::{Trace, TraceSet, Vocab};
 use std::sync::Arc;
@@ -228,12 +228,11 @@ impl CableApi {
         let key = SessionKey::new(tenant, session_name)?;
         let text = require_str(body, "traces")?;
         let mut vocab = Vocab::new();
-        cable_obs::recorder::begin("parse.traces");
-        let traces = TraceSet::parse(text, &mut vocab).map_err(|e| {
-            cable_obs::recorder::end("parse.traces");
-            ApiError::new(422, format!("traces: {e}"))
-        })?;
-        cable_obs::recorder::end("parse.traces");
+        let traces = {
+            let _span = Span::open("parse.traces");
+            TraceSet::parse(text, &mut vocab)
+        }
+        .map_err(|e| ApiError::new(422, format!("traces: {e}")))?;
         let list: Vec<Trace> = traces.iter().map(|(_, t)| t.clone()).collect();
         let fa = match body.get("template").and_then(Value::as_str) {
             None | Some("unordered") => templates::unordered_of_trace_events(&list),
@@ -561,9 +560,10 @@ fn parse_body(body: &str) -> Result<Value, ApiError> {
     if body.trim().is_empty() {
         return Err(ApiError::new(400, "request body must be a JSON object"));
     }
-    cable_obs::recorder::begin("parse.body");
-    let value = Value::parse(body.trim());
-    cable_obs::recorder::end("parse.body");
+    let value = {
+        let _span = Span::open("parse.body");
+        Value::parse(body.trim())
+    };
     let value = value.map_err(|e| ApiError::new(400, format!("malformed JSON body: {e}")))?;
     if !matches!(value, Value::Object(_)) {
         return Err(ApiError::new(400, "request body must be a JSON object"));

@@ -31,7 +31,7 @@
 
 use crate::persist::StoredSession;
 use crate::CableSession;
-use cable_obs::{CounterHandle, HistogramHandle, WideEvent};
+use cable_obs::{CounterHandle, HistogramHandle, Span, WideEvent};
 use cable_store::StoreError;
 use cable_trace::Vocab;
 use std::collections::HashMap;
@@ -383,20 +383,14 @@ impl SessionManager {
     /// guard is always sound, and refusing would turn one contained
     /// panic into a permanent all-requests-500 outage.
     fn lock_slots(&self) -> std::sync::MutexGuard<'_, HashMap<SessionKey, Arc<Slot>>> {
-        let wait_start = cable_obs::enabled().then(std::time::Instant::now);
-        cable_obs::recorder::begin("wait.slots");
-        let guard = match self.slots.lock() {
+        let _span = Span::enter("wait.slots", &WAIT_SLOTS);
+        match self.slots.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
                 self.slots.clear_poison();
                 poisoned.into_inner()
             }
-        };
-        cable_obs::recorder::end("wait.slots");
-        if let Some(start) = wait_start {
-            WAIT_SLOTS.get().record(start.elapsed().as_micros() as u64);
         }
-        guard
     }
 
     /// Locks a slot's state, recovering from poison by dropping the
@@ -406,17 +400,11 @@ impl SessionManager {
     /// exact pre-recovery state. One panicked request costs one reopen;
     /// it never wedges the session.
     fn lock_state<'a>(&self, slot: &'a Slot) -> std::sync::MutexGuard<'a, SlotState> {
-        let wait_start = cable_obs::enabled().then(std::time::Instant::now);
-        cable_obs::recorder::begin("wait.state");
-        let guard = match slot.state.lock() {
+        let _span = Span::enter("wait.state", &WAIT_STATE);
+        match slot.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => self.recover_state(slot, poisoned.into_inner()),
-        };
-        cable_obs::recorder::end("wait.state");
-        if let Some(start) = wait_start {
-            WAIT_STATE.get().record(start.elapsed().as_micros() as u64);
         }
-        guard
     }
 
     /// Non-blocking [`Self::lock_state`]: `None` means busy, poison is

@@ -25,7 +25,7 @@
 use crate::session::CableSession;
 use cable_fa::Fa;
 use cable_fca::{Concept, ConceptLattice, Context};
-use cable_obs::{scoped, CounterHandle, Scope, WideEvent};
+use cable_obs::{scoped, CounterHandle, Scope, Span, WideEvent};
 use cable_store::{JournalRecord, RecoveryReport, SnapshotData, Store, StoreError};
 use cable_trace::{Trace, TraceId, TraceSet, Vocab};
 use std::path::Path;
@@ -271,8 +271,8 @@ impl StoredSession {
     }
 
     /// The store's health as `/healthz` reports it: snapshot generation
-    /// plus the journal lag in bytes and records. Publish it with
-    /// [`cable_obs::http::set_health`] whenever the store changes.
+    /// plus the journal lag in bytes and records, as given to the server
+    /// at [`cable_obs::ObsServer::bind_with`].
     ///
     /// # Errors
     ///
@@ -387,12 +387,11 @@ impl StoredSession {
         text: &str,
         sync_each: bool,
     ) -> Result<Vec<(TraceId, bool)>, StoreError> {
-        cable_obs::recorder::begin("parse.traces");
-        let batch = TraceSet::parse(text, &mut self.vocab).map_err(|e| {
-            cable_obs::recorder::end("parse.traces");
-            StoreError::format(e.to_string())
-        })?;
-        cable_obs::recorder::end("parse.traces");
+        let batch = {
+            let _span = Span::open("parse.traces");
+            TraceSet::parse(text, &mut self.vocab)
+        }
+        .map_err(|e| StoreError::format(e.to_string()))?;
         let traces: Vec<Trace> = batch.iter().map(|(_, t)| t.clone()).collect();
         let records: Vec<JournalRecord> = traces
             .iter()
@@ -443,7 +442,7 @@ impl StoredSession {
     ) -> Result<IngestReport, StoreError> {
         let mut traces: Vec<Trace> = Vec::new();
         let mut errors: Vec<(usize, String)> = Vec::new();
-        cable_obs::recorder::begin("parse.traces");
+        let parse_span = Span::open("parse.traces");
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with(';') {
@@ -454,7 +453,7 @@ impl StoredSession {
                 Err(e) => errors.push((lineno + 1, e.to_string())),
             }
         }
-        cable_obs::recorder::end("parse.traces");
+        drop(parse_span);
         let records: Vec<JournalRecord> = traces
             .iter()
             .map(|t| JournalRecord::Trace(t.display(&self.vocab).to_string()))

@@ -447,7 +447,7 @@ impl CableSession {
         if !new_rows.is_empty() {
             // `lattice.` names the trace-report stage: incremental Godin
             // work attributed against lock-wait and fsync time.
-            cable_obs::recorder::begin("lattice.insert");
+            let _span = Span::open("lattice.insert");
             let lattice = std::mem::replace(
                 &mut self.lattice,
                 ConceptLattice::from_concepts(vec![cable_fca::Concept {
@@ -456,7 +456,6 @@ impl CableSession {
                 }]),
             );
             self.lattice = lattice.insert_objects(new_rows.iter().map(|(c, row)| (*c, row)));
-            cable_obs::recorder::end("lattice.insert");
         }
         results
     }

@@ -16,7 +16,7 @@ use cable_fa::templates;
 use cable_fca::ConceptId;
 use cable_load::{run, LoadOptions};
 use cable_obs::json::Value;
-use cable_obs::{set_api_handler, ObsServer, ServerConfig};
+use cable_obs::{ObsServer, ServerConfig};
 use cable_trace::{Trace, TraceSet, Vocab};
 use std::path::Path;
 use std::sync::Arc;
@@ -104,7 +104,6 @@ fn concurrent_run_replays_sequentially_to_identical_digests() {
     // pool + queue so at least some requests see real queueing.
     let manager = Arc::new(SessionManager::new(root.join("server"), 4));
     let api = CableApi::new(Arc::clone(&manager), None);
-    set_api_handler(Some(Arc::new(api)));
     let server = ObsServer::bind_with(
         "127.0.0.1:0",
         ServerConfig {
@@ -112,6 +111,8 @@ fn concurrent_run_replays_sequentially_to_identical_digests() {
             queue_depth: 64,
             ..ServerConfig::default()
         },
+        Some(Arc::new(api)),
+        None,
     )
     .unwrap();
     let addr = server.addr().to_string();
@@ -152,7 +153,6 @@ fn concurrent_run_replays_sequentially_to_identical_digests() {
     }
 
     drop(guard);
-    set_api_handler(None);
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&verify);
 }

@@ -17,10 +17,13 @@
 //!
 //! **Self time** (the profile): a span's *inclusive* time is its whole
 //! begin→end duration; its *exclusive* (self) time is the inclusive time
-//! minus the inclusive time of the spans nested directly inside it on
-//! the same lane. Exclusive sums over a lane partition that lane's
-//! recorded wall time, which is what makes the profile table answer
-//! "where does time actually go".
+//! minus the inclusive time of the spans nested directly inside it.
+//! Exclusive sums over a tree partition its root's wall time, which is
+//! what makes the profile table answer "where does time actually go".
+//! [`self_times`] is the one fold that computes it over closed spans:
+//! [`self_time`] feeds it a lane's begin/end pairs (nesting by lane
+//! order), `reproduce trace-report` a request's span tree (nesting by
+//! parent id).
 
 use crate::json::Value;
 use crate::recorder::{Event, EventKind, LaneSnapshot};
@@ -143,41 +146,58 @@ pub struct ProfileRow {
     pub exclusive_ns: u64,
 }
 
+/// The self-time fold over closed spans given as `(parent index,
+/// duration ns)`: each span's duration minus the durations of its
+/// direct children (the spans whose parent index points at it),
+/// saturating at zero. Grandchildren are already inside their parent's
+/// duration, so they are not subtracted twice.
+pub fn self_times(spans: &[(Option<usize>, u64)]) -> Vec<u64> {
+    let mut self_ns: Vec<u64> = spans.iter().map(|&(_, dur_ns)| dur_ns).collect();
+    for &(parent, dur_ns) in spans {
+        if let Some(p) = parent {
+            self_ns[p] = self_ns[p].saturating_sub(dur_ns);
+        }
+    }
+    self_ns
+}
+
 /// Folds lane snapshots into a self-time profile, sorted by exclusive
 /// time descending (ties by name, so the table is deterministic).
 pub fn self_time(lanes: &[LaneSnapshot]) -> Vec<ProfileRow> {
-    let mut rows: BTreeMap<&'static str, (u64, u64, u64)> = BTreeMap::new();
+    // Each lane's balanced begin/end pairs as closed spans, parented to
+    // the span open around them on the lane.
+    let (mut names, mut spans) = (Vec::new(), Vec::new());
     for lane in lanes {
-        // (name, begin ts, nested children's inclusive ns)
-        let mut stack: Vec<(&'static str, u64, u64)> = Vec::new();
+        // (index into `spans`, begin timestamp) of each open span.
+        let mut open: Vec<(usize, u64)> = Vec::new();
         for event in balance(&lane.events) {
             match event.kind {
-                EventKind::Begin => stack.push((event.name, event.ts_ns, 0)),
+                EventKind::Begin => {
+                    names.push(event.name);
+                    spans.push((open.last().map(|&(i, _)| i), 0));
+                    open.push((spans.len() - 1, event.ts_ns));
+                }
                 EventKind::End => {
-                    let (name, begin_ts, child_ns) =
-                        stack.pop().expect("balance() matches every end");
-                    let inclusive = event.ts_ns.saturating_sub(begin_ts);
-                    let row = rows.entry(name).or_insert((0, 0, 0));
-                    row.0 += 1;
-                    row.1 += inclusive;
-                    row.2 += inclusive.saturating_sub(child_ns);
-                    if let Some(parent) = stack.last_mut() {
-                        parent.2 += inclusive;
-                    }
+                    let (i, begin_ts) = open.pop().expect("balance() matches every end");
+                    spans[i].1 = event.ts_ns.saturating_sub(begin_ts);
                 }
                 EventKind::Instant | EventKind::Counter(_) => {}
             }
         }
     }
-    let mut out: Vec<ProfileRow> = rows
-        .into_iter()
-        .map(|(name, (count, inclusive_ns, exclusive_ns))| ProfileRow {
+    let mut rows: BTreeMap<&'static str, ProfileRow> = BTreeMap::new();
+    for ((name, &(_, dur_ns)), self_ns) in names.into_iter().zip(&spans).zip(self_times(&spans)) {
+        let row = rows.entry(name).or_insert(ProfileRow {
             name,
-            count,
-            inclusive_ns,
-            exclusive_ns,
-        })
-        .collect();
+            count: 0,
+            inclusive_ns: 0,
+            exclusive_ns: 0,
+        });
+        row.count += 1;
+        row.inclusive_ns += dur_ns;
+        row.exclusive_ns += self_ns;
+    }
+    let mut out: Vec<ProfileRow> = rows.into_values().collect();
     out.sort_by(|a, b| {
         b.exclusive_ns
             .cmp(&a.exclusive_ns)
@@ -224,7 +244,8 @@ pub fn render_profile(rows: &[ProfileRow]) -> String {
     out
 }
 
-fn fmt_ns(v: u64) -> String {
+/// A nanosecond figure in the largest unit that keeps it readable.
+pub(crate) fn fmt_ns(v: u64) -> String {
     match v {
         0..=9_999 => format!("{v}ns"),
         10_000..=9_999_999 => format!("{:.1}µs", v as f64 / 1e3),
@@ -366,6 +387,13 @@ mod tests {
         assert_eq!(a.exclusive_ns, 20, "50 - b's 30");
         let b = rows.iter().find(|r| r.name == "b").unwrap();
         assert_eq!(b.exclusive_ns, 20, "30 - c's 10");
+    }
+
+    #[test]
+    fn self_times_subtract_direct_children_only() {
+        // root ⊃ child ⊃ grandchild ⊃ an overlong great-grandchild.
+        let spans = [(None, 100), (Some(0), 60), (Some(1), 50), (Some(2), 70)];
+        assert_eq!(self_times(&spans), vec![40, 10, 0, 70]);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * A [`TraceCtx`] is minted per HTTP request (`obs::http`), seeded
 //!   from the drill seed and a request sequence number so ids are
 //!   reproducible run to run.
-//! * [`begin_request`] installs the context on the handling thread and
-//!   opens the **root span**; every `recorder::begin`/`end` on that
-//!   thread then maintains a frame stack here, minting deterministic
-//!   child span ids and, at span close, appending a [`SpanRec`] to the
-//!   request's collector.
+//! * [`begin_request`] installs the context on the handling thread's
+//!   frame stack (the one thread-local behind [`crate::Span`]) and
+//!   opens the **root span**; every span on that thread then opens a
+//!   frame here, minting a deterministic child span id, and at close
+//!   appends its [`SpanRec`] to the request's collector.
 //! * Crossing threads is explicit: [`capture`] snapshots the current
 //!   context into a cloneable [`TraceHandle`]; the receiving worker
 //!   calls [`TraceHandle::adopt`] with a deterministic task tag (e.g.
@@ -35,7 +35,8 @@
 //! `CABLE_PAR=8` — which is what lets the determinism gate cover
 //! attribution.
 
-use std::cell::RefCell;
+use crate::recorder::Event;
+use crate::span::{with_stack, Span};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -117,6 +118,13 @@ pub struct SpanRec {
     pub end_ns: u64,
 }
 
+impl SpanRec {
+    /// Begin→end time, nanoseconds.
+    pub fn duration_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.start_ns)
+    }
+}
+
 /// The per-request span sink, shared across every thread that worked on
 /// the request.
 #[derive(Debug)]
@@ -146,17 +154,17 @@ impl Collector {
 /// One open span on the active context's frame stack.
 #[derive(Debug)]
 struct Frame {
-    name: &'static str,
     span: u64,
     parent: u64,
-    start_ns: u64,
     /// Children minted so far under this frame.
     child_seq: u64,
 }
 
-/// The thread's active trace state (the whole stack swaps on adopt).
+/// A request context on one thread's frame stack: the trace ids, the
+/// request's open frames, and its collector. Adopting swaps the whole
+/// value.
 #[derive(Debug)]
-struct TraceState {
+pub(crate) struct TraceState {
     trace_hi: u64,
     trace_lo: u64,
     /// Parent id for top-level spans (0 at the request root).
@@ -169,120 +177,87 @@ struct TraceState {
     collector: Arc<Collector>,
 }
 
-thread_local! {
-    static STATE: RefCell<Option<TraceState>> = const { RefCell::new(None) };
-}
+impl TraceState {
+    fn new(
+        trace_hi: u64,
+        trace_lo: u64,
+        base_parent: u64,
+        base_key: u64,
+        collector: Arc<Collector>,
+    ) -> TraceState {
+        TraceState {
+            trace_hi,
+            trace_lo,
+            base_parent,
+            base_key,
+            base_seq: 0,
+            frames: Vec::new(),
+            collector,
+        }
+    }
 
-/// The ids stamped onto one recorder event.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EventIds {
-    pub trace_hi: u64,
-    pub trace_lo: u64,
-    pub span: u64,
-    pub parent: u64,
-}
-
-/// Called by `recorder::push` on a `Begin`: mints the child span id,
-/// pushes the frame, and returns the ids for the event. Zeroes when no
-/// context is active on this thread.
-pub(crate) fn on_begin(name: &'static str, ts_ns: u64) -> EventIds {
-    STATE.with(|s| {
-        let mut slot = s.borrow_mut();
-        let Some(state) = slot.as_mut() else {
-            return EventIds::default();
-        };
-        let (span, parent) = match state.frames.last_mut() {
+    /// Opens a frame for the span whose `Begin` is `begin`: mints its
+    /// child span id under the innermost open frame (or the context's
+    /// base) and stamps the event with its ids.
+    pub(crate) fn open(&mut self, begin: &mut Event) {
+        let (span, parent) = match self.frames.last_mut() {
             Some(top) => {
                 top.child_seq += 1;
                 (mix(top.span, top.child_seq), top.span)
             }
             None => {
-                let span = if state.base_seq == 0 {
-                    state.base_key
+                let span = if self.base_seq == 0 {
+                    self.base_key
                 } else {
-                    mix(state.base_key, state.base_seq)
+                    mix(self.base_key, self.base_seq)
                 };
-                state.base_seq += 1;
-                (span, state.base_parent)
+                self.base_seq += 1;
+                (span, self.base_parent)
             }
         };
-        state.frames.push(Frame {
-            name,
+        self.frames.push(Frame {
             span,
             parent,
-            start_ns: ts_ns,
             child_seq: 0,
         });
-        EventIds {
-            trace_hi: state.trace_hi,
-            trace_lo: state.trace_lo,
-            span,
-            parent,
-        }
-    })
-}
+        self.stamp_as(begin, span, parent);
+    }
 
-/// Called by `recorder::push` on an `End`: pops the matching frame,
-/// appends the closed span to the request collector, and returns the
-/// popped span's ids. An `End` whose `Begin` predates the context (or
-/// was never recorded) leaves the stack alone and stamps current ids.
-pub(crate) fn on_end(name: &'static str, ts_ns: u64) -> EventIds {
-    STATE.with(|s| {
-        let mut slot = s.borrow_mut();
-        let Some(state) = slot.as_mut() else {
-            return EventIds::default();
+    /// Closes the innermost frame if `rec` is its span, collecting the
+    /// record into the request's tree. A span opened under another
+    /// context (or none) leaves this stack alone.
+    pub(crate) fn close(&mut self, rec: SpanRec) {
+        if rec.span != 0 && self.frames.last().map(|f| f.span) == Some(rec.span) {
+            self.frames.pop();
+            self.collector.push(rec);
+        }
+    }
+
+    /// Stamps a point event with the innermost open span's ids.
+    pub(crate) fn stamp(&self, event: &mut Event) {
+        let (span, parent) = match self.frames.last() {
+            Some(top) => (top.span, top.parent),
+            None => (0, self.base_parent),
         };
-        if state.frames.last().map(|f| f.name) == Some(name) {
-            let frame = state.frames.pop().expect("just matched");
-            state.collector.push(SpanRec {
-                name: frame.name,
-                span: frame.span,
-                parent: frame.parent,
-                start_ns: frame.start_ns,
-                end_ns: ts_ns,
-            });
-            EventIds {
-                trace_hi: state.trace_hi,
-                trace_lo: state.trace_lo,
-                span: frame.span,
-                parent: frame.parent,
-            }
-        } else {
-            current_ids(state)
-        }
-    })
-}
+        self.stamp_as(event, span, parent);
+    }
 
-/// Called by `recorder::push` on `Instant`/`Counter` events: stamps the
-/// innermost open span's ids without touching the stack.
-pub(crate) fn on_mark() -> EventIds {
-    STATE.with(|s| match s.borrow().as_ref() {
-        Some(state) => current_ids(state),
-        None => EventIds::default(),
-    })
-}
-
-fn current_ids(state: &TraceState) -> EventIds {
-    let (span, parent) = match state.frames.last() {
-        Some(top) => (top.span, top.parent),
-        None => (0, state.base_parent),
-    };
-    EventIds {
-        trace_hi: state.trace_hi,
-        trace_lo: state.trace_lo,
-        span,
-        parent,
+    fn stamp_as(&self, event: &mut Event, span: u64, parent: u64) {
+        event.trace_hi = self.trace_hi;
+        event.trace_lo = self.trace_lo;
+        event.span = span;
+        event.parent = parent;
     }
 }
 
 /// The trace id active on this thread, if a request context is
 /// installed (wide events use this to tag their records).
 pub fn active() -> Option<TraceCtx> {
-    STATE.with(|s| {
-        s.borrow().as_ref().map(|state| TraceCtx {
+    with_stack(|s| {
+        s.trace.as_ref().map(|state| TraceCtx {
             trace_hi: state.trace_hi,
             trace_lo: state.trace_lo,
-            span_id: state.frames.last().map(|f| f.span).unwrap_or(0),
+            span_id: state.frames.last().map_or(0, |f| f.span),
         })
     })
 }
@@ -306,8 +281,7 @@ impl FinishedTrace {
         self.spans
             .iter()
             .find(|s| s.span == self.ctx.span_id)
-            .map(|s| s.end_ns.saturating_sub(s.start_ns) / 1_000)
-            .unwrap_or(0)
+            .map_or(0, |s| s.duration_ns() / 1_000)
     }
 }
 
@@ -318,67 +292,53 @@ impl FinishedTrace {
 /// synthetic `wait.queue` child, so queueing is part of request wall
 /// time without the recorder having to pair events across lanes.
 ///
-/// While the flight recorder is off this is a no-op guard.
+/// While observation is off this is a no-op guard.
 pub fn begin_request(ctx: TraceCtx, name: &'static str, queue_wait_ns: u64) -> RequestGuard {
-    if !crate::recorder::recording() {
-        return RequestGuard {
-            ctx,
-            name,
-            queue_wait_ns,
-            active: false,
-            _not_send: PhantomData,
-        };
-    }
-    STATE.with(|s| {
-        *s.borrow_mut() = Some(TraceState {
-            trace_hi: ctx.trace_hi,
-            trace_lo: ctx.trace_lo,
-            base_parent: 0,
-            base_key: ctx.span_id,
-            base_seq: 0,
-            frames: Vec::new(),
-            collector: Collector::new(),
+    let root = crate::enabled().then(|| {
+        with_stack(|s| {
+            s.trace = Some(TraceState::new(
+                ctx.trace_hi,
+                ctx.trace_lo,
+                0,
+                ctx.span_id,
+                Collector::new(),
+            ));
         });
+        Span::open(name)
     });
-    crate::recorder::begin(name);
     RequestGuard {
         ctx,
-        name,
         queue_wait_ns,
-        active: true,
-        _not_send: PhantomData,
+        root,
     }
 }
 
 /// Closes the request root span on drop; [`RequestGuard::finish`]
-/// additionally returns the collected span tree. `!Send`: the guard
-/// owns this thread's context slot.
+/// additionally returns the collected span tree. `!Send` (it holds the
+/// root [`Span`]): the guard owns this thread's context slot.
 pub struct RequestGuard {
     ctx: TraceCtx,
-    name: &'static str,
     queue_wait_ns: u64,
-    active: bool,
-    _not_send: PhantomData<*const ()>,
+    root: Option<Span>,
 }
 
 impl RequestGuard {
     /// Closes the root span, uninstalls the context, and returns the
-    /// request's span tree (empty when the recorder was off).
+    /// request's span tree (empty when observation was off).
     pub fn finish(mut self) -> FinishedTrace {
         self.close()
     }
 
     fn close(&mut self) -> FinishedTrace {
-        if !self.active {
+        let Some(root) = self.root.take() else {
             return FinishedTrace {
                 ctx: self.ctx,
                 spans: Vec::new(),
                 dropped: 0,
             };
-        }
-        self.active = false;
-        crate::recorder::end(self.name);
-        let state = STATE.with(|s| s.borrow_mut().take());
+        };
+        drop(root);
+        let state = with_stack(|s| s.trace.take());
         let Some(state) = state else {
             return FinishedTrace {
                 ctx: self.ctx,
@@ -417,7 +377,7 @@ impl RequestGuard {
 
 impl Drop for RequestGuard {
     fn drop(&mut self) {
-        if self.active {
+        if self.root.is_some() {
             let _ = self.close();
         }
     }
@@ -437,16 +397,12 @@ pub struct TraceHandle {
 /// Snapshots the context active on this thread, or `None` outside a
 /// request. Call on the *submitting* thread, before moving the task.
 pub fn capture() -> Option<TraceHandle> {
-    STATE.with(|s| {
-        s.borrow().as_ref().map(|state| TraceHandle {
+    with_stack(|s| {
+        s.trace.as_ref().map(|state| TraceHandle {
             trace_hi: state.trace_hi,
             trace_lo: state.trace_lo,
-            parent_span: state
-                .frames
-                .last()
-                .map(|f| f.span)
-                .unwrap_or(state.base_key),
-            collector: state.collector.clone(),
+            parent_span: state.frames.last().map_or(state.base_key, |f| f.span),
+            collector: Arc::clone(&state.collector),
         })
     })
 }
@@ -460,16 +416,14 @@ impl TraceHandle {
     /// derived from `mix(parent_span, tag)` regardless of which worker
     /// runs it.
     pub fn adopt(&self, tag: u64) -> AdoptGuard {
-        let saved = STATE.with(|s| {
-            s.borrow_mut().replace(TraceState {
-                trace_hi: self.trace_hi,
-                trace_lo: self.trace_lo,
-                base_parent: self.parent_span,
-                base_key: mix(self.parent_span, tag),
-                base_seq: 0,
-                frames: Vec::new(),
-                collector: self.collector.clone(),
-            })
+        let saved = with_stack(|s| {
+            s.trace.replace(TraceState::new(
+                self.trace_hi,
+                self.trace_lo,
+                self.parent_span,
+                mix(self.parent_span, tag),
+                Arc::clone(&self.collector),
+            ))
         });
         AdoptGuard {
             saved,
@@ -487,34 +441,68 @@ pub struct AdoptGuard {
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
         let saved = self.saved.take();
-        STATE.with(|s| *s.borrow_mut() = saved);
+        with_stack(|s| s.trace = saved);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::EventKind;
 
-    /// Drives the frame hooks directly (no recorder), so these tests
-    /// cannot race other tests over the global recording flag.
+    /// Drives the frame stack directly (no [`Span`], no clock), so these
+    /// tests cannot race other tests over the global enabled flag.
     fn install(ctx: TraceCtx) -> Arc<Collector> {
         let collector = Collector::new();
-        STATE.with(|s| {
-            *s.borrow_mut() = Some(TraceState {
-                trace_hi: ctx.trace_hi,
-                trace_lo: ctx.trace_lo,
-                base_parent: 0,
-                base_key: ctx.span_id,
-                base_seq: 0,
-                frames: Vec::new(),
-                collector: collector.clone(),
-            });
+        with_stack(|s| {
+            s.trace = Some(TraceState::new(
+                ctx.trace_hi,
+                ctx.trace_lo,
+                0,
+                ctx.span_id,
+                Arc::clone(&collector),
+            ));
         });
         collector
     }
 
     fn uninstall() {
-        STATE.with(|s| *s.borrow_mut() = None);
+        with_stack(|s| s.trace = None);
+    }
+
+    /// Opens a frame as a span's entry would; returns the stamped Begin.
+    fn open() -> Event {
+        let mut begin = Event::plain("span", EventKind::Begin, 0);
+        with_stack(|s| {
+            if let Some(trace) = s.trace.as_mut() {
+                trace.open(&mut begin);
+            }
+        });
+        begin
+    }
+
+    fn close(name: &'static str, ids: Event, start_ns: u64, end_ns: u64) {
+        with_stack(|s| {
+            if let Some(trace) = s.trace.as_mut() {
+                trace.close(SpanRec {
+                    name,
+                    span: ids.span,
+                    parent: ids.parent,
+                    start_ns,
+                    end_ns,
+                });
+            }
+        });
+    }
+
+    fn current() -> Event {
+        let mut mark = Event::plain("mark", EventKind::Instant, 0);
+        with_stack(|s| {
+            if let Some(trace) = &s.trace {
+                trace.stamp(&mut mark);
+            }
+        });
+        mark
     }
 
     #[test]
@@ -536,17 +524,17 @@ mod tests {
     fn frames_chain_parent_ids_and_collect_on_close() {
         let ctx = TraceCtx::mint(1, 1);
         let collector = install(ctx);
-        let root = on_begin("req", 10);
+        let root = open();
         assert_eq!(root.span, ctx.span_id);
         assert_eq!(root.parent, 0);
-        let child = on_begin("work", 20);
+        let child = open();
         assert_eq!(child.parent, ctx.span_id);
         assert_eq!(child.span, mix(ctx.span_id, 1));
-        let grand = on_begin("inner", 30);
+        let grand = open();
         assert_eq!(grand.parent, child.span);
-        on_end("inner", 40);
-        on_end("work", 50);
-        on_end("req", 60);
+        close("inner", grand, 30, 40);
+        close("work", child, 20, 50);
+        close("req", root, 10, 60);
         uninstall();
         let spans = collector.spans.lock().unwrap();
         assert_eq!(spans.len(), 3);
@@ -560,26 +548,26 @@ mod tests {
     fn sibling_spans_get_distinct_ids() {
         let ctx = TraceCtx::mint(2, 2);
         let _collector = install(ctx);
-        on_begin("req", 0);
-        let a = on_begin("step", 1);
-        on_end("step", 2);
-        let b = on_begin("step", 3);
-        on_end("step", 4);
+        open();
+        let a = open();
+        close("step", a, 1, 2);
+        let b = open();
+        close("step", b, 3, 4);
         uninstall();
         assert_ne!(a.span, b.span, "siblings share a name, not an id");
         assert_eq!(a.parent, b.parent);
     }
 
     #[test]
-    fn unmatched_end_leaves_the_stack_alone() {
+    fn a_span_that_is_not_the_innermost_frame_leaves_the_stack_alone() {
         let ctx = TraceCtx::mint(3, 3);
         let collector = install(ctx);
-        on_begin("req", 0);
-        let ids = on_end("never-begun", 5);
-        assert_eq!(ids.span, ctx.span_id, "stamps the open frame");
+        let root = open();
+        // Opened under no context (id 0), or under another one.
+        close("orphan", Event::plain("orphan", EventKind::Begin, 0), 0, 5);
+        close("stranger", Event { span: 7, ..root }, 0, 5);
         assert_eq!(collector.spans.lock().unwrap().len(), 0);
-        let ids = on_mark();
-        assert_eq!(ids.span, ctx.span_id);
+        assert_eq!(current().span, ctx.span_id, "the root is still open");
         uninstall();
     }
 
@@ -587,20 +575,19 @@ mod tests {
     fn adopt_swaps_and_restores_the_whole_stack() {
         let ctx = TraceCtx::mint(4, 4);
         let _collector = install(ctx);
-        on_begin("req", 0);
+        open();
         let handle = capture().expect("context active");
         {
             let _adopted = handle.adopt(CHUNK_TAG);
-            // The adopted state starts empty: a begin here is a
-            // top-level span parented to the captured span.
-            let ids = on_begin("chunk", 10);
+            // The adopted state starts empty: a span here is a top-level
+            // span parented to the captured span.
+            let ids = open();
             assert_eq!(ids.parent, ctx.span_id);
             assert_eq!(ids.span, mix(ctx.span_id, CHUNK_TAG));
-            on_end("chunk", 20);
+            close("chunk", ids, 10, 20);
         }
         // Restored: the original frame is back on top.
-        let ids = on_mark();
-        assert_eq!(ids.span, ctx.span_id);
+        assert_eq!(current().span, ctx.span_id);
         uninstall();
     }
 
@@ -608,7 +595,7 @@ mod tests {
     fn adopt_tags_make_task_ids_independent_of_execution_order() {
         let ctx = TraceCtx::mint(5, 5);
         let _collector = install(ctx);
-        on_begin("req", 0);
+        open();
         let handle = capture().unwrap();
         uninstall();
 
@@ -616,8 +603,8 @@ mod tests {
             tags.iter()
                 .map(|&t| {
                     let _g = handle.adopt(CHUNK_TAG | t);
-                    let ids = on_begin("chunk", 0);
-                    on_end("chunk", 1);
+                    let ids = open();
+                    close("chunk", ids, 0, 1);
                     ids.span
                 })
                 .collect()
@@ -633,21 +620,18 @@ mod tests {
         uninstall();
         assert!(capture().is_none());
         assert!(active().is_none());
-        let ids = on_begin("orphan", 0);
-        assert_eq!(ids.span, 0);
-        assert_eq!(ids.trace_lo, 0);
-        let ids = on_end("orphan", 1);
-        assert_eq!(ids.span, 0);
+        let ids = open();
+        assert_eq!((ids.trace_lo, ids.span, ids.parent), (0, 0, 0), "no ids");
     }
 
     #[test]
     fn collector_caps_and_counts_drops() {
         let ctx = TraceCtx::mint(6, 6);
         let collector = install(ctx);
-        on_begin("req", 0);
+        open();
         for _ in 0..MAX_SPANS_PER_TRACE + 10 {
-            on_begin("s", 1);
-            on_end("s", 2);
+            let ids = open();
+            close("s", ids, 1, 2);
         }
         uninstall();
         assert_eq!(collector.spans.lock().unwrap().len(), MAX_SPANS_PER_TRACE);

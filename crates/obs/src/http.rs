@@ -1,13 +1,15 @@
 //! Std-only HTTP/1.1 server: the exposition endpoints (`/metrics`,
 //! `/healthz`, `/tracez`, `/tracez/export`, `/eventz`, `/sloz`) plus a
-//! pluggable JSON API plane under `/api/` (see [`set_api_handler`]).
+//! pluggable JSON API plane under `/api/` (an [`ApiHandler`] given at
+//! [`ObsServer::bind_with`]).
 //!
-//! Every parsed request is minted a [`TraceCtx`] (seeded via
-//! [`set_trace_seed`], sequence-numbered per request) and handled under
-//! a request root span; the finished span tree feeds the tail store
-//! (see [`crate::tail`]), `/tracez?trace=ID` renders kept trees as
-//! waterfalls, `/tracez?slowest=N` indexes the slowest requests, and
-//! per-route latency lands in the `http_request_us` scoped family.
+//! Every parsed request is minted a [`TraceCtx`] (seeded by
+//! [`ServerConfig::trace_seed`], sequence-numbered per request by the
+//! server) and handled under a request root span; the finished span
+//! tree feeds the tail store (see [`crate::tail`]), `/tracez?trace=ID`
+//! renders kept trees as waterfalls, `/tracez?slowest=N` indexes the
+//! slowest requests, and per-route latency lands in the
+//! `http_request_us` scoped family.
 //!
 //! Per DESIGN.md §8 this is hand-rolled over [`std::net::TcpListener`] —
 //! no external HTTP stack. Connections are served by a fixed pool of
@@ -36,11 +38,12 @@ use crate::context::{self, TraceCtx};
 use crate::events::{self, WideEvent};
 use crate::json::Value;
 use crate::metrics::{CounterHandle, HistogramHandle};
+use crate::prom;
 use crate::recorder;
 use crate::registry::registry;
 use crate::slo;
+use crate::span::Span;
 use crate::tail;
-use crate::{prom, Counter};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -65,18 +68,6 @@ static QUEUED: CounterHandle = CounterHandle::new("obs.http.queued");
 /// worker picked them up, microseconds — the queue half of the
 /// `/metrics` contention families.
 static WAIT_QUEUE: HistogramHandle = HistogramHandle::new("wait.queue.us");
-
-/// Seed that minted trace ids derive from; the request sequence number
-/// advances once per parsed request. With a pinned seed and the same
-/// request order, a drill mints the same trace ids run to run.
-static TRACE_SEED: AtomicU64 = AtomicU64::new(0);
-static REQUEST_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Pins the seed request trace ids are minted from (`CABLE_TRACE_SEED`
-/// / `cable serve --trace-seed`).
-pub fn set_trace_seed(seed: u64) {
-    TRACE_SEED.store(seed, Ordering::Relaxed);
-}
 
 /// Ceiling on request line + header bytes a connection may send.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
@@ -111,8 +102,9 @@ pub const EVENTZ_EVENT_LIMIT: usize = 64;
 /// a multi-MB response.
 pub const MAX_QUERY_LIMIT: usize = 100_000;
 
-/// Sizing of one server: how many connections are served concurrently
-/// and how many may wait behind them before load-shedding starts.
+/// Sizing of one server — how many connections are served concurrently
+/// and how many may wait behind them before load-shedding starts — and
+/// the seed its request trace ids are minted from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Worker threads — concurrently served connections.
@@ -127,6 +119,11 @@ pub struct ServerConfig {
     /// (the slowloris guard; `408` + `obs.http.slow_client_aborts` past
     /// it).
     pub connection_deadline: Duration,
+    /// Seed minted trace ids derive from (`cable serve --trace-seed`);
+    /// the server's request sequence number advances once per parsed
+    /// request. With a pinned seed and the same request order, a drill
+    /// mints the same trace ids run to run.
+    pub trace_seed: u64,
 }
 
 impl Default for ServerConfig {
@@ -136,12 +133,15 @@ impl Default for ServerConfig {
             queue_depth: QUEUE_DEPTH,
             io_timeout: IO_TIMEOUT,
             connection_deadline: CONNECTION_DEADLINE,
+            trace_seed: 0,
         }
     }
 }
 
-/// What `/healthz` reports about an open store, set by whoever holds
-/// one (the `cable` binary) via [`set_health`].
+/// What `/healthz` reports about an open store, given to the server at
+/// bind by whoever holds one (the `cable` binary). Without one the
+/// endpoint reports `"store": "none"` but stays healthy — a serving
+/// process without a store is not broken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthInfo {
     /// Snapshot generation of the open store.
@@ -155,18 +155,6 @@ pub struct HealthInfo {
     /// write-path failure (fail-stop durability), `None` while
     /// writable.
     pub degraded: Option<String>,
-}
-
-fn health_slot() -> &'static Mutex<Option<HealthInfo>> {
-    static SLOT: OnceLock<Mutex<Option<HealthInfo>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Publishes store health for `/healthz`. Call with `None` when no
-/// store is open (the endpoint then reports `"store": "none"` but stays
-/// healthy — a serving process without a store is not broken).
-pub fn set_health(info: Option<HealthInfo>) {
-    *health_slot().lock().expect("obs health poisoned") = info;
 }
 
 /// A request routed to the API plane: anything under `/api/`.
@@ -203,9 +191,10 @@ impl ApiResponse {
     /// large lattice views the body formatting is real work, and the
     /// trace-report serialization stage accounts for it.
     pub fn json(status: u16, value: &Value) -> ApiResponse {
-        crate::recorder::begin("serialize.response");
-        let body = format!("{value}\n");
-        crate::recorder::end("serialize.response");
+        let body = {
+            let _span = Span::open("serialize.response");
+            format!("{value}\n")
+        };
         ApiResponse {
             status,
             content_type: "application/json; charset=utf-8",
@@ -235,27 +224,12 @@ impl ApiResponse {
 
 /// The API plane behind `/api/` routes. `cable-obs` deliberately knows
 /// nothing about sessions — the dependency runs the other way — so the
-/// session service (`cable-core`'s `CableApi`) installs itself here via
-/// [`set_api_handler`], exactly like [`set_health`].
+/// session service (`cable-core`'s `CableApi`) is handed to the server
+/// at [`ObsServer::bind_with`], like the store's [`HealthInfo`].
 pub trait ApiHandler: Send + Sync {
     /// Handles one API request. Infallible by construction: errors are
     /// [`ApiResponse`]s with 4xx/5xx statuses.
     fn handle(&self, request: &ApiRequest) -> ApiResponse;
-}
-
-fn api_slot() -> &'static Mutex<Option<Arc<dyn ApiHandler>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<dyn ApiHandler>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs (or with `None` removes) the `/api/` handler. Without one,
-/// API routes answer `404` with a hint to start `cable serve --api`.
-pub fn set_api_handler(handler: Option<Arc<dyn ApiHandler>>) {
-    *api_slot().lock().expect("obs api handler poisoned") = handler;
-}
-
-fn api_handler() -> Option<Arc<dyn ApiHandler>> {
-    api_slot().lock().expect("obs api handler poisoned").clone()
 }
 
 /// Parses an `--obs-listen` value: either a full socket address
@@ -276,24 +250,44 @@ pub fn parse_listen_addr(s: &str) -> Result<SocketAddr, String> {
 pub struct ObsServer {
     listener: TcpListener,
     addr: SocketAddr,
+    plane: Plane,
+}
+
+/// What one server answers with, fixed at bind and shared by its
+/// workers.
+struct Plane {
     config: ServerConfig,
+    /// The `/api/` handler; without one, API routes answer `404` with a
+    /// hint to start `cable serve --api`.
+    api: Option<Arc<dyn ApiHandler>>,
+    /// The open store's health for `/healthz`, if the process holds one.
+    health: Option<HealthInfo>,
+    /// Requests parsed so far: the per-request trace mint sequence.
+    request_seq: AtomicU64,
 }
 
 impl ObsServer {
-    /// Binds the listener with the default [`ServerConfig`]. `addr`
-    /// accepts the [`parse_listen_addr`] forms; port 0 picks an
-    /// ephemeral port (see [`ObsServer::addr`]).
+    /// Binds the listener with the default [`ServerConfig`] and neither
+    /// an API plane nor a store. `addr` accepts the
+    /// [`parse_listen_addr`] forms; port 0 picks an ephemeral port (see
+    /// [`ObsServer::addr`]).
     pub fn bind(addr: &str) -> Result<ObsServer, String> {
-        Self::bind_with(addr, ServerConfig::default())
+        Self::bind_with(addr, ServerConfig::default(), None, None)
     }
 
-    /// [`ObsServer::bind`] with explicit sizing.
+    /// [`ObsServer::bind`] with explicit sizing and trace seed, the
+    /// `/api/` handler, and the store health `/healthz` reports.
     ///
     /// # Errors
     ///
     /// Fails on an unparsable address, a bind error, or a zero
     /// `max_connections`.
-    pub fn bind_with(addr: &str, config: ServerConfig) -> Result<ObsServer, String> {
+    pub fn bind_with(
+        addr: &str,
+        config: ServerConfig,
+        api: Option<Arc<dyn ApiHandler>>,
+        health: Option<HealthInfo>,
+    ) -> Result<ObsServer, String> {
         if config.max_connections == 0 {
             return Err("max connections must be at least 1".to_owned());
         }
@@ -306,7 +300,12 @@ impl ObsServer {
         Ok(ObsServer {
             listener,
             addr,
-            config,
+            plane: Plane {
+                config,
+                api,
+                health,
+                request_seq: AtomicU64::new(0),
+            },
         })
     }
 
@@ -317,7 +316,7 @@ impl ObsServer {
 
     /// Serves requests on the calling thread until the process exits.
     pub fn serve(self) -> ! {
-        let pool = WorkerPool::start(self.config);
+        let pool = WorkerPool::start(self.plane);
         loop {
             if let Ok((stream, _)) = self.listener.accept() {
                 pool.submit(stream);
@@ -330,7 +329,7 @@ impl ObsServer {
     pub fn spawn(self) -> ServerGuard {
         let stop = Arc::new(AtomicBool::new(false));
         let addr = self.addr;
-        let pool = WorkerPool::start(self.config);
+        let pool = WorkerPool::start(self.plane);
         let accept_pool = pool.clone();
         let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
@@ -367,8 +366,7 @@ struct WorkerPool {
 struct PoolShared {
     state: Mutex<PoolState>,
     ready: Condvar,
-    queue_depth: usize,
-    config: ServerConfig,
+    plane: Plane,
 }
 
 struct PoolState {
@@ -381,7 +379,8 @@ struct PoolState {
 }
 
 impl WorkerPool {
-    fn start(config: ServerConfig) -> WorkerPool {
+    fn start(plane: Plane) -> WorkerPool {
+        let max_connections = plane.config.max_connections;
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
@@ -389,11 +388,10 @@ impl WorkerPool {
                 workers: Vec::new(),
             }),
             ready: Condvar::new(),
-            queue_depth: config.queue_depth,
-            config,
+            plane,
         });
-        let mut workers = Vec::with_capacity(config.max_connections);
-        for i in 0..config.max_connections {
+        let mut workers = Vec::with_capacity(max_connections);
+        for i in 0..max_connections {
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("cable-obs-conn-{i}"))
@@ -410,7 +408,7 @@ impl WorkerPool {
     fn submit(&self, stream: TcpStream) {
         {
             let mut state = self.shared.state.lock().expect("obs pool poisoned");
-            if state.queue.len() < self.shared.queue_depth {
+            if state.queue.len() < self.shared.plane.config.queue_depth {
                 if !state.queue.is_empty() {
                     QUEUED.get().incr();
                 }
@@ -422,7 +420,7 @@ impl WorkerPool {
         }
         REJECTED.get().incr();
         let mut stream = stream;
-        let _ = stream.set_write_timeout(Some(self.shared.config.io_timeout));
+        let _ = stream.set_write_timeout(Some(self.shared.plane.config.io_timeout));
         let body = "server over capacity, retry\n";
         let _ = write!(
             stream,
@@ -475,7 +473,7 @@ fn worker_loop(shared: &PoolShared) {
                 state = shared.ready.wait(state).expect("obs pool condvar poisoned");
             }
         };
-        handle_connection(stream, REQUESTS.get(), enqueued.elapsed(), shared.config);
+        handle_connection(&shared.plane, stream, enqueued.elapsed());
     }
 }
 
@@ -606,12 +604,8 @@ fn abort_unfinished_read(reader: BufReader<DeadlineStream>, deadline: Instant) {
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    requests: &Counter,
-    queue_wait: Duration,
-    config: ServerConfig,
-) {
+fn handle_connection(plane: &Plane, stream: TcpStream, queue_wait: Duration) {
+    let config = plane.config;
     let deadline = Instant::now() + config.connection_deadline;
     let _ = stream.set_read_timeout(Some(config.io_timeout));
     let _ = stream.set_write_timeout(Some(config.io_timeout));
@@ -652,7 +646,7 @@ fn handle_connection(
             Err(_) => return abort_unfinished_read(reader, deadline),
         }
     }
-    requests.incr();
+    REQUESTS.get().incr();
     let started = Instant::now();
     // Mint the request's causal context: every recorder span opened
     // while handling — on this thread or adopted by pool workers — is
@@ -660,8 +654,8 @@ fn handle_connection(
     // the request's wall time via a synthetic `wait.queue` child span.
     let queue_wait_us = queue_wait.as_micros().min(u64::MAX as u128) as u64;
     WAIT_QUEUE.get().record(queue_wait_us);
-    let seq = REQUEST_SEQ.fetch_add(1, Ordering::Relaxed);
-    let ctx = TraceCtx::mint(TRACE_SEED.load(Ordering::Relaxed), seq);
+    let seq = plane.request_seq.fetch_add(1, Ordering::Relaxed);
+    let ctx = TraceCtx::mint(config.trace_seed, seq);
     let queue_wait_ns = queue_wait.as_nanos().min(u64::MAX as u128) as u64;
     let trace = context::begin_request(ctx, "http.request", queue_wait_ns);
     if queue_wait_us > 0 {
@@ -690,7 +684,7 @@ fn handle_connection(
         let method = parts.next().unwrap_or("");
         let path = parts.next().unwrap_or("");
         route = path.split('?').next().unwrap_or("").to_owned();
-        respond(method, path, body)
+        respond(plane, method, path, body)
     };
     // Close the root span and offer the finished tree to the tail
     // store (summary always; full tree for slow/error/sampled).
@@ -700,7 +694,7 @@ fn handle_connection(
         label,
         started.elapsed().as_micros().min(u64::MAX as u128) as u64,
     );
-    if recorder::recording() {
+    if crate::enabled() {
         tail::record(label, response.status, &finished);
     }
     // One wide event per request: the server observes itself through
@@ -862,14 +856,14 @@ fn parse_tracez_query(query: Option<&str>) -> Result<TracezView, String> {
     Ok(view)
 }
 
-fn respond(method: &str, path: &str, body: String) -> HttpResponse {
+fn respond(plane: &Plane, method: &str, path: &str, body: String) -> HttpResponse {
     let (route, query) = match path.split_once('?') {
         Some((route, query)) => (route, Some(query)),
         None => (path, None),
     };
     // The API plane first: it owns its own methods and status codes.
     if route == "/api" || route.starts_with("/api/") {
-        return match api_handler() {
+        return match &plane.api {
             Some(handler) => {
                 let request = ApiRequest {
                     method: method.to_owned(),
@@ -907,7 +901,7 @@ fn respond(method: &str, path: &str, body: String) -> HttpResponse {
         },
         "/healthz" => match parse_limit(query, 0) {
             Err(e) => bad_request(e),
-            Ok(_) => HttpResponse::json(200, &healthz_json()),
+            Ok(_) => HttpResponse::json(200, &healthz_json(plane.health.as_ref())),
         },
         "/tracez" => match parse_tracez_query(query) {
             Err(e) => bad_request(e),
@@ -945,10 +939,9 @@ fn respond(method: &str, path: &str, body: String) -> HttpResponse {
     }
 }
 
-fn healthz_json() -> Value {
-    let health = health_slot().lock().expect("obs health poisoned").clone();
+fn healthz_json(health: Option<&HealthInfo>) -> Value {
     let build = crate::build_info();
-    let degraded_cause = health.as_ref().and_then(|h| h.degraded.clone());
+    let degraded_cause = health.and_then(|h| h.degraded.clone());
     let mut pairs = vec![
         (
             "status",
@@ -983,7 +976,7 @@ fn healthz_json() -> Value {
 /// Degraded-mode counters for `/healthz`, read from the registry by
 /// name (same contract as [`guard_json`]): `degraded_now` is derived as
 /// enters minus exits, so it reads `1` while the store is read-only
-/// even when [`set_health`] has not been refreshed since the failure.
+/// even though the server's [`HealthInfo`] is a snapshot taken at bind.
 fn durability_json() -> Value {
     let snapshot = registry().snapshot();
     let read = |name: &str| snapshot.counter(name).unwrap_or(0);
@@ -1065,7 +1058,7 @@ fn tracez_json(limit: usize) -> Value {
         })
         .collect();
     Value::object([
-        ("recording", Value::from(recorder::recording())),
+        ("recording", Value::from(crate::enabled())),
         ("lanes", Value::Array(lanes_json)),
         ("profile", chrome::profile_json(&chrome::self_time(&lanes))),
     ])
@@ -1143,14 +1136,39 @@ mod tests {
             .and_then(Value::as_u64)
             .is_some());
 
-        set_health(Some(HealthInfo {
+        let (head, body) = get(addr, "/tracez");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        let tracez = Value::parse(body.trim()).expect("tracez is JSON");
+        assert!(tracez.get("lanes").and_then(Value::as_array).is_some());
+
+        let (head, _) = get(addr, "/nope");
+        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+
+        drop(guard); // must join cleanly
+    }
+
+    /// Binds a server holding `health`, fetches `/healthz`, and stops it.
+    fn healthz_with(health: Option<HealthInfo>) -> Value {
+        let guard = ObsServer::bind_with("0", ServerConfig::default(), None, health)
+            .expect("bind ephemeral")
+            .spawn();
+        let (head, body) = get(guard.addr(), "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        Value::parse(body.trim()).expect("healthz is JSON")
+    }
+
+    #[test]
+    fn healthz_reports_the_store_health_the_server_was_built_with() {
+        let health = healthz_with(None);
+        assert_eq!(health.get("store").and_then(Value::as_str), Some("none"));
+
+        let health = healthz_with(Some(HealthInfo {
             generation: 4,
             journal_lag_bytes: 128,
             journal_lag_records: 2,
             degraded: None,
         }));
-        let (_, body) = get(addr, "/healthz");
-        let health = Value::parse(body.trim()).unwrap();
+        assert_eq!(health.get("store").and_then(Value::as_str), Some("open"));
         assert_eq!(health.get("generation").and_then(Value::as_u64), Some(4));
         assert_eq!(
             health.get("journal_lag_bytes").and_then(Value::as_u64),
@@ -1164,14 +1182,12 @@ mod tests {
             .and_then(Value::as_u64)
             .is_some());
 
-        set_health(Some(HealthInfo {
+        let health = healthz_with(Some(HealthInfo {
             generation: 4,
             journal_lag_bytes: 128,
             journal_lag_records: 2,
             degraded: Some("fsync".to_owned()),
         }));
-        let (_, body) = get(addr, "/healthz");
-        let health = Value::parse(body.trim()).unwrap();
         assert_eq!(
             health.get("status").and_then(Value::as_str),
             Some("degraded")
@@ -1180,17 +1196,6 @@ mod tests {
             health.get("degraded").and_then(Value::as_str),
             Some("fsync")
         );
-        set_health(None);
-
-        let (head, body) = get(addr, "/tracez");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        let tracez = Value::parse(body.trim()).expect("tracez is JSON");
-        assert!(tracez.get("lanes").and_then(Value::as_array).is_some());
-
-        let (head, _) = get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-
-        drop(guard); // must join cleanly
     }
 
     #[test]
@@ -1305,9 +1310,8 @@ mod tests {
         let _store = tail::TEST_STORE_LOCK.lock().unwrap();
         tail::clear();
         // Seed one slow request's tree directly (the end-to-end mint →
-        // collect path is covered by the request_tracing integration
-        // test, which owns the global recording flag in its own
-        // process).
+        // collect path is covered by the span_record integration test,
+        // which owns the global enabled flag in its own process).
         let ctx = TraceCtx::mint(7, 1);
         let finished = FinishedTrace {
             ctx,
@@ -1484,16 +1488,20 @@ mod tests {
                 )
             }
         }
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
-        let addr = guard.addr();
-
-        set_api_handler(None);
-        let (head, body) = get(addr, "/api/sessions");
+        let bare = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let (head, body) = get(bare.addr(), "/api/sessions");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         assert!(body.contains("--api"), "{body}");
+        drop(bare);
 
-        set_api_handler(Some(Arc::new(Echo)));
-        let (head, body) = post(addr, "/api/sessions/s1/ingest?tenant=t", "{\"x\":1}");
+        let guard = ObsServer::bind_with("0", ServerConfig::default(), Some(Arc::new(Echo)), None)
+            .expect("bind ephemeral")
+            .spawn();
+        let (head, body) = post(
+            guard.addr(),
+            "/api/sessions/s1/ingest?tenant=t",
+            "{\"x\":1}",
+        );
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         let echoed = Value::parse(body.trim()).expect("echo is JSON");
         assert_eq!(echoed.get("method").and_then(Value::as_str), Some("POST"));
@@ -1509,7 +1517,6 @@ mod tests {
             echoed.get("body").and_then(Value::as_str),
             Some("{\"x\":1}")
         );
-        set_api_handler(None);
         drop(guard);
     }
 
@@ -1532,6 +1539,8 @@ mod tests {
                 queue_depth: 0,
                 ..ServerConfig::default()
             },
+            None,
+            None,
         )
         .expect("bind ephemeral")
         .spawn();
@@ -1570,6 +1579,8 @@ mod tests {
                 queue_depth: 8,
                 ..ServerConfig::default()
             },
+            None,
+            None,
         )
         .expect("bind ephemeral")
         .spawn();
@@ -1599,7 +1610,9 @@ mod tests {
                 max_connections: 0,
                 queue_depth: 4,
                 ..ServerConfig::default()
-            }
+            },
+            None,
+            None,
         )
         .is_err());
     }
@@ -1616,6 +1629,8 @@ mod tests {
                 connection_deadline: Duration::from_millis(300),
                 ..ServerConfig::default()
             },
+            None,
+            None,
         )
         .expect("bind ephemeral")
         .spawn();

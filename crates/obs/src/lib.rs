@@ -11,9 +11,11 @@
 //!   hot paths unconditionally;
 //! * [`Histogram`] — log2-bucketed duration/size histograms, also
 //!   atomics;
-//! * [`Span`] — RAII wall-clock timers with per-thread nesting, recorded
-//!   into histograms only while observation is [`enabled`], so release
-//!   paths pay one relaxed load when it is off;
+//! * [`Span`] — the one RAII span: while observation is [`enabled`] it
+//!   reads the clock on entry and on drop, and its closed-span record
+//!   feeds its histogram, the thread's recorder lane, and the active
+//!   request's span tree; while it is off, release paths pay one
+//!   relaxed load;
 //! * [`Registry`] — the process-wide metric table, with a [`Snapshot`]
 //!   API, a human-readable [report printer](Snapshot::render), and a
 //!   [JSONL sink](JsonlSink) for machine-readable perf records;
@@ -59,8 +61,9 @@
 //! ```
 //!
 //! Counters count even while disabled (they are the workload accounting
-//! the tables rely on); spans only time while enabled, so the `--stats`
-//! flags and `CABLE_OBS=1` gate the `Instant::now` cost.
+//! the tables rely on); spans, recorder events and request traces exist
+//! only while enabled, so the `--stats` flags and `CABLE_OBS=1` gate
+//! their clock reads.
 
 pub mod chrome;
 pub mod context;
@@ -84,14 +87,14 @@ pub use context::{
 };
 pub use events::WideEvent;
 pub use http::{
-    set_api_handler, ApiHandler, ApiRequest, ApiResponse, HealthInfo, ObsServer, ServerConfig,
-    ServerGuard, RETRY_AFTER_SECONDS,
+    ApiHandler, ApiRequest, ApiResponse, HealthInfo, ObsServer, ServerConfig, ServerGuard,
+    RETRY_AFTER_SECONDS,
 };
 pub use metrics::{Counter, CounterHandle, Histogram, HistogramHandle, HistogramSnapshot, BUCKETS};
 pub use registry::{registry, Registry, Snapshot};
 pub use scope::{render_scopes, scoped, Scope, ScopeSnapshot, ScopedRegistry};
 pub use sink::{parse_jsonl, JsonlSink};
-pub use span::{current_depth, current_stack, current_stage, enter_stage, Span, StageGuard};
+pub use span::Span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -99,27 +102,31 @@ use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether span timing is on. Counters are unconditional; only the
-/// `Instant::now` cost of spans is gated on this flag.
+/// Serialises the unit tests that toggle the process-wide flag.
+#[cfg(test)]
+pub(crate) static TEST_FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Whether observation is on: span timing, the flight recorder and
+/// request traces. Counters are unconditional.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns span timing on or off.
+/// Turns observation on or off. Recorder lanes and their contents
+/// survive toggling; only *new* spans and events are gated.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Enables span timing — and the flight recorder and the wide-event
-/// log — if the `CABLE_OBS` environment variable is set to anything
-/// other than `0` or the empty string. Returns the resulting state.
+/// Enables observation — and the wide-event log — if the `CABLE_OBS`
+/// environment variable is set to anything other than `0` or the empty
+/// string. Returns the resulting state.
 pub fn init_from_env() -> bool {
     let _ = process_start(); // pin the uptime epoch as early as possible
     if let Ok(v) = std::env::var("CABLE_OBS") {
         if !v.is_empty() && v != "0" {
             set_enabled(true);
-            recorder::set_recording(true);
             events::set_enabled(true);
         }
     }
@@ -136,12 +143,6 @@ pub fn init_from_env() -> bool {
         .and_then(|v| v.parse::<u64>().ok())
     {
         tail::set_sample_every(n);
-    }
-    if let Some(seed) = std::env::var("CABLE_TRACE_SEED")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        http::set_trace_seed(seed);
     }
     enabled()
 }

@@ -287,6 +287,11 @@ impl HistogramHandle {
     pub fn get(&self) -> &Histogram {
         self.cell.get_or_init(|| registry().histogram(self.name))
     }
+
+    /// The metric name the histogram registers under.
+    pub(crate) fn name(&self) -> &'static str {
+        self.name
+    }
 }
 
 #[cfg(test)]

@@ -168,23 +168,14 @@ pub fn render_diff(rows: &[DiffRow]) -> String {
             out,
             "{:width$}  {:>12}  {:>12}  {:>+12.1}µs  {:>5}→{:<5}",
             r.name,
-            fmt_ns(r.before_ns),
-            fmt_ns(r.after_ns),
+            chrome::fmt_ns(r.before_ns),
+            chrome::fmt_ns(r.after_ns),
             delta as f64 / 1e3,
             r.before_count,
             r.after_count,
         );
     }
     out
-}
-
-fn fmt_ns(v: u64) -> String {
-    match v {
-        0..=9_999 => format!("{v}ns"),
-        10_000..=9_999_999 => format!("{:.1}µs", v as f64 / 1e3),
-        10_000_000..=999_999_999 => format!("{:.1}ms", v as f64 / 1e6),
-        _ => format!("{:.2}s", v as f64 / 1e9),
-    }
 }
 
 /// The background continuous profiler: one `profile_snapshot` record

@@ -13,16 +13,20 @@
 //!   them into a self-time profile;
 //! * [`crate::http`] serves the most recent spans per lane as `/tracez`.
 //!
+//! Span begin/end pairs come only from [`crate::Span`]; this module's
+//! own entry points are the point events ([`instant`], [`counter_mark`]).
+//!
 //! # Memory model
 //!
-//! Each thread that records while recording is [`recording`] gets one
-//! **lane**: a fixed-capacity ring (see [`set_capacity`]) owned by that
-//! thread and registered in a process-wide table. Only the owning thread
-//! writes its ring; snapshots from other threads take the lane's mutex
-//! briefly, so the single-writer ordering guarantee holds: **events
-//! within a lane are in non-decreasing timestamp order**, because one
-//! thread stamps them from one monotonic clock. No ordering is implied
-//! *across* lanes beyond the shared epoch.
+//! Each thread that records while observation is [`crate::enabled`]
+//! gets one **lane**, labelled with the thread's name: a fixed-capacity
+//! ring (see [`set_capacity`]) whose handle sits in the thread's frame
+//! stack and which is registered in a process-wide table. Only the
+//! owning thread writes its ring; snapshots from other threads take the
+//! lane's mutex briefly, so the single-writer ordering guarantee holds:
+//! **events within a lane are in non-decreasing timestamp order**,
+//! because one thread stamps them from one monotonic clock. No ordering
+//! is implied *across* lanes beyond the shared epoch.
 //!
 //! A full ring overwrites its oldest event (newest wins) and counts the
 //! loss — per lane in [`LaneSnapshot::dropped`] and globally under the
@@ -31,33 +35,20 @@
 //! window is the most recent one, and bounding memory beats completeness
 //! for a long-running session process.
 //!
-//! While recording is off, [`push`] is one relaxed atomic load.
+//! While observation is off, [`instant`] and [`counter_mark`] are one
+//! relaxed atomic load.
 
 use crate::metrics::Counter;
 use crate::registry::registry;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default per-lane ring capacity (events).
 pub const DEFAULT_CAPACITY: usize = 8192;
 
-static RECORDING: AtomicBool = AtomicBool::new(false);
 static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 static NEXT_LANE: AtomicU64 = AtomicU64::new(1);
-
-/// Whether the recorder is capturing events.
-#[inline]
-pub fn recording() -> bool {
-    RECORDING.load(Ordering::Relaxed)
-}
-
-/// Turns event capture on or off. Lanes and their contents survive
-/// toggling; only *new* events are gated.
-pub fn set_recording(on: bool) {
-    RECORDING.store(on, Ordering::Relaxed);
-}
 
 /// Sets the ring capacity for lanes created *after* this call (existing
 /// lanes keep their rings). Clamped to at least 2.
@@ -183,7 +174,7 @@ impl Ring {
 
 /// One thread's registered lane.
 #[derive(Debug)]
-struct Lane {
+pub(crate) struct Lane {
     id: u64,
     label: String,
     ring: Mutex<Ring>,
@@ -200,60 +191,15 @@ fn dropped_counter() -> &'static Counter {
     DROPPED.get_or_init(|| registry().counter("obs.recorder.dropped"))
 }
 
-thread_local! {
-    /// This thread's lane, created on first recorded event.
-    static LANE: RefCell<Option<Arc<Lane>>> = const { RefCell::new(None) };
-    /// A label requested before the lane exists (see [`set_lane_label`]).
-    static PENDING_LABEL: RefCell<Option<String>> = const { RefCell::new(None) };
-}
-
-/// Names this thread's lane in exports (`cable-par` workers call this
-/// with their worker index). Before the lane exists the label is kept
-/// pending and applied at creation; an existing lane is renamed from the
-/// next snapshot on.
-pub fn set_lane_label(label: &str) {
-    let renamed = LANE.with(|l| {
-        if let Some(lane) = l.borrow().as_ref() {
-            // Lanes are immutable after creation except through
-            // re-registration: replace this thread's lane entry.
-            let fresh = Arc::new(Lane {
-                id: lane.id,
-                label: label.to_owned(),
-                ring: Mutex::new(Ring::new(0)),
-            });
-            // Move the ring over wholesale.
-            {
-                let mut old = lane.ring.lock().expect("recorder lane poisoned");
-                let mut new = fresh.ring.lock().expect("recorder lane poisoned");
-                std::mem::swap(&mut *old, &mut *new);
-            }
-            let mut table = lanes().lock().expect("recorder lanes poisoned");
-            if let Some(slot) = table.iter_mut().find(|l| l.id == lane.id) {
-                *slot = fresh.clone();
-            }
-            drop(table);
-            *l.borrow_mut() = Some(fresh);
-            true
-        } else {
-            false
-        }
-    });
-    if !renamed {
-        PENDING_LABEL.with(|p| *p.borrow_mut() = Some(label.to_owned()));
-    }
-}
-
-fn current_lane() -> Arc<Lane> {
-    LANE.with(|l| {
-        let mut slot = l.borrow_mut();
-        if let Some(lane) = slot.as_ref() {
-            return lane.clone();
-        }
+/// Appends `event` to the calling thread's lane, registering the lane
+/// (labelled with the thread's name) on first use. `lane` is the slot
+/// in the thread's frame stack.
+pub(crate) fn append(lane: &mut Option<Arc<Lane>>, event: Event) {
+    let lane = lane.get_or_insert_with(|| {
         let id = NEXT_LANE.fetch_add(1, Ordering::Relaxed);
-        let label = PENDING_LABEL
-            .with(|p| p.borrow_mut().take())
-            .or_else(|| std::thread::current().name().map(str::to_owned))
-            .unwrap_or_else(|| format!("thread-{id}"));
+        let label = std::thread::current()
+            .name()
+            .map_or_else(|| format!("thread-{id}"), str::to_owned);
         let lane = Arc::new(Lane {
             id,
             label,
@@ -262,40 +208,9 @@ fn current_lane() -> Arc<Lane> {
         lanes()
             .lock()
             .expect("recorder lanes poisoned")
-            .push(lane.clone());
-        *slot = Some(lane.clone());
+            .push(Arc::clone(&lane));
         lane
-    })
-}
-
-/// Records one event on the current thread's lane. A no-op (one relaxed
-/// load) while recording is off.
-///
-/// While a request context is active on this thread (see
-/// [`crate::context`]), `Begin`/`End` events also maintain the context's
-/// frame stack — minting the span id on begin, collecting the closed
-/// span on end — and every event is stamped with its causal ids.
-#[inline]
-pub fn push(name: &'static str, kind: EventKind) {
-    if !recording() {
-        return;
-    }
-    let ts_ns = now_ns();
-    let ids = match kind {
-        EventKind::Begin => crate::context::on_begin(name, ts_ns),
-        EventKind::End => crate::context::on_end(name, ts_ns),
-        EventKind::Instant | EventKind::Counter(_) => crate::context::on_mark(),
-    };
-    let event = Event {
-        name,
-        kind,
-        ts_ns,
-        trace_hi: ids.trace_hi,
-        trace_lo: ids.trace_lo,
-        span: ids.span,
-        parent: ids.parent,
-    };
-    let lane = current_lane();
+    });
     let overwrote = lane
         .ring
         .lock()
@@ -306,28 +221,33 @@ pub fn push(name: &'static str, kind: EventKind) {
     }
 }
 
-/// Records a span-begin event.
+/// Records a point event on the current thread's lane, stamped with the
+/// innermost open span's causal ids. A no-op (one relaxed load) while
+/// observation is off.
 #[inline]
-pub fn begin(name: &'static str) {
-    push(name, EventKind::Begin);
-}
-
-/// Records a span-end event.
-#[inline]
-pub fn end(name: &'static str) {
-    push(name, EventKind::End);
+fn mark(name: &'static str, kind: EventKind) {
+    if !crate::enabled() {
+        return;
+    }
+    let mut event = Event::plain(name, kind, now_ns());
+    crate::span::with_stack(|s| {
+        if let Some(trace) = &s.trace {
+            trace.stamp(&mut event);
+        }
+        append(&mut s.lane, event);
+    });
 }
 
 /// Records an instant event.
 #[inline]
 pub fn instant(name: &'static str) {
-    push(name, EventKind::Instant);
+    mark(name, EventKind::Instant);
 }
 
 /// Records a counter mark carrying `value`.
 #[inline]
 pub fn counter_mark(name: &'static str, value: u64) {
-    push(name, EventKind::Counter(value));
+    mark(name, EventKind::Counter(value));
 }
 
 /// A point-in-time copy of one lane.
@@ -335,7 +255,8 @@ pub fn counter_mark(name: &'static str, value: u64) {
 pub struct LaneSnapshot {
     /// Stable lane id (the Chrome-trace `tid`).
     pub id: u64,
-    /// Human label (thread name or `cable-par-N` worker id).
+    /// The recording thread's name (`cable-par-N` for pool workers), or
+    /// `thread-<id>` for an unnamed thread.
     pub label: String,
     /// Surviving events, oldest first, timestamps non-decreasing.
     pub events: Vec<Event>,
@@ -402,7 +323,8 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        set_recording(false);
+        let _flag = crate::TEST_FLAG_LOCK.lock().unwrap();
+        crate::set_enabled(false);
         let before: u64 = snapshot().iter().map(|l| l.events.len() as u64).sum();
         instant("test.disabled");
         let after: u64 = snapshot().iter().map(|l| l.events.len() as u64).sum();

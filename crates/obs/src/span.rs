@@ -1,130 +1,129 @@
-//! RAII span timers with per-thread nesting.
+//! The span pipeline: one per-thread frame stack and one RAII [`Span`].
 //!
-//! Nesting state is a **per-thread name stack**: each thread entering
-//! spans sees only its own stack, so spans recorded concurrently from
-//! pool workers can never garble one another. Two guarantees enforce
-//! this:
+//! Everything a span touches per thread lives in one thread-local
+//! [`FrameStack`]: the thread's recorder lane (registered on its first
+//! event) and, while a request context is installed or adopted (see
+//! [`crate::context`]), that request's open frames. A [`Span`] reads the
+//! clock once on entry and once on drop, and the closed-span record it
+//! builds on drop feeds three consumers from that one measurement:
 //!
-//! * [`Span`] is `!Send` — a span entered on one thread cannot be
-//!   dropped on another (which would pop the wrong thread's stack);
-//! * workers executing units for a parallel stage set a per-thread
-//!   *stage label* ([`enter_stage`]), so [`current_stack`] on a worker
-//!   attributes its spans under the stage that scheduled them rather
-//!   than appearing as a detached global stack.
+//! * the span's histogram, in the unit its metric name states (names
+//!   ending in `.us` record microseconds, all others nanoseconds);
+//! * the thread's recorder lane, as a `Begin`/`End` pair whose gap is
+//!   exactly the recorded duration;
+//! * the request's span tree, when a context is active.
+//!
+//! All of it sits behind the one [`crate::enabled`] switch: while it is
+//! off, entering a span costs one relaxed load and dropping it nothing
+//! more. `Span` is `!Send`: a span closes on the stack it opened on.
 
+use crate::context::{SpanRec, TraceState};
 use crate::metrics::HistogramHandle;
-use std::cell::{Cell, RefCell};
+use crate::recorder::{self, Event, EventKind, Lane};
+use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::time::Instant;
+use std::sync::Arc;
+
+/// This thread's span state: its recorder lane and the request context
+/// (with the request's open frames) installed or adopted on it.
+pub(crate) struct FrameStack {
+    /// The thread's recorder lane, registered on its first event.
+    pub(crate) lane: Option<Arc<Lane>>,
+    /// The active request context; [`crate::context`] installs, adopts
+    /// and restores it.
+    pub(crate) trace: Option<TraceState>,
+}
 
 thread_local! {
-    /// This thread's stack of open span names, innermost last.
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    /// The parallel-stage label the current thread is executing under.
-    static STAGE: Cell<Option<&'static str>> = const { Cell::new(None) };
+    static STACK: RefCell<FrameStack> = const {
+        RefCell::new(FrameStack {
+            lane: None,
+            trace: None,
+        })
+    };
 }
 
-/// The current span nesting depth on this thread (0 outside any span).
-pub fn current_depth() -> usize {
-    STACK.with(|s| s.borrow().len())
+/// Runs `f` on this thread's frame stack.
+pub(crate) fn with_stack<R>(f: impl FnOnce(&mut FrameStack) -> R) -> R {
+    STACK.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// This thread's open span names, outermost first, prefixed with the
-/// thread's parallel-stage label when one is set (see [`enter_stage`]).
-pub fn current_stack() -> Vec<&'static str> {
-    let mut out = Vec::new();
-    if let Some(stage) = current_stage() {
-        out.push(stage);
-    }
-    STACK.with(|s| out.extend(s.borrow().iter().copied()));
-    out
-}
-
-/// The parallel-stage label the current thread is executing under, if
-/// any.
-pub fn current_stage() -> Option<&'static str> {
-    STAGE.with(|s| s.get())
-}
-
-/// Sets this thread's parallel-stage label for the lifetime of the
-/// returned guard; pool workers call this around each unit so the
-/// spans the unit opens attribute to the stage that scheduled it.
-/// Nested stages restore the outer label on drop.
-#[must_use = "the stage label lasts only while the guard is alive"]
-pub fn enter_stage(label: &'static str) -> StageGuard {
-    let previous = STAGE.with(|s| s.replace(Some(label)));
-    StageGuard {
-        previous,
-        _not_send: PhantomData,
+/// Nanoseconds per recorded unit for a span histogram's metric name.
+fn ns_per_unit(metric: &str) -> u64 {
+    if metric.ends_with(".us") {
+        1_000
+    } else {
+        1
     }
 }
 
-/// Restores the previous stage label on drop. `!Send`, like [`Span`].
-pub struct StageGuard {
-    previous: Option<&'static str>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        let previous = self.previous;
-        STAGE.with(|s| s.set(previous));
-    }
-}
-
-/// An RAII wall-clock timer. While observation is [`crate::enabled`],
-/// entering takes an `Instant::now` and pushes the span's name on the
-/// thread's stack; dropping records the elapsed nanoseconds into the
-/// span's histogram and pops. While disabled, entering and dropping cost
-/// one relaxed load each.
+/// An RAII span. While observation is [`crate::enabled`], entering
+/// reads the clock, opens a frame (minting the span's ids under an
+/// active request) and records `Begin` on the thread's lane; dropping
+/// reads the clock again and feeds the one closed-span record to the
+/// histogram, the lane (`End`) and the request's span tree.
 ///
-/// Spans drop in reverse entry order by scoping, which keeps each
-/// thread's stack consistent:
+/// Spans close in reverse entry order by scoping, even on `?` and panic
+/// paths:
 ///
 /// ```
 /// use cable_obs as obs;
 /// static H: obs::HistogramHandle = obs::HistogramHandle::new("doc.span_ns");
 ///
 /// obs::set_enabled(true);
-/// assert_eq!(obs::current_depth(), 0);
 /// {
 ///     let _outer = obs::Span::enter("doc.span", &H);
-///     assert_eq!(obs::current_depth(), 1);
-///     {
-///         let _inner = obs::Span::enter("doc.span", &H);
-///         assert_eq!(obs::current_stack(), vec!["doc.span", "doc.span"]);
-///     }
-///     assert_eq!(obs::current_depth(), 1);
+///     let _inner = obs::Span::enter("doc.span", &H);
 /// }
-/// assert_eq!(obs::current_depth(), 0);
+/// assert_eq!(H.get().snapshot().count, 2);
 /// ```
 #[must_use = "a span measures the scope it is bound to; binding to _ drops it immediately"]
 pub struct Span {
-    histogram: &'static HistogramHandle,
-    start: Option<Instant>,
-    name: &'static str,
-    /// A span belongs to the thread whose stack it pushed: sending it
-    /// elsewhere would pop another thread's stack on drop.
+    open: Option<Open>,
+    /// A span belongs to the thread whose stack it opened on.
     _not_send: PhantomData<*const ()>,
 }
 
+/// An entered span's state, present only while observation was on.
+struct Open {
+    /// The `Begin` event recorded on entry, carrying the span's ids.
+    begin: Event,
+    /// The histogram the span's duration lands in, if any.
+    histogram: Option<&'static HistogramHandle>,
+}
+
 impl Span {
-    /// Enters a span that records into `histogram` when dropped. When
-    /// the flight recorder is on, the span also lands as a begin/end
-    /// pair on this thread's recorder lane.
+    /// Enters a span that records into `histogram` when dropped, in the
+    /// unit the histogram's name states.
     #[inline]
     pub fn enter(name: &'static str, histogram: &'static HistogramHandle) -> Span {
-        let start = if crate::enabled() {
-            STACK.with(|s| s.borrow_mut().push(name));
-            crate::recorder::begin(name);
-            Some(Instant::now())
-        } else {
-            None
-        };
+        Span::start(name, Some(histogram))
+    }
+
+    /// Enters a span with no histogram: it lands only on the recorder
+    /// lane and the request's span tree.
+    #[inline]
+    pub fn open(name: &'static str) -> Span {
+        Span::start(name, None)
+    }
+
+    #[inline]
+    fn start(name: &'static str, histogram: Option<&'static HistogramHandle>) -> Span {
+        if !crate::enabled() {
+            return Span {
+                open: None,
+                _not_send: PhantomData,
+            };
+        }
+        let mut begin = Event::plain(name, EventKind::Begin, recorder::now_ns());
+        with_stack(|s| {
+            if let Some(trace) = s.trace.as_mut() {
+                trace.open(&mut begin);
+            }
+            recorder::append(&mut s.lane, begin);
+        });
         Span {
-            histogram,
-            start,
-            name,
+            open: Some(Open { begin, histogram }),
             _not_send: PhantomData,
         }
     }
@@ -133,80 +132,75 @@ impl Span {
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.histogram.get().record_duration(start.elapsed());
-            crate::recorder::end(self.name);
-            STACK.with(|s| {
-                let popped = s.borrow_mut().pop();
-                debug_assert_eq!(popped, Some(self.name), "span stack out of order");
-            });
+        if let Some(open) = self.open.take() {
+            open.close();
         }
+    }
+}
+
+impl Open {
+    fn close(self) {
+        let end = Event {
+            kind: EventKind::End,
+            ts_ns: recorder::now_ns(),
+            ..self.begin
+        };
+        let rec = SpanRec {
+            name: end.name,
+            span: end.span,
+            parent: end.parent,
+            start_ns: self.begin.ts_ns,
+            end_ns: end.ts_ns,
+        };
+        if let Some(histogram) = self.histogram {
+            histogram
+                .get()
+                .record(rec.duration_ns() / ns_per_unit(histogram.name()));
+        }
+        with_stack(|s| {
+            recorder::append(&mut s.lane, end);
+            if let Some(trace) = s.trace.as_mut() {
+                trace.close(rec);
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramHandle;
 
     static TEST_SPAN: HistogramHandle = HistogramHandle::new("test.span.inner_ns");
 
-    /// Serialises the tests that toggle the global enabled flag.
-    static FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn disabled_spans_record_nothing() {
-        let _guard = FLAG_LOCK.lock().unwrap();
+        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
         crate::set_enabled(false);
         let before = TEST_SPAN.get().snapshot().count;
         {
-            let _s = Span::enter("test.span", &TEST_SPAN);
-            assert_eq!(current_depth(), 0, "disabled spans do not nest");
+            let s = Span::enter("test.span", &TEST_SPAN);
+            assert!(s.open.is_none(), "disabled spans keep no state");
         }
         assert_eq!(TEST_SPAN.get().snapshot().count, before);
     }
 
     #[test]
-    fn enabled_spans_record_and_nest() {
-        let _guard = FLAG_LOCK.lock().unwrap();
+    fn enabled_spans_record_once_each() {
+        let _guard = crate::TEST_FLAG_LOCK.lock().unwrap();
         crate::set_enabled(true);
         let before = TEST_SPAN.get().snapshot().count;
         {
             let _outer = Span::enter("test.span", &TEST_SPAN);
-            let d = current_depth();
-            {
-                let _inner = Span::enter("test.span", &TEST_SPAN);
-                assert_eq!(current_depth(), d + 1);
-                assert_eq!(current_stack().last(), Some(&"test.span"));
-            }
-            assert_eq!(current_depth(), d);
+            let _inner = Span::enter("test.span", &TEST_SPAN);
         }
         assert_eq!(TEST_SPAN.get().snapshot().count, before + 2);
         crate::set_enabled(false);
     }
 
     #[test]
-    fn stage_labels_nest_and_restore() {
-        assert_eq!(current_stage(), None);
-        {
-            let _outer = enter_stage("stage.outer");
-            assert_eq!(current_stage(), Some("stage.outer"));
-            {
-                let _inner = enter_stage("stage.inner");
-                assert_eq!(current_stage(), Some("stage.inner"));
-            }
-            assert_eq!(current_stage(), Some("stage.outer"));
-        }
-        assert_eq!(current_stage(), None);
-    }
-
-    #[test]
-    fn stack_is_prefixed_with_the_stage() {
-        let _guard = FLAG_LOCK.lock().unwrap();
-        crate::set_enabled(true);
-        let _stage = enter_stage("stage.label");
-        let _span = Span::enter("test.span", &TEST_SPAN);
-        assert_eq!(current_stack(), vec!["stage.label", "test.span"]);
-        crate::set_enabled(false);
+    fn metric_names_choose_the_histogram_unit() {
+        assert_eq!(ns_per_unit("wait.fsync.us"), 1_000);
+        assert_eq!(ns_per_unit("fca.lattice.build_ns"), 1);
+        assert_eq!(ns_per_unit("par.stage.x.busy_ns"), 1);
     }
 }

@@ -296,7 +296,7 @@ pub fn render_waterfall(summary: &TraceSummary, spans: &[SpanRec]) -> String {
     const BAR: usize = 40;
     for (span, depth) in rows {
         let offset = span.start_ns - t0;
-        let dur = span.end_ns.saturating_sub(span.start_ns);
+        let dur = span.duration_ns();
         let lead = ((offset as u128 * BAR as u128) / total as u128) as usize;
         let fill = ((dur as u128 * BAR as u128).div_ceil(total as u128)) as usize;
         let fill = fill.clamp(1, BAR.saturating_sub(lead).max(1));

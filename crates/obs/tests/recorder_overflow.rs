@@ -5,11 +5,12 @@
 
 use cable_obs::json::Value;
 use cable_obs::recorder::{self, EventKind};
-use cable_obs::{chrome, registry};
-use std::sync::Mutex;
+use cable_obs::{chrome, registry, Span};
+use std::sync::{mpsc, Mutex};
 use std::thread;
 
-/// Serialises the tests: recording and ring capacity are process-global.
+/// Serialises the tests: observation and ring capacity are
+/// process-global.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 const RING: usize = 4;
@@ -27,7 +28,7 @@ fn overflow_lanes(prefix: &str) -> Vec<recorder::LaneSnapshot> {
 fn eight_threads_overflow_tiny_rings_with_exact_accounting() {
     let _guard = RECORDER_LOCK.lock().unwrap();
     recorder::set_capacity(RING);
-    recorder::set_recording(true);
+    cable_obs::set_enabled(true);
 
     const THREADS: usize = 8;
     const EVENTS: u64 = 20;
@@ -38,18 +39,21 @@ fn eight_threads_overflow_tiny_rings_with_exact_accounting() {
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            thread::spawn(move || {
-                recorder::set_lane_label(&format!("overflow-acct-{t}"));
-                for j in 0..EVENTS {
-                    recorder::counter_mark("overflow.mark", j);
-                }
-            })
+            // Lanes take their thread's name.
+            thread::Builder::new()
+                .name(format!("overflow-acct-{t}"))
+                .spawn(move || {
+                    for j in 0..EVENTS {
+                        recorder::counter_mark("overflow.mark", j);
+                    }
+                })
+                .unwrap()
         })
         .collect();
     for h in handles {
         h.join().unwrap();
     }
-    recorder::set_recording(false);
+    cable_obs::set_enabled(false);
 
     let lanes = overflow_lanes("overflow-acct-");
     assert_eq!(lanes.len(), THREADS, "one lane per thread");
@@ -97,25 +101,31 @@ fn eight_threads_overflow_tiny_rings_with_exact_accounting() {
 fn chrome_export_of_partially_overwritten_ring_is_well_formed() {
     let _guard = RECORDER_LOCK.lock().unwrap();
     recorder::set_capacity(RING);
-    recorder::set_recording(true);
+    cable_obs::set_enabled(true);
 
-    thread::spawn(|| {
-        recorder::set_lane_label("overflow-chrome");
-        // Nested spans pushed past capacity: the surviving window starts
-        // with orphan End events whose Begins were overwritten.
-        for _ in 0..3 {
-            recorder::begin("outer");
-            recorder::begin("inner");
-            recorder::end("inner");
-            recorder::end("outer");
-        }
-        recorder::begin("tail"); // left open at snapshot time
-    })
-    .join()
-    .unwrap();
-    recorder::set_recording(false);
-
+    let (opened_tx, opened_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let worker = thread::Builder::new()
+        .name("overflow-chrome".to_owned())
+        .spawn(move || {
+            // Nested spans pushed past capacity: the surviving window
+            // starts with orphan End events whose Begins were
+            // overwritten.
+            for _ in 0..3 {
+                let _outer = Span::open("outer");
+                let _inner = Span::open("inner");
+            }
+            let _tail = Span::open("tail"); // left open at snapshot time
+            opened_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        })
+        .unwrap();
+    opened_rx.recv().unwrap();
     let lanes = overflow_lanes("overflow-chrome");
+    release_tx.send(()).unwrap();
+    worker.join().unwrap();
+    cable_obs::set_enabled(false);
+
     assert_eq!(lanes.len(), 1);
     assert!(lanes[0].dropped > 0, "the ring did overflow");
 

@@ -15,7 +15,7 @@
 //! worker whose unit opens a nested scope (the table2 fan-out builds
 //! sessions whose lattice builds shard) never wedges the pool.
 
-use cable_obs::{context, CounterHandle, HistogramHandle};
+use cable_obs::{context, CounterHandle, HistogramHandle, Span};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -80,6 +80,10 @@ impl Shared {
 
     fn push(self: &Arc<Self>, task: Task) {
         TASKS.get().incr();
+        // Count the unit before publishing it: a worker may pop it (and
+        // decrement) as soon as it lands in a queue.
+        let queued = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        QUEUE_MAX.get().record_max(queued);
         match self.worker_index() {
             Some(w) => self.deques[w]
                 .lock()
@@ -91,8 +95,6 @@ impl Shared {
                 .expect("par injector poisoned")
                 .push_back(task),
         }
-        let queued = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
-        QUEUE_MAX.get().record_max(queued);
         self.idle.notify_one();
     }
 
@@ -360,11 +362,8 @@ impl Pool {
                 let _adopt = trace
                     .as_ref()
                     .map(|t| t.adopt(context::CHUNK_TAG | index as u64));
-                let busy_start = observe.then(Instant::now);
-                cable_obs::recorder::begin(label);
+                let _span = stage.busy.map(|busy| Span::enter(label, busy));
                 results.push((start, f(start, &items[start..end])));
-                cable_obs::recorder::end(label);
-                stage.record_busy(busy_start);
             }
             results
         } else {
@@ -381,14 +380,10 @@ impl Pool {
                         let _adopt = trace
                             .as_ref()
                             .map(|t| t.adopt(context::CHUNK_TAG | index as u64));
-                        // Spans the unit opens attribute under the stage
-                        // label, not a detached per-worker stack.
-                        let _stage_guard = cable_obs::enter_stage(label);
-                        let busy_start = observe.then(Instant::now);
-                        cable_obs::recorder::begin(label);
-                        let value = f(start, slice);
-                        cable_obs::recorder::end(label);
-                        stage.record_busy(busy_start);
+                        let value = {
+                            let _span = stage.busy.map(|busy| Span::enter(label, busy));
+                            f(start, slice)
+                        };
                         results
                             .lock()
                             .expect("par results poisoned")
@@ -426,30 +421,40 @@ impl Drop for Pool {
     }
 }
 
-/// Per-stage busy/wall recording; a no-op while observation is off.
+/// Per-stage busy/wall histograms, absent while observation is off.
+/// Each chunk's span records into `busy`; the whole stage's wall time
+/// lands in `wall`.
 struct Stage {
-    busy: Option<Arc<cable_obs::Histogram>>,
+    busy: Option<&'static HistogramHandle>,
     wall: Option<Arc<cable_obs::Histogram>>,
 }
 
+/// The `par.stage.<label>.busy_ns` handle chunk spans record into.
+/// Stage labels are `&'static str`s from a fixed set of call sites, so
+/// each label's handle is made (and leaked) once.
+fn busy_handle(label: &'static str) -> &'static HistogramHandle {
+    static HANDLES: Mutex<Vec<(&'static str, &'static HistogramHandle)>> = Mutex::new(Vec::new());
+    let mut handles = HANDLES.lock().expect("par busy handles poisoned");
+    if let Some(&(_, handle)) = handles.iter().find(|(l, _)| *l == label) {
+        return handle;
+    }
+    let name = format!("par.stage.{label}.busy_ns").leak();
+    let handle: &'static HistogramHandle = Box::leak(Box::new(HistogramHandle::new(name)));
+    handles.push((label, handle));
+    handle
+}
+
 impl Stage {
-    fn new(label: &str, observe: bool) -> Stage {
+    fn new(label: &'static str, observe: bool) -> Stage {
         if !observe {
             return Stage {
                 busy: None,
                 wall: None,
             };
         }
-        let registry = cable_obs::registry();
         Stage {
-            busy: Some(registry.histogram(&format!("par.stage.{label}.busy_ns"))),
-            wall: Some(registry.histogram(&format!("par.stage.{label}.wall_ns"))),
-        }
-    }
-
-    fn record_busy(&self, start: Option<Instant>) {
-        if let (Some(h), Some(start)) = (&self.busy, start) {
-            h.record_duration(start.elapsed());
+            busy: Some(busy_handle(label)),
+            wall: Some(cable_obs::registry().histogram(&format!("par.stage.{label}.wall_ns"))),
         }
     }
 

@@ -14,7 +14,7 @@
 //! * two requests running concurrently on one shared pool never bleed
 //!   spans into each other's trees.
 //!
-//! These tests flip the process-wide recording flag, so they live in
+//! These tests flip the process-wide observation flag, so they live in
 //! their own integration-test process and serialize on a local mutex.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -22,9 +22,10 @@ use std::sync::{Barrier, Mutex};
 
 use cable_obs::context::{self, FinishedTrace, TraceCtx};
 use cable_obs::recorder::{self, EventKind};
+use cable_obs::Span;
 use cable_par::Pool;
 
-/// Recording is process-wide state; run one test at a time.
+/// Observation is process-wide state; run one test at a time.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -39,8 +40,7 @@ fn run_request(pool: &Pool, seed: u64, seq: u64) -> FinishedTrace {
     let guard = context::begin_request(ctx, "http.request", 500);
     let items: Vec<u64> = (0..32).collect();
     let doubled = pool.par_map("tp.outer", &items, |&x| {
-        recorder::begin("tp.item");
-        recorder::end("tp.item");
+        let _item = Span::open("tp.item");
         x * 2
     });
     assert_eq!(doubled[31], 62);
@@ -48,10 +48,9 @@ fn run_request(pool: &Pool, seed: u64, seq: u64) -> FinishedTrace {
     pool.scope(|s| {
         for _ in 0..3 {
             s.spawn(|| {
-                recorder::begin("tp.spawned");
+                let _spawned = Span::open("tp.spawned");
                 let sums = pool.par_map("tp.inner", &small, |&x| x + 1);
                 assert_eq!(sums.iter().sum::<u64>(), 36);
-                recorder::end("tp.spawned");
             });
         }
     });
@@ -77,7 +76,7 @@ fn count(trace: &FinishedTrace, name: &str) -> usize {
 #[test]
 fn span_ids_are_bit_identical_across_worker_counts() {
     let _guard = lock();
-    recorder::set_recording(true);
+    cable_obs::set_enabled(true);
     let mut shapes = Vec::new();
     for threads in [1usize, 2, 8] {
         let pool = Pool::new(threads);
@@ -104,7 +103,7 @@ fn span_ids_are_bit_identical_across_worker_counts() {
 #[test]
 fn every_span_chains_to_the_request_root() {
     let _guard = lock();
-    recorder::set_recording(true);
+    cable_obs::set_enabled(true);
     let pool = Pool::new(8);
     let trace = run_request(&pool, 11, 2);
     let root = trace.ctx.span_id;
@@ -153,7 +152,7 @@ fn every_span_chains_to_the_request_root() {
 #[test]
 fn concurrent_requests_do_not_bleed_into_each_other() {
     let _guard = lock();
-    recorder::set_recording(true);
+    cable_obs::set_enabled(true);
     let pool = Pool::new(8);
     let barrier = Barrier::new(2);
     let (a, b) = std::thread::scope(|s| {

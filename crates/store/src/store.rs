@@ -125,16 +125,13 @@ pub struct Store {
     durability: Durability,
 }
 
-/// Instruments one fsync call (recorder span, wait histogram, counter)
-/// without caring which handle issues it.
+/// Instruments one fsync call (a `wait.fsync` span into the wait
+/// histogram, plus the counter) without caring which handle issues it.
 fn timed_sync(sync: impl FnOnce() -> std::io::Result<()>) -> Result<(), StoreError> {
-    let wait_start = cable_obs::enabled().then(std::time::Instant::now);
-    cable_obs::recorder::begin("wait.fsync");
-    let result = sync();
-    cable_obs::recorder::end("wait.fsync");
-    if let Some(start) = wait_start {
-        WAIT_FSYNC.get().record(start.elapsed().as_micros() as u64);
-    }
+    let result = {
+        let _span = cable_obs::Span::enter("wait.fsync", &WAIT_FSYNC);
+        sync()
+    };
     result?;
     FSYNCS.get().incr();
     Ok(())
@@ -431,7 +428,7 @@ impl Store {
     ///
     /// The batch is all-or-nothing *in the journal file*: if any append
     /// or fsync fails partway, the frames this batch already wrote are
-    /// truncated back off (see [`Store::rollback_batch`]) before the
+    /// truncated back off (see `Store::rollback_batch`) before the
     /// error propagates, so a later [`Store::open`] replays exactly the
     /// acknowledged prefix — a batch the caller was never acked cannot
     /// resurrect piecemeal.

@@ -140,7 +140,6 @@ fn main() {
     let stats = cable::obs::init_from_env() || opts.stats;
     if stats || opts.obs_listen.is_some() {
         cable::obs::set_enabled(true);
-        cable::obs::recorder::set_recording(true);
         cable::obs::events::set_enabled(true);
     }
     if let Some(path) = &opts.events_out {
@@ -710,9 +709,9 @@ fn session_cmd(sub: &str, opts: &Opts) -> i32 {
                 eprintln!("wrote {path}");
             }
             if let Some(addr) = &opts.obs_listen {
-                publish_health(&stored);
+                let health = store_health(&stored);
                 let _profiler = spawn_profiler(Path::new(dir), opts);
-                serve_blocking(addr, resolve_server_config(opts));
+                serve_blocking(addr, resolve_server_config(opts), None, health);
             }
             0
         }
@@ -739,13 +738,13 @@ fn session_cmd(sub: &str, opts: &Opts) -> i32 {
     }
 }
 
-/// Publishes the stored session's generation and journal lag to the
+/// The stored session's generation and journal lag, for the server's
 /// `/healthz` endpoint.
-fn publish_health(stored: &StoredSession) {
-    match stored.health() {
-        Ok(health) => cable::obs::http::set_health(Some(health)),
-        Err(e) => eprintln!("warning: could not read store health: {e}"),
-    }
+fn store_health(stored: &StoredSession) -> Option<cable::obs::HealthInfo> {
+    stored
+        .health()
+        .map_err(|e| eprintln!("warning: could not read store health: {e}"))
+        .ok()
 }
 
 /// The server sizing: `--max-connections` wins, then `CABLE_MAX_CONNS`,
@@ -753,9 +752,13 @@ fn publish_health(stored: &StoredSession) {
 /// (`CABLE_IO_TIMEOUT_MS` for a single read, `CABLE_CONN_DEADLINE_MS`
 /// for the whole request — the slowloris guard) are env-only. A
 /// malformed env value is a usage error (exit 2), same as a malformed
-/// flag.
+/// flag. `--trace-seed` pins the seed request trace ids are minted
+/// from.
 fn resolve_server_config(opts: &Opts) -> cable::obs::ServerConfig {
-    let mut config = cable::obs::ServerConfig::default();
+    let mut config = cable::obs::ServerConfig {
+        trace_seed: opts.trace_seed.unwrap_or(0),
+        ..Default::default()
+    };
     if let Some(n) = opts.max_connections {
         config.max_connections = n;
     } else if let Ok(v) = std::env::var("CABLE_MAX_CONNS") {
@@ -785,11 +788,16 @@ fn resolve_server_config(opts: &Opts) -> cable::obs::ServerConfig {
     config
 }
 
-/// Binds the obs HTTP server, announces the bound address on stdout
-/// (so scripts can pass port 0 and discover the port), and serves until
-/// the process is killed.
-fn serve_blocking(addr: &str, config: cable::obs::ServerConfig) -> ! {
-    let server = cable::obs::ObsServer::bind_with(addr, config)
+/// Binds the obs HTTP server with its API plane and store health,
+/// announces the bound address on stdout (so scripts can pass port 0
+/// and discover the port), and serves until the process is killed.
+fn serve_blocking(
+    addr: &str,
+    config: cable::obs::ServerConfig,
+    api: Option<std::sync::Arc<dyn cable::obs::ApiHandler>>,
+    health: Option<cable::obs::HealthInfo>,
+) -> ! {
+    let server = cable::obs::ObsServer::bind_with(addr, config, api, health)
         .unwrap_or_else(|e| die(&format!("binding {addr}: {e}")));
     println!(
         "serving http://{}/metrics /healthz /tracez /eventz /sloz",
@@ -841,22 +849,20 @@ fn serve(opts: &Opts) -> i32 {
         .as_ref()
         .unwrap_or_else(|| usage("--obs-listen ADDR is required"));
     let config = resolve_server_config(opts);
-    // Trace knobs: flags beat the CABLE_TRACE_SEED / CABLE_TRACE_SLOW_US
-    // environment fallbacks init_from_env already applied.
-    if let Some(seed) = opts.trace_seed {
-        cable::obs::http::set_trace_seed(seed);
-    }
+    // The flag beats the CABLE_TRACE_SLOW_US fallback init_from_env
+    // already applied.
     if let Some(us) = opts.trace_slow_us {
         cable::obs::tail::set_slow_threshold_us(us);
     }
     let mut _profiler = None;
+    let mut health = None;
     if let Some(dir) = &opts.store {
         let (stored, report) = open_store(dir);
         report_recovery(&report);
-        publish_health(&stored);
+        health = store_health(&stored);
         _profiler = spawn_profiler(Path::new(dir), opts);
     }
-    if opts.api {
+    let api: Option<std::sync::Arc<dyn cable::obs::ApiHandler>> = if opts.api {
         let root = opts
             .store_root
             .as_ref()
@@ -865,17 +871,18 @@ fn serve(opts: &Opts) -> i32 {
             root,
             opts.max_open_sessions.unwrap_or(8),
         ));
-        let api = cable::session::CableApi::new(
+        Some(std::sync::Arc::new(cable::session::CableApi::new(
             manager,
             opts.request_deadline_ms
                 .filter(|&ms| ms > 0)
                 .map(std::time::Duration::from_millis),
-        );
-        cable::obs::set_api_handler(Some(std::sync::Arc::new(api)));
+        )))
     } else if opts.store_root.is_some() {
         usage("--store-root only applies with --api");
-    }
-    serve_blocking(addr, config);
+    } else {
+        None
+    };
+    serve_blocking(addr, config, api, health);
 }
 
 /// `cable profile diff BEFORE AFTER`: the self-time regression report
