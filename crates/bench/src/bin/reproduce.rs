@@ -219,7 +219,7 @@ fn main() {
         cable_obs::events::install_sink(sink);
     }
     let _server = obs_listen.as_deref().map(|addr| {
-        let server = cable_obs::ObsServer::bind(addr).unwrap_or_else(|e| die(&e));
+        let server = cable_core::server::ObsServer::bind(addr).unwrap_or_else(|e| die(&e));
         eprintln!("obs: serving http://{}/metrics", server.addr());
         server.spawn()
     });

@@ -1,8 +1,8 @@
 //! Critical-path and stage attribution over `trace_export` records.
 //!
-//! The tail store (`cable_obs::tail`) keeps complete span trees for
-//! slow and errored requests; `/tracez/export` dumps them as one
-//! `trace_export` JSON record. This module turns that dump into the
+//! The server's tail store (`cable_core::server`) keeps complete span
+//! trees for slow and errored requests; `/tracez/export` dumps them as
+//! one `trace_export` JSON record. This module turns that dump into the
 //! answer ROADMAP item 1 actually needs: *where does a slow request's
 //! wall time go?* Split into named stages —
 //!

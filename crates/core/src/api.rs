@@ -2,12 +2,12 @@
 //! multi-tenant service.
 //!
 //! [`CableApi`] implements `cable-obs`'s [`ApiHandler`] and is installed
-//! into the HTTP server by `cable serve --api`. Every request resolves a
-//! tenant-qualified session through the [`SessionManager`]
-//! ([`crate::manager`]) and runs under an optional per-request
-//! `cable-guard` budget ([`cable_guard::Budget::install_local`]), so one
-//! runaway lattice build times out its own request instead of the
-//! process.
+//! into the HTTP server ([`crate::server`]) by `cable serve --api`.
+//! Every request resolves a tenant-qualified session through the
+//! [`SessionManager`] ([`crate::manager`]) and runs under an optional
+//! per-request `cable-guard` budget
+//! ([`cable_guard::Budget::install_local`]), so one runaway lattice
+//! build times out its own request instead of the process.
 //!
 //! # Endpoints
 //!
@@ -44,6 +44,75 @@ use std::time::Duration;
 
 /// The tenant used when a request names none.
 pub const DEFAULT_TENANT: &str = "default";
+
+/// One `/api/` endpoint. [`Route::parse`] is the route table
+/// [`CableApi`] dispatches on, and the server files each request's
+/// latency, tail summary and SLO window under [`Route::pattern`] — so
+/// the label set is bounded by this enum, whatever paths clients send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// `/api/sessions`: list (GET) and open (POST).
+    Sessions,
+    /// `/api/sessions/:id/ingest`.
+    Ingest,
+    /// `/api/sessions/:id/label`.
+    Label,
+    /// `/api/sessions/:id/recover`.
+    Recover,
+    /// `/api/sessions/:id/lattice`.
+    Lattice,
+    /// `/api/sessions/:id/concepts`.
+    Concepts,
+    /// `/api/sessions/:id/focus`.
+    Focus,
+    /// `/api/sessions/:id/digest`.
+    Digest,
+}
+
+impl Route {
+    const PER_SESSION: [Route; 7] = [
+        Route::Ingest,
+        Route::Label,
+        Route::Recover,
+        Route::Lattice,
+        Route::Concepts,
+        Route::Focus,
+        Route::Digest,
+    ];
+
+    /// The path pattern, with `:id` standing for the session segment.
+    pub fn pattern(self) -> &'static str {
+        match self {
+            Route::Sessions => "/api/sessions",
+            Route::Ingest => "/api/sessions/:id/ingest",
+            Route::Label => "/api/sessions/:id/label",
+            Route::Recover => "/api/sessions/:id/recover",
+            Route::Lattice => "/api/sessions/:id/lattice",
+            Route::Concepts => "/api/sessions/:id/concepts",
+            Route::Focus => "/api/sessions/:id/focus",
+            Route::Digest => "/api/sessions/:id/digest",
+        }
+    }
+
+    /// Matches a request path (no query string) against the table: the
+    /// route and the session id it names (empty for
+    /// [`Route::Sessions`]). Empty segments are skipped.
+    pub fn parse(path: &str) -> Option<(Route, &str)> {
+        let segments: Vec<&str> = path
+            .strip_prefix("/api/")?
+            .split('/')
+            .filter(|s| !s.is_empty())
+            .collect();
+        match segments.as_slice() {
+            ["sessions"] => Some((Route::Sessions, "")),
+            ["sessions", id, verb] => Route::PER_SESSION
+                .into_iter()
+                .find(|route| route.pattern().rsplit('/').next() == Some(verb))
+                .map(|route| (route, *id)),
+            _ => None,
+        }
+    }
+}
 
 /// The `/api/` handler: a [`SessionManager`] plus the per-request
 /// budget policy.
@@ -123,44 +192,37 @@ impl CableApi {
     }
 
     fn route(&self, request: &ApiRequest) -> ApiResult {
-        let segments: Vec<&str> = request
-            .route
-            .strip_prefix("/api/")
-            .unwrap_or("")
-            .split('/')
-            .filter(|s| !s.is_empty())
-            .collect();
-        match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["sessions"]) => self.list(),
-            ("POST", ["sessions"]) => self.create(&parse_body(&request.body)?),
-            ("POST", ["sessions", id, "ingest"]) => {
+        let query = request.query.as_deref();
+        match (request.method.as_str(), Route::parse(&request.route)) {
+            ("GET", Some((Route::Sessions, _))) => self.list(),
+            ("POST", Some((Route::Sessions, _))) => self.create(&parse_body(&request.body)?),
+            ("POST", Some((Route::Ingest, id))) => {
                 let body = parse_body(&request.body)?;
                 self.ingest(&self.key(&body, None, id)?, &body)
             }
-            ("POST", ["sessions", id, "label"]) => {
+            ("POST", Some((Route::Label, id))) => {
                 let body = parse_body(&request.body)?;
                 self.label(&self.key(&body, None, id)?, &body)
             }
-            ("POST", ["sessions", id, "recover"]) => {
+            ("POST", Some((Route::Recover, id))) => {
                 let body = if request.body.trim().is_empty() {
                     Value::Null
                 } else {
                     parse_body(&request.body)?
                 };
-                self.recover(&self.key(&body, request.query.as_deref(), id)?)
+                self.recover(&self.key(&body, query, id)?)
             }
-            ("GET", ["sessions", id, "lattice"]) => {
-                self.lattice(&self.key(&Value::Null, request.query.as_deref(), id)?)
+            ("GET", Some((Route::Lattice, id))) => {
+                self.lattice(&self.key(&Value::Null, query, id)?)
             }
-            ("GET", ["sessions", id, "concepts"]) => {
-                self.concepts(&self.key(&Value::Null, request.query.as_deref(), id)?)
+            ("GET", Some((Route::Concepts, id))) => {
+                self.concepts(&self.key(&Value::Null, query, id)?)
             }
-            ("GET", ["sessions", id, "focus"]) => self.focus(
-                &self.key(&Value::Null, request.query.as_deref(), id)?,
-                request.query.as_deref(),
-            ),
-            ("GET", ["sessions", id, "digest"]) => {
-                self.digest(&self.key(&Value::Null, request.query.as_deref(), id)?)
+            ("GET", Some((Route::Focus, id))) => {
+                self.focus(&self.key(&Value::Null, query, id)?, query)
+            }
+            ("GET", Some((Route::Digest, id))) => {
+                self.digest(&self.key(&Value::Null, query, id)?)
             }
             ("GET" | "POST", _) => Err(ApiError::new(
                 404,

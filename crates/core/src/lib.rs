@@ -23,6 +23,13 @@
 //! the lattice is built over class representatives, exactly as §5.2
 //! describes; labels attach to classes (hence to every member trace).
 //!
+//! The same workflow runs as a service: a [`SessionManager`] keeps
+//! tenant-qualified sessions open over their stores, [`CableApi`] serves
+//! the §4 commands as JSON under `/api/`, and the [`server`] module is the
+//! std-only HTTP server hosting it next to the exposition endpoints
+//! (`/metrics`, `/healthz`, `/tracez`, `/eventz`, `/sloz`) that
+//! `cable serve` and `--obs-listen` expose.
+//!
 //! # Examples
 //!
 //! ```
@@ -52,6 +59,7 @@ pub mod digest;
 pub mod label;
 pub mod manager;
 pub mod persist;
+pub mod server;
 pub mod session;
 pub mod strategy;
 pub mod wellformed;

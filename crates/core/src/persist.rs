@@ -22,6 +22,7 @@
 //! is journaled (and fsynced) *before* it is applied in memory, so the
 //! store never claims less than the session knows.
 
+use crate::server::HealthInfo;
 use crate::session::CableSession;
 use cable_fa::Fa;
 use cable_fca::{Concept, ConceptLattice, Context};
@@ -272,13 +273,13 @@ impl StoredSession {
 
     /// The store's health as `/healthz` reports it: snapshot generation
     /// plus the journal lag in bytes and records, as given to the server
-    /// at [`cable_obs::ObsServer::bind_with`].
+    /// at [`crate::server::ObsServer::bind_with`].
     ///
     /// # Errors
     ///
     /// Fails on I/O errors sizing the journal file.
-    pub fn health(&self) -> Result<cable_obs::HealthInfo, StoreError> {
-        Ok(cable_obs::HealthInfo {
+    pub fn health(&self) -> Result<HealthInfo, StoreError> {
+        Ok(HealthInfo {
             generation: self.store.generation(),
             journal_lag_bytes: self.store.journal_lag_bytes()?,
             journal_lag_records: self.store.journal_lag_records(),
@@ -634,53 +635,6 @@ fopen(X) fread(X)
         assert_sessions_equal(&session, &rebuilt);
         assert_eq!(vocab.op_count(), vocab2.op_count());
         assert_eq!(vocab.atom_count(), vocab2.atom_count());
-    }
-
-    #[test]
-    fn save_open_round_trips_without_a_godin_pass() {
-        let dir = tmp_dir("roundtrip");
-        let (session, vocab) = build(CORPUS);
-        let stored = session.save(vocab, &dir).unwrap();
-        let (original, _) = stored.into_session();
-
-        let before = cable_obs::registry().snapshot();
-        let (stored, report) = CableSession::open(&dir).unwrap();
-        let delta = cable_obs::registry().snapshot().delta_since(&before);
-
-        assert_eq!(report.replayed, 0);
-        assert!(!report.stale_journal);
-        assert_sessions_equal(&original, stored.session());
-        // Resume used the persisted rows and concepts: no Godin work.
-        assert_eq!(delta.counter("fca.godin.objects_inserted").unwrap_or(0), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn ingest_journals_then_extends_incrementally() {
-        let dir = tmp_dir("ingest");
-        let (session, vocab) = build(CORPUS);
-        let mut stored = session.save(vocab, &dir).unwrap();
-
-        let before = cable_obs::registry().snapshot();
-        let fresh = "popen(Y) fwrite(Y) pclose(Y)\nfopen(X) fread(X) fclose(X)\n";
-        let results = stored.ingest_text(fresh, false).unwrap();
-        let delta = cable_obs::registry().snapshot().delta_since(&before);
-
-        assert_eq!(results.len(), 2);
-        assert!(results[0].1, "new shape founds a class");
-        assert!(!results[1].1, "duplicate joins its class");
-        // The insert went through live Inserter buckets, not rebuilds.
-        assert_eq!(delta.counter("fca.godin.bucket_rebuilds").unwrap_or(0), 0);
-        assert!(delta.counter("fca.godin.objects_inserted").unwrap_or(0) >= 1);
-
-        // The journaled state survives a reopen and equals a session
-        // built from the whole corpus at once.
-        drop(stored);
-        let (reopened, report) = CableSession::open(&dir).unwrap();
-        assert_eq!(report.replayed, 2);
-        let (full, _) = build(&format!("{CORPUS}{fresh}"));
-        assert_sessions_equal(&full, reopened.session());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

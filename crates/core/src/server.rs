@@ -1,54 +1,60 @@
 //! Std-only HTTP/1.1 server: the exposition endpoints (`/metrics`,
-//! `/healthz`, `/tracez`, `/tracez/export`, `/eventz`, `/sloz`) plus a
-//! pluggable JSON API plane under `/api/` (an [`ApiHandler`] given at
-//! [`ObsServer::bind_with`]).
+//! `/healthz`, `/tracez`, `/tracez/export`, `/eventz`, `/sloz`) plus the
+//! session API under `/api/` (an [`ApiHandler`] — [`crate::CableApi`] —
+//! given at [`ObsServer::bind_with`]).
 //!
 //! Every parsed request is minted a [`TraceCtx`] (seeded by
 //! [`ServerConfig::trace_seed`], sequence-numbered per request by the
-//! server) and handled under a request root span; the finished span
-//! tree feeds the tail store (see [`crate::tail`]), `/tracez?trace=ID`
-//! renders kept trees as waterfalls, `/tracez?slowest=N` indexes the
-//! slowest requests, and per-route latency lands in the
-//! `http_request_us` scoped family.
+//! server) and handled under a request root span. The server owns what
+//! it files each finished request under: its per-route latency scopes
+//! (the `http_request_us` family) and its tail store. All of them, and
+//! the request's wide event, are keyed by a bounded route label — an
+//! exposition path, a [`Route`] pattern, or `other` — never by the raw
+//! path a client sent.
 //!
-//! Per DESIGN.md §8 this is hand-rolled over [`std::net::TcpListener`] —
-//! no external HTTP stack. Connections are served by a fixed pool of
-//! worker threads (default [`MAX_CONNECTIONS`], tunable via
-//! [`ServerConfig`] / `--max-connections` / `CABLE_MAX_CONNS`) fed from
+//! # Tail-based retention
+//!
+//! Tail sampling decides *after* a request finishes, when its wall time
+//! and status are known: every request leaves a summary (ring of
+//! [`SUMMARY_CAP`]); the complete span tree is kept only for requests
+//! that are slow (wall time ≥ [`ServerConfig::trace_slow_us`]), failed
+//! (status ≥ 500), or land on the 1-in-[`SAMPLE_EVERY`] sample, in a
+//! ring of [`TREE_CAP`]. `/tracez?slowest=N` indexes the summaries,
+//! `/tracez?trace=ID` renders a kept tree as a waterfall, and
+//! `/tracez/export` dumps the store as a `trace_export` record for
+//! `reproduce trace-report`.
+//!
+//! # Connections
+//!
+//! Per DESIGN.md §8 this is hand-rolled over [`std::net::TcpListener`].
+//! A fixed pool of [`ServerConfig::max_connections`] workers is fed from
 //! a bounded accept queue: when every worker is busy, up to
 //! [`ServerConfig::queue_depth`] connections wait their turn, and only
 //! past *that* does the accept loop shed load — with `429 Too Many
-//! Requests` plus a `Retry-After` header, so well-behaved clients back
-//! off and retry instead of treating the flat refusal as an outage
-//! (DESIGN.md §14's backpressure protocol; previously this was an
-//! immediate `503` at the worker cap). A connection may send at most
-//! [`MAX_HEADER_BYTES`] of request line plus headers (`431` past that)
-//! and at most [`MAX_BODY_BYTES`] of body (`413` past that), must make
-//! read progress within the 2 s timeout, and is always closed after the
-//! response — slowloris-style trickles cost one worker for at most one
-//! timeout, and queued victims behind them are served as workers free
-//! up.
+//! Requests` plus a `Retry-After` header (DESIGN.md §14). A connection
+//! may send at most [`MAX_HEADER_BYTES`] of request line plus headers
+//! (`431` past that) and [`MAX_BODY_BYTES`] of body (`413`), must make
+//! read progress within [`IO_TIMEOUT`] and deliver its whole request
+//! within [`CONNECTION_DEADLINE`] (`408`), and is always closed after
+//! the response.
 //!
 //! Security posture (DESIGN.md §11): addresses given as a bare port bind
 //! `127.0.0.1`; exposing the endpoints beyond localhost requires an
 //! explicit interface in `--obs-listen`.
 
-use crate::chrome;
-use crate::context::{self, TraceCtx};
-use crate::events::{self, WideEvent};
-use crate::json::Value;
-use crate::metrics::{CounterHandle, HistogramHandle};
-use crate::prom;
-use crate::recorder;
-use crate::registry::registry;
-use crate::slo;
-use crate::span::Span;
-use crate::tail;
+use crate::api::Route;
+use cable_obs::context::{self, FinishedTrace, SpanRec, TraceCtx};
+use cable_obs::events::{self, WideEvent};
+use cable_obs::json::Value;
+use cable_obs::{chrome, prom, recorder, registry, scoped, slo};
+use cable_obs::{
+    ApiHandler, ApiRequest, ApiResponse, CounterHandle, HistogramHandle, Scope, RETRY_AFTER_SECONDS,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 static REQUESTS: CounterHandle = CounterHandle::new("obs.http.requests");
@@ -75,36 +81,56 @@ pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// `POST /api/sessions/:id/ingest` can make the server buffer.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Default ceiling on concurrently served connections (the worker-pool
-/// size). Tunable per server via [`ServerConfig`].
+/// size; `--max-connections`).
 pub const MAX_CONNECTIONS: usize = 8;
 /// Default depth of the accept queue behind the worker pool; past
 /// workers + queue the server answers `429` with `Retry-After`.
 pub const QUEUE_DEPTH: usize = 32;
-/// The `Retry-After` value (seconds) sent with `429` responses.
-pub const RETRY_AFTER_SECONDS: u64 = 1;
-/// Default per-read/per-write socket timeout on a served connection.
+/// Per-read/per-write socket timeout on a served connection.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
-/// Default overall deadline for one connection to deliver its whole
-/// request (line, headers, and body). The per-read timeout alone resets
-/// on every byte, so a client trickling one byte per interval could
-/// hold a worker forever; the deadline bounds the total and answers
-/// `408` — the slowloris guard.
+/// Overall deadline for one connection to deliver its whole request
+/// (line, headers, and body). The per-read timeout alone resets on
+/// every byte, so a client trickling one byte per interval could hold a
+/// worker forever; the deadline bounds the total and answers `408` —
+/// the slowloris guard.
 pub const CONNECTION_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Most recent spans per lane served by `/tracez` (override per request
 /// with `?limit=N`).
 pub const TRACEZ_SPAN_LIMIT: usize = 64;
-
 /// Most recent events served by `/eventz` (override with `?limit=N`).
 pub const EVENTZ_EVENT_LIMIT: usize = 64;
-
 /// Ceiling on a `?limit=N` override — keeps one request from asking for
 /// a multi-MB response.
 pub const MAX_QUERY_LIMIT: usize = 100_000;
 
+/// Per-request summaries the tail store retains (newest wins).
+pub const SUMMARY_CAP: usize = 512;
+/// Complete span trees the tail store retains (newest wins).
+pub const TREE_CAP: usize = 128;
+/// Default slow-request threshold, microseconds.
+pub const DEFAULT_SLOW_US: u64 = 10_000;
+/// The tail store keeps the full tree of every `SAMPLE_EVERY`-th
+/// request, fast or not.
+pub const SAMPLE_EVERY: u64 = 16;
+
+/// The exposition endpoints: each path with the handler that answers a
+/// `GET` on it, given the query string (`Err` is a `400` message). The
+/// paths are also the route labels of those requests.
+const EXPOSITION: [(&str, Exposition); 6] = [
+    ("/metrics", Plane::metrics),
+    ("/healthz", Plane::healthz),
+    ("/tracez", Plane::tracez),
+    ("/tracez/export", Plane::tracez_export),
+    ("/eventz", Plane::eventz),
+    ("/sloz", Plane::sloz),
+];
+
+type Exposition = fn(&Plane, Option<&str>) -> Result<ApiResponse, String>;
+
 /// Sizing of one server — how many connections are served concurrently
 /// and how many may wait behind them before load-shedding starts — and
-/// the seed its request trace ids are minted from.
+/// its request-tracing settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Worker threads — concurrently served connections.
@@ -113,17 +139,14 @@ pub struct ServerConfig {
     /// `max_connections + queue_depth` in flight, new connections get
     /// `429` + `Retry-After`.
     pub queue_depth: usize,
-    /// Per-read/per-write socket timeout on a served connection.
-    pub io_timeout: Duration,
-    /// Overall deadline for one connection to deliver its whole request
-    /// (the slowloris guard; `408` + `obs.http.slow_client_aborts` past
-    /// it).
-    pub connection_deadline: Duration,
-    /// Seed minted trace ids derive from (`cable serve --trace-seed`);
-    /// the server's request sequence number advances once per parsed
-    /// request. With a pinned seed and the same request order, a drill
-    /// mints the same trace ids run to run.
+    /// Seed minted trace ids derive from (`--trace-seed`); the server's
+    /// request sequence number advances once per parsed request. With a
+    /// pinned seed and the same request order, a drill mints the same
+    /// trace ids run to run.
     pub trace_seed: u64,
+    /// Wall time, microseconds, at or above which a request's complete
+    /// span tree is always kept (`--trace-slow-us`).
+    pub trace_slow_us: u64,
 }
 
 impl Default for ServerConfig {
@@ -131,17 +154,16 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: MAX_CONNECTIONS,
             queue_depth: QUEUE_DEPTH,
-            io_timeout: IO_TIMEOUT,
-            connection_deadline: CONNECTION_DEADLINE,
             trace_seed: 0,
+            trace_slow_us: DEFAULT_SLOW_US,
         }
     }
 }
 
 /// What `/healthz` reports about an open store, given to the server at
-/// bind by whoever holds one (the `cable` binary). Without one the
-/// endpoint reports `"store": "none"` but stays healthy — a serving
-/// process without a store is not broken.
+/// bind by whoever holds one ([`crate::StoredSession::health`]).
+/// Without one the endpoint reports `"store": "none"` but stays healthy
+/// — a serving process without a store is not broken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthInfo {
     /// Snapshot generation of the open store.
@@ -155,81 +177,6 @@ pub struct HealthInfo {
     /// write-path failure (fail-stop durability), `None` while
     /// writable.
     pub degraded: Option<String>,
-}
-
-/// A request routed to the API plane: anything under `/api/`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ApiRequest {
-    /// The HTTP method (`GET`, `POST`, …), uppercased as received.
-    pub method: String,
-    /// The path without the query string, e.g. `/api/sessions/s1/label`.
-    pub route: String,
-    /// The raw query string after `?`, if any.
-    pub query: Option<String>,
-    /// The request body (bounded by [`MAX_BODY_BYTES`]).
-    pub body: String,
-}
-
-/// An API plane's answer. The server adds framing (status text,
-/// `Content-Length`, `Connection: close`) around it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ApiResponse {
-    /// HTTP status code (200, 201, 400, 404, …).
-    pub status: u16,
-    /// The `Content-Type` header value.
-    pub content_type: &'static str,
-    /// The response body.
-    pub body: String,
-    /// When set, the server adds a `Retry-After: <seconds>` header —
-    /// how degraded-store `503`s tell clients the condition is
-    /// retryable.
-    pub retry_after: Option<u64>,
-}
-
-impl ApiResponse {
-    /// A JSON response. Rendering is a `serialize.response` span: on
-    /// large lattice views the body formatting is real work, and the
-    /// trace-report serialization stage accounts for it.
-    pub fn json(status: u16, value: &Value) -> ApiResponse {
-        let body = {
-            let _span = Span::open("serialize.response");
-            format!("{value}\n")
-        };
-        ApiResponse {
-            status,
-            content_type: "application/json; charset=utf-8",
-            body,
-            retry_after: None,
-        }
-    }
-
-    /// An error response with the standard `{"error": …, "status": …}`
-    /// body.
-    pub fn error(status: u16, message: &str) -> ApiResponse {
-        ApiResponse::json(
-            status,
-            &Value::object([
-                ("error", Value::from(message)),
-                ("status", Value::from(u64::from(status))),
-            ]),
-        )
-    }
-
-    /// Attaches a `Retry-After` header value (seconds).
-    pub fn with_retry_after(mut self, seconds: u64) -> ApiResponse {
-        self.retry_after = Some(seconds);
-        self
-    }
-}
-
-/// The API plane behind `/api/` routes. `cable-obs` deliberately knows
-/// nothing about sessions — the dependency runs the other way — so the
-/// session service (`cable-core`'s `CableApi`) is handed to the server
-/// at [`ObsServer::bind_with`], like the store's [`HealthInfo`].
-pub trait ApiHandler: Send + Sync {
-    /// Handles one API request. Infallible by construction: errors are
-    /// [`ApiResponse`]s with 4xx/5xx statuses.
-    fn handle(&self, request: &ApiRequest) -> ApiResponse;
 }
 
 /// Parses an `--obs-listen` value: either a full socket address
@@ -253,8 +200,8 @@ pub struct ObsServer {
     plane: Plane,
 }
 
-/// What one server answers with, fixed at bind and shared by its
-/// workers.
+/// What one server answers with and files its requests under, fixed at
+/// bind and shared by its workers.
 struct Plane {
     config: ServerConfig,
     /// The `/api/` handler; without one, API routes answer `404` with a
@@ -264,6 +211,18 @@ struct Plane {
     health: Option<HealthInfo>,
     /// Requests parsed so far: the per-request trace mint sequence.
     request_seq: AtomicU64,
+    /// The slow-client guards, always [`IO_TIMEOUT`] and
+    /// [`CONNECTION_DEADLINE`]; fields only so this module's tests can
+    /// tighten them.
+    io_timeout: Duration,
+    connection_deadline: Duration,
+    /// Finished request traces, retained by the tail rule.
+    tail: TailStore,
+    /// One latency scope per route label, opened on its first request
+    /// and held for the server's life: per-request open/drop would churn
+    /// the bounded retired-scope ring and lose the live series between
+    /// scrapes.
+    scopes: Mutex<HashMap<&'static str, Scope>>,
 }
 
 impl ObsServer {
@@ -275,8 +234,8 @@ impl ObsServer {
         Self::bind_with(addr, ServerConfig::default(), None, None)
     }
 
-    /// [`ObsServer::bind`] with explicit sizing and trace seed, the
-    /// `/api/` handler, and the store health `/healthz` reports.
+    /// [`ObsServer::bind`] with explicit sizing and tracing settings,
+    /// the `/api/` handler, and the store health `/healthz` reports.
     ///
     /// # Errors
     ///
@@ -305,6 +264,10 @@ impl ObsServer {
                 api,
                 health,
                 request_seq: AtomicU64::new(0),
+                io_timeout: IO_TIMEOUT,
+                connection_deadline: CONNECTION_DEADLINE,
+                tail: TailStore::new(config.trace_slow_us),
+                scopes: Mutex::new(HashMap::new()),
             },
         })
     }
@@ -420,7 +383,7 @@ impl WorkerPool {
         }
         REJECTED.get().incr();
         let mut stream = stream;
-        let _ = stream.set_write_timeout(Some(self.shared.plane.config.io_timeout));
+        let _ = stream.set_write_timeout(Some(self.shared.plane.io_timeout));
         let body = "server over capacity, retry\n";
         let _ = write!(
             stream,
@@ -473,7 +436,7 @@ fn worker_loop(shared: &PoolShared) {
                 state = shared.ready.wait(state).expect("obs pool condvar poisoned");
             }
         };
-        handle_connection(&shared.plane, stream, enqueued.elapsed());
+        shared.plane.handle_connection(stream, enqueued.elapsed());
     }
 }
 
@@ -506,31 +469,25 @@ impl Drop for ServerGuard {
     }
 }
 
-/// A response ready for framing.
-struct HttpResponse {
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    retry_after: Option<u64>,
+/// A plain-text response.
+fn text(status: u16, body: impl Into<String>) -> ApiResponse {
+    ApiResponse {
+        status,
+        content_type: "text/plain; charset=utf-8",
+        body: body.into(),
+        retry_after: None,
+    }
 }
 
-impl HttpResponse {
-    fn text(status: u16, body: impl Into<String>) -> HttpResponse {
-        HttpResponse {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: body.into(),
-            retry_after: None,
-        }
-    }
-
-    fn json(status: u16, value: &Value) -> HttpResponse {
-        HttpResponse {
-            status,
-            content_type: "application/json; charset=utf-8",
-            body: format!("{value}\n"),
-            retry_after: None,
-        }
+/// A JSON exposition response. Unlike [`ApiResponse::json`] it opens no
+/// `serialize.response` span: that span is API work, and an exposition
+/// request's tree is its bare root.
+fn json(status: u16, value: &Value) -> ApiResponse {
+    ApiResponse {
+        status,
+        content_type: "application/json; charset=utf-8",
+        body: format!("{value}\n"),
+        retry_after: None,
     }
 }
 
@@ -604,134 +561,240 @@ fn abort_unfinished_read(reader: BufReader<DeadlineStream>, deadline: Instant) {
     }
 }
 
-fn handle_connection(plane: &Plane, stream: TcpStream, queue_wait: Duration) {
-    let config = plane.config;
-    let deadline = Instant::now() + config.connection_deadline;
-    let _ = stream.set_read_timeout(Some(config.io_timeout));
-    let _ = stream.set_write_timeout(Some(config.io_timeout));
-    let mut reader = BufReader::new(DeadlineStream {
-        stream,
-        deadline,
-        io_timeout: config.io_timeout,
-    });
-    // The `take` caps how many request-line + header bytes one
-    // connection may feed us: past it `read_line` sees EOF, and we
-    // answer 431 instead of buffering without bound. The body is read
-    // separately below, under its own cap.
-    let mut head = (&mut reader).take(MAX_HEADER_BYTES as u64);
-    let mut request_line = String::new();
-    if head.read_line(&mut request_line).is_err() {
-        return abort_unfinished_read(reader, deadline);
-    }
-    // Drain headers (keeping Content-Length) so well-behaved clients
-    // see a clean close.
-    let mut saw_end = false;
-    let mut content_length: usize = 0;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match head.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => {
-                saw_end = true;
-                break;
-            }
-            Ok(_) => {
-                if let Some((name, value)) = line.split_once(':') {
-                    if name.trim().eq_ignore_ascii_case("content-length") {
-                        content_length = value.trim().parse().unwrap_or(0);
-                    }
-                }
-            }
-            Err(_) => return abort_unfinished_read(reader, deadline),
-        }
-    }
-    REQUESTS.get().incr();
-    let started = Instant::now();
-    // Mint the request's causal context: every recorder span opened
-    // while handling — on this thread or adopted by pool workers — is
-    // stamped with this trace id. The accept-queue wait becomes part of
-    // the request's wall time via a synthetic `wait.queue` child span.
-    let queue_wait_us = queue_wait.as_micros().min(u64::MAX as u128) as u64;
-    WAIT_QUEUE.get().record(queue_wait_us);
-    let seq = plane.request_seq.fetch_add(1, Ordering::Relaxed);
-    let ctx = TraceCtx::mint(config.trace_seed, seq);
-    let queue_wait_ns = queue_wait.as_nanos().min(u64::MAX as u128) as u64;
-    let trace = context::begin_request(ctx, "http.request", queue_wait_ns);
-    if queue_wait_us > 0 {
-        recorder::counter_mark("wait.queue.us", queue_wait_us);
-    }
-    let oversized = !saw_end && head.limit() == 0;
-    let mut route = String::new();
-    let response = if oversized {
-        OVERSIZED.get().incr();
-        HttpResponse::text(
-            431,
-            format!("request line + headers exceed {MAX_HEADER_BYTES} bytes\n"),
-        )
-    } else if content_length > MAX_BODY_BYTES {
-        HttpResponse::text(
-            413,
-            format!("request body exceeds {MAX_BODY_BYTES} bytes\n"),
-        )
-    } else {
-        let mut body = vec![0u8; content_length];
-        if content_length > 0 && reader.read_exact(&mut body).is_err() {
+/// The bounded label a request is filed under — its latency scope,
+/// tail summary and SLO window: an exposition path, an `/api/` route
+/// pattern with the session id collapsed to `:id`, or `other`.
+fn route_label(path: &str) -> &'static str {
+    EXPOSITION
+        .iter()
+        .map(|(exposed, _)| *exposed)
+        .find(|exposed| *exposed == path)
+        .or_else(|| Route::parse(path).map(|(route, _)| route.pattern()))
+        .unwrap_or("other")
+}
+
+impl Plane {
+    fn handle_connection(&self, stream: TcpStream, queue_wait: Duration) {
+        let deadline = Instant::now() + self.connection_deadline;
+        let _ = stream.set_read_timeout(Some(self.io_timeout));
+        let _ = stream.set_write_timeout(Some(self.io_timeout));
+        let mut reader = BufReader::new(DeadlineStream {
+            stream,
+            deadline,
+            io_timeout: self.io_timeout,
+        });
+        // The `take` caps how many request-line + header bytes one
+        // connection may feed us: past it `read_line` sees EOF, and we
+        // answer 431 instead of buffering without bound. The body is
+        // read separately below, under its own cap.
+        let mut head = (&mut reader).take(MAX_HEADER_BYTES as u64);
+        let mut request_line = String::new();
+        if head.read_line(&mut request_line).is_err() {
             return abort_unfinished_read(reader, deadline);
         }
-        let body = String::from_utf8_lossy(&body).into_owned();
-        let mut parts = request_line.split_whitespace();
-        let method = parts.next().unwrap_or("");
-        let path = parts.next().unwrap_or("");
-        route = path.split('?').next().unwrap_or("").to_owned();
-        respond(plane, method, path, body)
-    };
-    // Close the root span and offer the finished tree to the tail
-    // store (summary always; full tree for slow/error/sampled).
-    let finished = trace.finish();
-    let label = route_label(&route);
-    record_route_latency(
-        label,
-        started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-    );
-    if crate::enabled() {
-        tail::record(label, response.status, &finished);
+        // Drain headers (keeping Content-Length) so well-behaved clients
+        // see a clean close.
+        let mut saw_end = false;
+        let mut content_length: usize = 0;
+        let mut line = String::new();
+        loop {
+            line.clear();
+            match head.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) if line == "\r\n" || line == "\n" => {
+                    saw_end = true;
+                    break;
+                }
+                Ok(_) => {
+                    if let Some((name, value)) = line.split_once(':') {
+                        if name.trim().eq_ignore_ascii_case("content-length") {
+                            content_length = value.trim().parse().unwrap_or(0);
+                        }
+                    }
+                }
+                Err(_) => return abort_unfinished_read(reader, deadline),
+            }
+        }
+        REQUESTS.get().incr();
+        let started = Instant::now();
+        // Mint the request's causal context: every recorder span opened
+        // while handling — on this thread or adopted by pool workers —
+        // is stamped with this trace id. The accept-queue wait becomes
+        // part of the request's wall time via a synthetic `wait.queue`
+        // child span.
+        let queue_wait_us = queue_wait.as_micros().min(u64::MAX as u128) as u64;
+        WAIT_QUEUE.get().record(queue_wait_us);
+        let seq = self.request_seq.fetch_add(1, Ordering::Relaxed);
+        let ctx = TraceCtx::mint(self.config.trace_seed, seq);
+        let queue_wait_ns = queue_wait.as_nanos().min(u64::MAX as u128) as u64;
+        let trace = context::begin_request(ctx, "http.request", queue_wait_ns);
+        if queue_wait_us > 0 {
+            recorder::counter_mark("wait.queue.us", queue_wait_us);
+        }
+        let oversized = !saw_end && head.limit() == 0;
+        let mut route = String::new();
+        let response = if oversized {
+            OVERSIZED.get().incr();
+            text(
+                431,
+                format!("request line + headers exceed {MAX_HEADER_BYTES} bytes\n"),
+            )
+        } else if content_length > MAX_BODY_BYTES {
+            text(
+                413,
+                format!("request body exceeds {MAX_BODY_BYTES} bytes\n"),
+            )
+        } else {
+            let mut body = vec![0u8; content_length];
+            if content_length > 0 && reader.read_exact(&mut body).is_err() {
+                return abort_unfinished_read(reader, deadline);
+            }
+            let body = String::from_utf8_lossy(&body).into_owned();
+            let mut parts = request_line.split_whitespace();
+            let method = parts.next().unwrap_or("");
+            let path = parts.next().unwrap_or("");
+            route = path.split('?').next().unwrap_or("").to_owned();
+            self.respond(method, path, body)
+        };
+        // Close the root span and offer the finished tree to the tail
+        // store (summary always; full tree for slow/error/sampled).
+        let finished = trace.finish();
+        let label = route_label(&route);
+        self.record_route_latency(
+            label,
+            started.elapsed().as_micros().min(u64::MAX as u128) as u64,
+        );
+        if cable_obs::enabled() {
+            self.tail.record(label, response.status, &finished);
+        }
+        // One wide event per request: the server observes itself through
+        // the same stream it serves (outcome = the status code). The SLO
+        // window is keyed by the bounded label; the raw path rides along.
+        events::emit(
+            WideEvent::new("http_request", "http")
+                .stage(label)
+                .outcome(response.status.to_string())
+                .duration(started.elapsed())
+                .field("path", route)
+                .field("bytes", response.body.len() as u64)
+                .field("trace", finished.ctx.trace_hex()),
+        );
+        // Keep the persistent event log current through each request:
+        // the chaos drill kills the server and then replays the fault
+        // timeline from this file, so it must not trail by a buffer's
+        // worth.
+        events::flush_sink();
+        let mut stream = reader.into_inner().stream;
+        let retry_after = response
+            .retry_after
+            .map(|seconds| format!("Retry-After: {seconds}\r\n"))
+            .unwrap_or_default();
+        // A peer that hangs up mid-response (EPIPE / reset) is routine
+        // under load-test churn: count it and move on — the request was
+        // already served and accounted above.
+        let wrote = write!(
+            stream,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n{}Content-Length: {}\r\nConnection: close\r\n\r\n",
+            response.status,
+            status_text(response.status),
+            response.content_type,
+            retry_after,
+            response.body.len()
+        )
+        .and_then(|()| stream.write_all(response.body.as_bytes()))
+        .and_then(|()| stream.flush());
+        if wrote.is_err() {
+            CLIENT_ABORTS.get().incr();
+        }
     }
-    // One wide event per request: the server observes itself through
-    // the same stream it serves (outcome = the status code).
-    events::emit(
-        WideEvent::new("http_request", "http")
-            .stage(route)
-            .outcome(response.status.to_string())
-            .duration(started.elapsed())
-            .field("bytes", response.body.len() as u64)
-            .field("trace", finished.ctx.trace_hex()),
-    );
-    // Keep the persistent event log current through each request: the
-    // chaos drill kills the server and then replays the fault timeline
-    // from this file, so it must not trail by a buffer's worth.
-    events::flush_sink();
-    let mut stream = reader.into_inner().stream;
-    let retry_after = response
-        .retry_after
-        .map(|seconds| format!("Retry-After: {seconds}\r\n"))
-        .unwrap_or_default();
-    // A peer that hangs up mid-response (EPIPE / reset) is routine
-    // under load-test churn: count it and move on — the request was
-    // already served and accounted above.
-    let wrote = write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n{}Content-Length: {}\r\nConnection: close\r\n\r\n",
-        response.status,
-        status_text(response.status),
-        response.content_type,
-        retry_after,
-        response.body.len()
-    )
-    .and_then(|()| stream.write_all(response.body.as_bytes()))
-    .and_then(|()| stream.flush());
-    if wrote.is_err() {
-        CLIENT_ABORTS.get().incr();
+
+    fn respond(&self, method: &str, path: &str, body: String) -> ApiResponse {
+        let (route, query) = match path.split_once('?') {
+            Some((route, query)) => (route, Some(query)),
+            None => (path, None),
+        };
+        // The API plane first: it owns its own methods and status codes.
+        if route == "/api" || route.starts_with("/api/") {
+            return match &self.api {
+                Some(handler) => handler.handle(&ApiRequest {
+                    method: method.to_owned(),
+                    route: route.to_owned(),
+                    query: query.map(str::to_owned),
+                    body,
+                }),
+                None => text(
+                    404,
+                    "no session API is enabled (start `cable serve --api`)\n",
+                ),
+            };
+        }
+        if method != "GET" {
+            return text(405, "only GET is served outside /api/\n");
+        }
+        match EXPOSITION.iter().find(|(exposed, _)| *exposed == route) {
+            Some((_, answer)) => answer(self, query).unwrap_or_else(|e| text(400, e)),
+            None => text(
+                404,
+                "try /metrics, /healthz, /tracez, /tracez/export, /eventz, /sloz, or /api/sessions\n",
+            ),
+        }
+    }
+
+    /// Records one request into the per-route HTTP latency family
+    /// (`http_request_us_summary{route="..."}` on `/metrics`).
+    fn record_route_latency(&self, label: &'static str, us: u64) {
+        let mut scopes = self.scopes.lock().expect("obs route scopes poisoned");
+        scopes
+            .entry(label)
+            .or_insert_with(|| scoped().open(&[("route", label)]))
+            .record("http.request.us", us);
+    }
+
+    fn metrics(&self, query: Option<&str>) -> Result<ApiResponse, String> {
+        parse_limit(query, 0)?;
+        Ok(ApiResponse {
+            status: 200,
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            body: prom::encode_full(&registry().snapshot(), &scoped().snapshot()),
+            retry_after: None,
+        })
+    }
+
+    fn healthz(&self, query: Option<&str>) -> Result<ApiResponse, String> {
+        parse_limit(query, 0)?;
+        Ok(json(200, &healthz_json(self.health.as_ref())))
+    }
+
+    fn tracez(&self, query: Option<&str>) -> Result<ApiResponse, String> {
+        Ok(match parse_tracez_query(query)? {
+            TracezView::Lanes(limit) => json(200, &tracez_json(limit)),
+            TracezView::Trace(id) => match self.tail.tree(&id) {
+                Some((summary, spans)) => text(200, render_waterfall(&summary, &spans)),
+                None => text(
+                    404,
+                    format!(
+                        "no kept span tree for trace {id} (trees are kept for \
+                         slow/error/sampled requests; see /tracez?slowest=N)\n"
+                    ),
+                ),
+            },
+            TracezView::Slowest(n) => json(200, &self.tail.slowest_json(n)),
+        })
+    }
+
+    fn tracez_export(&self, query: Option<&str>) -> Result<ApiResponse, String> {
+        parse_limit(query, 0)?;
+        Ok(json(200, &self.tail.export()))
+    }
+
+    fn eventz(&self, query: Option<&str>) -> Result<ApiResponse, String> {
+        let limit = parse_limit(query, EVENTZ_EVENT_LIMIT)?;
+        Ok(json(200, &events::eventz_json(limit)))
+    }
+
+    fn sloz(&self, query: Option<&str>) -> Result<ApiResponse, String> {
+        parse_limit(query, 0)?;
+        Ok(json(200, &slo::sloz_json()))
     }
 }
 
@@ -758,54 +821,6 @@ fn parse_limit(query: Option<&str>, default: usize) -> Result<usize, String> {
         }
     }
     Ok(limit)
-}
-
-/// Normalises a request path to one of a bounded set of route labels
-/// for the per-route latency family: an unbounded label set would grow
-/// `/metrics` without limit, so session ids are collapsed to `:id` and
-/// unknown paths to `other`.
-fn route_label(route: &str) -> &'static str {
-    match route {
-        "/metrics" => "/metrics",
-        "/healthz" => "/healthz",
-        "/tracez" => "/tracez",
-        "/tracez/export" => "/tracez/export",
-        "/eventz" => "/eventz",
-        "/sloz" => "/sloz",
-        _ => {
-            let segments: Vec<&str> = route
-                .strip_prefix("/api/")
-                .unwrap_or("")
-                .split('/')
-                .filter(|s| !s.is_empty())
-                .collect();
-            match segments.as_slice() {
-                ["sessions"] => "/api/sessions",
-                ["sessions", _, "ingest"] => "/api/sessions/:id/ingest",
-                ["sessions", _, "label"] => "/api/sessions/:id/label",
-                ["sessions", _, "recover"] => "/api/sessions/:id/recover",
-                ["sessions", _, "lattice"] => "/api/sessions/:id/lattice",
-                ["sessions", _, "concepts"] => "/api/sessions/:id/concepts",
-                ["sessions", _, "focus"] => "/api/sessions/:id/focus",
-                ["sessions", _, "digest"] => "/api/sessions/:id/digest",
-                _ => "other",
-            }
-        }
-    }
-}
-
-/// Records one request into the per-route HTTP latency family
-/// (`http_request_us_summary{route="..."}` on `/metrics`). Scopes are
-/// opened on first hit and held for the life of the process: per-request
-/// open/drop would churn the bounded retired-scope ring and lose the
-/// live series between scrapes.
-fn record_route_latency(route: &'static str, us: u64) {
-    static SCOPES: OnceLock<Mutex<HashMap<&'static str, crate::Scope>>> = OnceLock::new();
-    let scopes = SCOPES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = scopes.lock().expect("obs route scopes poisoned");
-    map.entry(route)
-        .or_insert_with(|| crate::scoped().open(&[("route", route)]))
-        .record("http.request.us", us);
 }
 
 /// What one `/tracez` request asks for.
@@ -856,91 +871,8 @@ fn parse_tracez_query(query: Option<&str>) -> Result<TracezView, String> {
     Ok(view)
 }
 
-fn respond(plane: &Plane, method: &str, path: &str, body: String) -> HttpResponse {
-    let (route, query) = match path.split_once('?') {
-        Some((route, query)) => (route, Some(query)),
-        None => (path, None),
-    };
-    // The API plane first: it owns its own methods and status codes.
-    if route == "/api" || route.starts_with("/api/") {
-        return match &plane.api {
-            Some(handler) => {
-                let request = ApiRequest {
-                    method: method.to_owned(),
-                    route: route.to_owned(),
-                    query: query.map(str::to_owned),
-                    body,
-                };
-                let answer = handler.handle(&request);
-                HttpResponse {
-                    status: answer.status,
-                    content_type: answer.content_type,
-                    body: answer.body,
-                    retry_after: answer.retry_after,
-                }
-            }
-            None => HttpResponse::text(
-                404,
-                "no session API is enabled (start `cable serve --api`)\n",
-            ),
-        };
-    }
-    if method != "GET" {
-        return HttpResponse::text(405, "only GET is served outside /api/\n");
-    }
-    let bad_request = |message: String| HttpResponse::text(400, message);
-    match route {
-        "/metrics" => match parse_limit(query, 0) {
-            Err(e) => bad_request(e),
-            Ok(_) => HttpResponse {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: prom::encode_full(&registry().snapshot(), &crate::scoped().snapshot()),
-                retry_after: None,
-            },
-        },
-        "/healthz" => match parse_limit(query, 0) {
-            Err(e) => bad_request(e),
-            Ok(_) => HttpResponse::json(200, &healthz_json(plane.health.as_ref())),
-        },
-        "/tracez" => match parse_tracez_query(query) {
-            Err(e) => bad_request(e),
-            Ok(TracezView::Lanes(limit)) => HttpResponse::json(200, &tracez_json(limit)),
-            Ok(TracezView::Trace(id)) => match tail::tree(&id) {
-                Some((summary, spans)) => {
-                    HttpResponse::text(200, tail::render_waterfall(&summary, &spans))
-                }
-                None => HttpResponse::text(
-                    404,
-                    format!(
-                        "no kept span tree for trace {id} (trees are kept for \
-                         slow/error/sampled requests; see /tracez?slowest=N)\n"
-                    ),
-                ),
-            },
-            Ok(TracezView::Slowest(n)) => HttpResponse::json(200, &tail::slowest_json(n)),
-        },
-        "/tracez/export" => match parse_limit(query, 0) {
-            Err(e) => bad_request(e),
-            Ok(_) => HttpResponse::json(200, &tail::export()),
-        },
-        "/eventz" => match parse_limit(query, EVENTZ_EVENT_LIMIT) {
-            Err(e) => bad_request(e),
-            Ok(limit) => HttpResponse::json(200, &events::eventz_json(limit)),
-        },
-        "/sloz" => match parse_limit(query, 0) {
-            Err(e) => bad_request(e),
-            Ok(_) => HttpResponse::json(200, &slo::sloz_json()),
-        },
-        _ => HttpResponse::text(
-            404,
-            "try /metrics, /healthz, /tracez, /tracez/export, /eventz, /sloz, or /api/sessions\n",
-        ),
-    }
-}
-
 fn healthz_json(health: Option<&HealthInfo>) -> Value {
-    let build = crate::build_info();
+    let build = cable_obs::build_info();
     let degraded_cause = health.and_then(|h| h.degraded.clone());
     let mut pairs = vec![
         (
@@ -953,7 +885,7 @@ fn healthz_json(health: Option<&HealthInfo>) -> Value {
         ),
         ("version", Value::from(build.version)),
         ("git_hash", Value::from(build.git_hash)),
-        ("uptime_seconds", Value::from(crate::uptime_seconds())),
+        ("uptime_seconds", Value::from(cable_obs::uptime_seconds())),
     ];
     match health {
         Some(h) => {
@@ -974,9 +906,9 @@ fn healthz_json(health: Option<&HealthInfo>) -> Value {
 }
 
 /// Degraded-mode counters for `/healthz`, read from the registry by
-/// name (same contract as [`guard_json`]): `degraded_now` is derived as
-/// enters minus exits, so it reads `1` while the store is read-only
-/// even though the server's [`HealthInfo`] is a snapshot taken at bind.
+/// name: `degraded_now` is derived as enters minus exits, so it reads
+/// `1` while the store is read-only even though the server's
+/// [`HealthInfo`] is a snapshot taken at bind.
 fn durability_json() -> Value {
     let snapshot = registry().snapshot();
     let read = |name: &str| snapshot.counter(name).unwrap_or(0);
@@ -1000,8 +932,7 @@ fn durability_json() -> Value {
 }
 
 /// Guard/robustness counters for `/healthz`, read from the registry by
-/// name: cable-obs deliberately does not depend on cable-guard (the
-/// dependency runs the other way), so names are the contract here.
+/// name like [`durability_json`].
 fn guard_json() -> Value {
     let snapshot = registry().snapshot();
     let read = |name: &str| Value::from(snapshot.counter(name).unwrap_or(0));
@@ -1058,15 +989,288 @@ fn tracez_json(limit: usize) -> Value {
         })
         .collect();
     Value::object([
-        ("recording", Value::from(crate::enabled())),
+        ("recording", Value::from(cable_obs::enabled())),
         ("lanes", Value::Array(lanes_json)),
         ("profile", chrome::profile_json(&chrome::self_time(&lanes))),
     ])
 }
 
+/// One retained request summary.
+#[derive(Debug, Clone)]
+struct TraceSummary {
+    /// 32-hex-digit trace id.
+    trace: String,
+    /// Root span id.
+    root: u64,
+    /// The route label.
+    route: String,
+    /// HTTP status the request finished with.
+    status: u16,
+    /// Root-span wall time (includes accept-queue wait), microseconds.
+    wall_us: u64,
+    /// Spans collected for the request.
+    spans: usize,
+    /// Spans lost to the per-request cap.
+    dropped: u64,
+    /// Why the full tree was kept: `slow`, `error`, `sampled`, or the
+    /// empty string when only this summary survives.
+    kept: &'static str,
+}
+
+/// The server's tail store: bounded rings of request summaries and kept
+/// span trees (see the module docs).
+struct TailStore {
+    slow_us: u64,
+    rings: Mutex<TailRings>,
+}
+
+#[derive(Default)]
+struct TailRings {
+    summaries: VecDeque<TraceSummary>,
+    trees: VecDeque<(TraceSummary, Vec<SpanRec>)>,
+    /// Requests ever offered (drives the 1-in-N sample).
+    seen: u64,
+}
+
+impl TailStore {
+    fn new(slow_us: u64) -> TailStore {
+        TailStore {
+            slow_us,
+            rings: Mutex::new(TailRings::default()),
+        }
+    }
+
+    fn rings(&self) -> std::sync::MutexGuard<'_, TailRings> {
+        self.rings.lock().expect("tail store poisoned")
+    }
+
+    /// Offers a finished request. Returns the retention decision
+    /// (`slow`/`error`/`sampled`, or `""` for summary-only).
+    fn record(&self, route: &str, status: u16, finished: &FinishedTrace) -> &'static str {
+        let wall_us = finished.wall_us();
+        let mut tail = self.rings();
+        tail.seen += 1;
+        let kept = if status >= 500 {
+            "error"
+        } else if wall_us >= self.slow_us {
+            "slow"
+        } else if tail.seen.is_multiple_of(SAMPLE_EVERY) {
+            "sampled"
+        } else {
+            ""
+        };
+        let summary = TraceSummary {
+            trace: finished.ctx.trace_hex(),
+            root: finished.ctx.span_id,
+            route: route.to_owned(),
+            status,
+            wall_us,
+            spans: finished.spans.len(),
+            dropped: finished.dropped,
+            kept,
+        };
+        if !kept.is_empty() && !finished.spans.is_empty() {
+            if tail.trees.len() >= TREE_CAP {
+                tail.trees.pop_front();
+            }
+            tail.trees
+                .push_back((summary.clone(), finished.spans.clone()));
+        }
+        if tail.summaries.len() >= SUMMARY_CAP {
+            tail.summaries.pop_front();
+        }
+        tail.summaries.push_back(summary);
+        kept
+    }
+
+    /// The `n` slowest retained summaries, slowest first (ties broken by
+    /// trace id so the index is stable).
+    fn slowest(&self, n: usize) -> Vec<TraceSummary> {
+        let mut out: Vec<TraceSummary> = self.rings().summaries.iter().cloned().collect();
+        out.sort_by(|a, b| {
+            b.wall_us
+                .cmp(&a.wall_us)
+                .then_with(|| a.trace.cmp(&b.trace))
+        });
+        out.truncate(n);
+        out
+    }
+
+    /// Looks up a kept span tree by its 32-hex-digit trace id.
+    fn tree(&self, trace_hex: &str) -> Option<(TraceSummary, Vec<SpanRec>)> {
+        self.rings()
+            .trees
+            .iter()
+            .rev()
+            .find(|(summary, _)| summary.trace == trace_hex)
+            .cloned()
+    }
+
+    /// The `/tracez?slowest=N` body: the N slowest retained summaries.
+    fn slowest_json(&self, n: usize) -> Value {
+        Value::object([
+            ("record", Value::from("trace_slowest")),
+            ("slow_threshold_us", Value::from(self.slow_us)),
+            (
+                "slowest",
+                Value::Array(self.slowest(n).iter().map(summary_json).collect()),
+            ),
+        ])
+    }
+
+    /// The whole store as a `trace_export` JSON record: every summary
+    /// plus every kept span tree. `reproduce trace-report` and
+    /// `check-trace` consume this.
+    fn export(&self) -> Value {
+        let tail = self.rings();
+        let summaries: Vec<Value> = tail.summaries.iter().map(summary_json).collect();
+        let traces: Vec<Value> = tail
+            .trees
+            .iter()
+            .map(|(s, spans)| {
+                Value::object([
+                    ("trace", Value::from(s.trace.as_str())),
+                    ("root", Value::from(hex16(s.root))),
+                    ("route", Value::from(s.route.as_str())),
+                    ("status", Value::from(s.status as u64)),
+                    ("wall_us", Value::from(s.wall_us)),
+                    ("dropped", Value::from(s.dropped)),
+                    ("kept", Value::from(s.kept)),
+                    (
+                        "spans_tree",
+                        Value::Array(spans.iter().map(span_json).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        Value::object([
+            ("record", Value::from("trace_export")),
+            ("slow_threshold_us", Value::from(self.slow_us)),
+            ("sample_every", Value::from(SAMPLE_EVERY)),
+            ("seen", Value::from(tail.seen)),
+            ("summaries", Value::Array(summaries)),
+            ("traces", Value::Array(traces)),
+        ])
+    }
+}
+
+fn hex16(v: u64) -> String {
+    format!("{v:016x}")
+}
+
+fn summary_json(s: &TraceSummary) -> Value {
+    Value::object([
+        ("trace", Value::from(s.trace.as_str())),
+        ("root", Value::from(hex16(s.root))),
+        ("route", Value::from(s.route.as_str())),
+        ("status", Value::from(s.status as u64)),
+        ("wall_us", Value::from(s.wall_us)),
+        ("spans", Value::from(s.spans as u64)),
+        ("dropped", Value::from(s.dropped)),
+        ("kept", Value::from(s.kept)),
+    ])
+}
+
+fn span_json(s: &SpanRec) -> Value {
+    Value::object([
+        ("name", Value::from(s.name)),
+        ("span", Value::from(hex16(s.span))),
+        ("parent", Value::from(hex16(s.parent))),
+        ("start_ns", Value::from(s.start_ns)),
+        ("end_ns", Value::from(s.end_ns)),
+    ])
+}
+
+/// Renders a kept tree as a plain-text waterfall: one line per span,
+/// indented by tree depth, with offset/duration and a proportional bar.
+fn render_waterfall(summary: &TraceSummary, spans: &[SpanRec]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "trace {}  route {}  status {}  wall {}us  spans {}{}",
+        summary.trace,
+        summary.route,
+        summary.status,
+        summary.wall_us,
+        summary.spans,
+        if summary.dropped > 0 {
+            format!("  dropped {}", summary.dropped)
+        } else {
+            String::new()
+        },
+    );
+    let t0 = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
+    let t1 = spans.iter().map(|s| s.end_ns).max().unwrap_or(t0);
+    let total = (t1 - t0).max(1);
+    // Children under their parent, siblings by start time.
+    fn visit<'a>(
+        parent: u64,
+        depth: usize,
+        spans: &'a [SpanRec],
+        out: &mut Vec<(&'a SpanRec, usize)>,
+    ) {
+        let mut kids: Vec<&SpanRec> = spans.iter().filter(|s| s.parent == parent).collect();
+        kids.sort_by_key(|s| (s.start_ns, s.span));
+        for kid in kids {
+            out.push((kid, depth));
+            if depth < 64 {
+                visit(kid.span, depth + 1, spans, out);
+            }
+        }
+    }
+    let mut rows: Vec<(&SpanRec, usize)> = Vec::with_capacity(spans.len());
+    visit(0, 0, spans, &mut rows);
+    // Orphans (parent not kept, e.g. collector overflow) still print.
+    for s in spans {
+        if !rows.iter().any(|(r, _)| r.span == s.span) {
+            rows.push((s, 0));
+        }
+    }
+    const BAR: usize = 40;
+    for (span, depth) in rows {
+        let offset = span.start_ns - t0;
+        let dur = span.duration_ns();
+        let lead = ((offset as u128 * BAR as u128) / total as u128) as usize;
+        let fill = ((dur as u128 * BAR as u128).div_ceil(total as u128)) as usize;
+        let fill = fill.clamp(1, BAR.saturating_sub(lead).max(1));
+        let _ = writeln!(
+            out,
+            "  [{}{}{}] {:>9.1}us @{:>9.1}us  {}{} ({:016x})",
+            " ".repeat(lead.min(BAR)),
+            "█".repeat(fill),
+            " ".repeat(BAR.saturating_sub(lead.min(BAR) + fill)),
+            dur as f64 / 1e3,
+            offset as f64 / 1e3,
+            "· ".repeat(depth),
+            span.name,
+            span.span,
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
+
+    /// Reads until EOF or a hard error. A read a signal interrupted is
+    /// retried: a blocking socket read under a timeout returns `EINTR`
+    /// rather than restarting (signal(7)), which is no end of stream.
+    fn read_all(stream: &mut TcpStream) -> String {
+        let mut bytes = Vec::new();
+        let mut buf = [0u8; 1024];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => bytes.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -1290,28 +1494,117 @@ mod tests {
     #[test]
     fn route_labels_are_bounded() {
         assert_eq!(route_label("/metrics"), "/metrics");
+        assert_eq!(route_label("/tracez/export"), "/tracez/export");
         assert_eq!(
             route_label("/api/sessions/s-42/ingest"),
             "/api/sessions/:id/ingest"
         );
         assert_eq!(route_label("/api/sessions"), "/api/sessions");
+        assert_eq!(route_label("/api/sessions/"), "/api/sessions");
         assert_eq!(
             route_label("/api/sessions/x/digest"),
             "/api/sessions/:id/digest"
         );
+        assert_eq!(route_label("/api/sessions/x/frobnicate"), "other");
         assert_eq!(route_label("/api/unknown/thing"), "other");
+        assert_eq!(route_label("/api"), "other");
         assert_eq!(route_label("/favicon.ico"), "other");
         assert_eq!(route_label(""), "other");
     }
 
+    /// A finished request whose root spans `wall_us`, with `n_spans - 1`
+    /// children.
+    fn finished(seq: u64, wall_us: u64, n_spans: usize) -> FinishedTrace {
+        let ctx = TraceCtx::mint(99, seq);
+        let mut spans = vec![SpanRec {
+            name: "http.request",
+            span: ctx.span_id,
+            parent: 0,
+            start_ns: 1_000,
+            end_ns: 1_000 + wall_us * 1_000,
+        }];
+        for i in 0..n_spans.saturating_sub(1) as u64 {
+            spans.push(SpanRec {
+                name: "step",
+                span: context::mix(ctx.span_id, i + 1),
+                parent: ctx.span_id,
+                start_ns: 1_100 + i,
+                end_ns: 1_200 + i,
+            });
+        }
+        FinishedTrace {
+            ctx,
+            spans,
+            dropped: 0,
+        }
+    }
+
+    #[test]
+    fn retention_keeps_slow_error_and_sampled_trees() {
+        let tail = TailStore::new(5_000);
+        assert_eq!(tail.record("/api/label", 200, &finished(1, 100, 3)), "");
+        assert_eq!(
+            tail.record("/api/label", 200, &finished(2, 9_000, 3)),
+            "slow"
+        );
+        assert_eq!(
+            tail.record("/api/label", 500, &finished(3, 100, 3)),
+            "error"
+        );
+        // Fast, successful requests keep their tree one in SAMPLE_EVERY.
+        for seq in 4..SAMPLE_EVERY {
+            assert_eq!(tail.record("/api/label", 200, &finished(seq, 100, 3)), "");
+        }
+        let sampled = finished(SAMPLE_EVERY, 100, 3);
+        assert_eq!(tail.record("/api/label", 200, &sampled), "sampled");
+
+        let idx = tail.slowest(10);
+        assert_eq!(idx.len(), 10);
+        assert_eq!(idx[0].wall_us, 9_000, "slowest first");
+        // Fast unsampled request: summary only, no tree.
+        assert!(tail.tree(&finished(1, 100, 3).ctx.trace_hex()).is_none());
+        assert!(tail.tree(&sampled.ctx.trace_hex()).is_some());
+        let slow = finished(2, 9_000, 3).ctx.trace_hex();
+        let (summary, spans) = tail.tree(&slow).expect("slow tree kept");
+        assert_eq!(summary.kept, "slow");
+        assert_eq!(spans.len(), 3);
+        let text = render_waterfall(&summary, &spans);
+        assert!(text.contains("http.request"), "{text}");
+        assert!(text.contains("step"), "{text}");
+    }
+
+    #[test]
+    fn export_round_trips_and_is_bounded() {
+        let tail = TailStore::new(0); // keep everything
+        for seq in 0..(SUMMARY_CAP + 10) as u64 {
+            tail.record("/api/ingest", 200, &finished(seq, 50, 2));
+        }
+        let value = tail.export();
+        assert_eq!(
+            value.get("record").and_then(Value::as_str),
+            Some("trace_export")
+        );
+        let summaries = value.get("summaries").and_then(Value::as_array).unwrap();
+        assert_eq!(summaries.len(), SUMMARY_CAP, "summary ring is bounded");
+        let trees = value.get("traces").and_then(Value::as_array).unwrap();
+        assert_eq!(trees.len(), TREE_CAP, "tree ring is bounded");
+        let spans = trees[0]
+            .get("spans_tree")
+            .and_then(Value::as_array)
+            .unwrap();
+        assert_eq!(spans.len(), 2);
+        assert!(spans[0].get("span").and_then(Value::as_str).is_some());
+        // Round-trips through the hand-rolled JSON.
+        let text = value.to_string();
+        assert_eq!(Value::parse(&text).unwrap(), value);
+    }
+
     #[test]
     fn tracez_serves_waterfalls_slowest_index_and_export() {
-        use crate::context::{FinishedTrace, SpanRec};
-        let _store = tail::TEST_STORE_LOCK.lock().unwrap();
-        tail::clear();
-        // Seed one slow request's tree directly (the end-to-end mint →
-        // collect path is covered by the span_record integration test,
-        // which owns the global enabled flag in its own process).
+        // Seed one slow request's tree directly into the server's tail
+        // store (the end-to-end mint → collect path needs the global
+        // observation switch, which the span_record integration test
+        // owns in its own process).
         let ctx = TraceCtx::mint(7, 1);
         let finished = FinishedTrace {
             ctx,
@@ -1333,12 +1626,15 @@ mod tests {
             ],
             dropped: 0,
         };
+        let server = ObsServer::bind("0").expect("bind ephemeral");
         assert_eq!(
-            tail::record("/api/sessions/:id/ingest", 200, &finished),
+            server
+                .plane
+                .tail
+                .record("/api/sessions/:id/ingest", 200, &finished),
             "slow"
         );
-
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = server.spawn();
         let addr = guard.addr();
 
         let slow_id = ctx.trace_hex();
@@ -1371,8 +1667,35 @@ mod tests {
             .get("traces")
             .and_then(Value::as_array)
             .is_some_and(|t| !t.is_empty()));
+        drop(guard);
+    }
 
-        tail::clear();
+    #[test]
+    fn trace_slow_us_is_the_servers_own_threshold() {
+        let server = ObsServer::bind_with(
+            "0",
+            ServerConfig {
+                trace_slow_us: 123,
+                ..ServerConfig::default()
+            },
+            None,
+            None,
+        )
+        .expect("bind ephemeral");
+        assert_eq!(
+            server
+                .plane
+                .tail
+                .record("/metrics", 200, &finished(1, 200, 1)),
+            "slow"
+        );
+        let guard = server.spawn();
+        let (_, body) = get(guard.addr(), "/tracez?slowest=1");
+        let index = Value::parse(body.trim()).expect("slowest is JSON");
+        assert_eq!(
+            index.get("slow_threshold_us").and_then(Value::as_u64),
+            Some(123)
+        );
         drop(guard);
     }
 
@@ -1404,15 +1727,7 @@ mod tests {
         // The server stops reading at the cap and closes; unread bytes
         // on its side can turn the close into a reset, so read whatever
         // arrives instead of insisting on a clean EOF.
-        let mut bytes = Vec::new();
-        let mut buf = [0u8; 1024];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => bytes.extend_from_slice(&buf[..n]),
-            }
-        }
-        let response = String::from_utf8_lossy(&bytes);
+        let response = read_all(&mut stream);
         assert!(
             response.starts_with("HTTP/1.1 431"),
             "expected 431, got: {}",
@@ -1448,15 +1763,7 @@ mod tests {
             MAX_BODY_BYTES + 1
         )
         .unwrap();
-        let mut bytes = Vec::new();
-        let mut buf = [0u8; 1024];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => bytes.extend_from_slice(&buf[..n]),
-            }
-        }
-        let response = String::from_utf8_lossy(&bytes);
+        let response = read_all(&mut stream);
         assert!(
             response.starts_with("HTTP/1.1 413"),
             "expected 413, got: {}",
@@ -1622,18 +1929,10 @@ mod tests {
         // Tight deadline: a client that trickles its request line slower
         // than the connection deadline must be cut off with 408 and
         // counted, not held for the full io_timeout per byte.
-        let guard = ObsServer::bind_with(
-            "0",
-            ServerConfig {
-                io_timeout: Duration::from_millis(400),
-                connection_deadline: Duration::from_millis(300),
-                ..ServerConfig::default()
-            },
-            None,
-            None,
-        )
-        .expect("bind ephemeral")
-        .spawn();
+        let mut server = ObsServer::bind("0").expect("bind ephemeral");
+        server.plane.io_timeout = Duration::from_millis(400);
+        server.plane.connection_deadline = Duration::from_millis(300);
+        let guard = server.spawn();
         let before = SLOW_CLIENT_ABORTS.get().get();
         let mut stream = TcpStream::connect(guard.addr()).expect("connect");
         stream

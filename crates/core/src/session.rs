@@ -984,40 +984,6 @@ mod tests {
     }
 
     #[test]
-    fn push_traces_batch_matches_per_trace_pushes() {
-        let mut v = Vocab::new();
-        let mut batch = stdio_session(&mut v);
-        let mut single = batch.clone();
-        let fresh = [
-            "popen(X) fwrite(X)",
-            "popen(X) fwrite(X)", // duplicate within the batch
-            "fopen(X) fread(X) pclose(X)",
-        ];
-        let parsed: Vec<Trace> = fresh
-            .iter()
-            .map(|t| Trace::parse(t, &mut v).unwrap())
-            .collect();
-        let before = cable_obs::registry().snapshot();
-        let results = batch.push_traces(parsed.clone());
-        let delta = cable_obs::registry().snapshot().delta_since(&before);
-        assert_eq!(
-            results.iter().map(|&(_, fresh)| fresh).collect::<Vec<_>>(),
-            vec![true, false, true]
-        );
-        for t in parsed {
-            single.push_trace(t);
-        }
-        assert_eq!(batch.classes().len(), single.classes().len());
-        assert_eq!(batch.lattice().len(), single.lattice().len());
-        for (_, c) in single.lattice().iter() {
-            assert!(batch.lattice().find_by_extent(&c.extent).is_some());
-        }
-        // The batch went through live buckets, not per-trace rebuilds.
-        assert!(delta.counter("fca.godin.bucket_reuses").unwrap_or(0) >= 2);
-        assert_eq!(delta.counter("fca.godin.bucket_rebuilds").unwrap_or(0), 0);
-    }
-
-    #[test]
     fn from_parts_rebuilds_an_equal_session() {
         let mut v = Vocab::new();
         let s = stdio_session(&mut v);

@@ -10,13 +10,13 @@
 
 use cable_core::digest::session_state_record;
 use cable_core::manager::{SessionKey, SessionManager};
+use cable_core::server::{ObsServer, ServerConfig};
 use cable_core::session::{CableSession, TraceSelector};
 use cable_core::CableApi;
 use cable_fa::templates;
 use cable_fca::ConceptId;
 use cable_load::{run, LoadOptions};
 use cable_obs::json::Value;
-use cable_obs::{ObsServer, ServerConfig};
 use cable_trace::{Trace, TraceSet, Vocab};
 use std::path::Path;
 use std::sync::Arc;

@@ -9,9 +9,9 @@
 //!
 //! # Model
 //!
-//! * A [`TraceCtx`] is minted per HTTP request (`obs::http`), seeded
-//!   from the drill seed and a request sequence number so ids are
-//!   reproducible run to run.
+//! * A [`TraceCtx`] is minted per HTTP request (`cable_core::server`),
+//!   seeded from the drill seed and a request sequence number so ids
+//!   are reproducible run to run.
 //! * [`begin_request`] installs the context on the handling thread's
 //!   frame stack (the one thread-local behind [`crate::Span`]) and
 //!   opens the **root span**; every span on that thread then opens a

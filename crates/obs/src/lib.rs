@@ -26,9 +26,12 @@
 //!   marks), overflow tracked under `obs.recorder.dropped`;
 //! * [`chrome`] — Chrome trace-event JSON export of the recorder (one
 //!   lane per thread, loadable in Perfetto) and the self-time profile;
-//! * [`prom`] + [`http`] — Prometheus text exposition of the registry
-//!   and the std-only HTTP server behind `--obs-listen` (`/metrics`,
-//!   `/healthz`, `/tracez`, `/eventz`, `/sloz`);
+//! * [`prom`] — Prometheus text exposition of the registry (the
+//!   `/metrics` body);
+//! * [`ApiHandler`] / [`ApiRequest`] / [`ApiResponse`] — the seam between
+//!   an HTTP server and the session service it hosts. The server itself
+//!   (`--obs-listen`: `/metrics`, `/healthz`, `/tracez`, `/eventz`,
+//!   `/sloz`, `/api/`) lives in `cable-core`, next to the service;
 //! * [`scope`] — per-session/per-tenant [`Scope`]s whose writes roll up
 //!   into the global registry and export as labelled series;
 //! * [`events`] — the wide-event log: one self-describing JSONL record
@@ -65,10 +68,10 @@
 //! only while enabled, so the `--stats` flags and `CABLE_OBS=1` gate
 //! their clock reads.
 
+mod api;
 pub mod chrome;
 pub mod context;
 pub mod events;
-pub mod http;
 pub mod json;
 mod metrics;
 pub mod profdiff;
@@ -80,16 +83,12 @@ pub mod scope;
 mod sink;
 pub mod slo;
 mod span;
-pub mod tail;
 
+pub use api::{ApiHandler, ApiRequest, ApiResponse, RETRY_AFTER_SECONDS};
 pub use context::{
     begin_request, AdoptGuard, FinishedTrace, RequestGuard, SpanRec, TraceCtx, TraceHandle,
 };
 pub use events::WideEvent;
-pub use http::{
-    ApiHandler, ApiRequest, ApiResponse, HealthInfo, ObsServer, ServerConfig, ServerGuard,
-    RETRY_AFTER_SECONDS,
-};
 pub use metrics::{Counter, CounterHandle, Histogram, HistogramHandle, HistogramSnapshot, BUCKETS};
 pub use registry::{registry, Registry, Snapshot};
 pub use scope::{render_scopes, scoped, Scope, ScopeSnapshot, ScopedRegistry};
@@ -130,20 +129,6 @@ pub fn init_from_env() -> bool {
             events::set_enabled(true);
         }
     }
-    // Tail-sampling knobs (see [`tail`]): the slow-tree threshold and
-    // the 1-in-N sample for fast requests.
-    if let Some(us) = std::env::var("CABLE_TRACE_SLOW_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        tail::set_slow_threshold_us(us);
-    }
-    if let Some(n) = std::env::var("CABLE_TRACE_SAMPLE")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        tail::set_sample_every(n);
-    }
     enabled()
 }
 
@@ -153,7 +138,7 @@ fn process_start() -> Instant {
 }
 
 /// Whole seconds since the process's uptime epoch (pinned by the first
-/// call to this, [`init_from_env`], or the HTTP server). Exposed as the
+/// call to this or [`init_from_env`]). Exposed as the
 /// `uptime_seconds` gauge on `/metrics` and in `/healthz`.
 pub fn uptime_seconds() -> u64 {
     process_start().elapsed().as_secs()

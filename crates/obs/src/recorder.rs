@@ -11,7 +11,8 @@
 //! * [`crate::chrome`] renders them as Chrome trace-event JSON (one lane
 //!   per thread, loadable in Perfetto / `chrome://tracing`) and folds
 //!   them into a self-time profile;
-//! * [`crate::http`] serves the most recent spans per lane as `/tracez`.
+//! * the HTTP server (`cable-core`'s `server` module) serves the most
+//!   recent spans per lane as `/tracez`.
 //!
 //! Span begin/end pairs come only from [`crate::Span`]; this module's
 //! own entry points are the point events ([`instant`], [`counter_mark`]).

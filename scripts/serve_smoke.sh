@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the cable-obs HTTP exposition server.
+# Smoke test for the HTTP exposition server behind `cable serve`.
 #
 # Opens a small session store, starts `cable serve` on an ephemeral
 # localhost port (bare port 0), and curls every endpoint. The server

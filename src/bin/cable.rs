@@ -47,7 +47,7 @@
 //!   `cluster --store DIR` also saves the session it builds, and
 //!   `label --store DIR` runs a labeling script against a saved session,
 //!   journaling every decision.
-//! * `serve` exposes the cable-obs HTTP endpoints (`GET /metrics` in
+//! * `serve` exposes the HTTP endpoints (`GET /metrics` in
 //!   Prometheus text format, `GET /healthz`, `GET /tracez`, plus the
 //!   wide-event tail at `GET /eventz` and the SLO burn-rate windows at
 //!   `GET /sloz`) on the given address until killed. With `--store DIR`
@@ -108,6 +108,7 @@
 
 use cable::fa::templates;
 use cable::prelude::*;
+use cable::session::server::{HealthInfo, ObsServer, ServerConfig};
 use cable::session::{StoredSession, TraceSelector};
 use cable::trace::Vocab;
 use std::fs;
@@ -711,7 +712,7 @@ fn session_cmd(sub: &str, opts: &Opts) -> i32 {
             if let Some(addr) = &opts.obs_listen {
                 let health = store_health(&stored);
                 let _profiler = spawn_profiler(Path::new(dir), opts);
-                serve_blocking(addr, resolve_server_config(opts), None, health);
+                serve_blocking(addr, server_config(opts), None, health);
             }
             0
         }
@@ -740,64 +741,37 @@ fn session_cmd(sub: &str, opts: &Opts) -> i32 {
 
 /// The stored session's generation and journal lag, for the server's
 /// `/healthz` endpoint.
-fn store_health(stored: &StoredSession) -> Option<cable::obs::HealthInfo> {
+fn store_health(stored: &StoredSession) -> Option<HealthInfo> {
     stored
         .health()
         .map_err(|e| eprintln!("warning: could not read store health: {e}"))
         .ok()
 }
 
-/// The server sizing: `--max-connections` wins, then `CABLE_MAX_CONNS`,
-/// then the compiled-in default. The per-connection patience knobs
-/// (`CABLE_IO_TIMEOUT_MS` for a single read, `CABLE_CONN_DEADLINE_MS`
-/// for the whole request — the slowloris guard) are env-only. A
-/// malformed env value is a usage error (exit 2), same as a malformed
-/// flag. `--trace-seed` pins the seed request trace ids are minted
-/// from.
-fn resolve_server_config(opts: &Opts) -> cable::obs::ServerConfig {
-    let mut config = cable::obs::ServerConfig {
-        trace_seed: opts.trace_seed.unwrap_or(0),
-        ..Default::default()
-    };
-    if let Some(n) = opts.max_connections {
-        config.max_connections = n;
-    } else if let Ok(v) = std::env::var("CABLE_MAX_CONNS") {
-        if !v.is_empty() {
-            config.max_connections = v
-                .parse()
-                .ok()
-                .filter(|&n: &usize| n > 0)
-                .unwrap_or_else(|| usage("CABLE_MAX_CONNS must be a positive integer"));
-        }
+/// The server settings the flags give: `--max-connections` sizes the
+/// worker pool, `--trace-seed` pins the seed request trace ids are
+/// minted from, and `--trace-slow-us` sets the tail store's slow-request
+/// threshold. Everything else is the compiled-in default.
+fn server_config(opts: &Opts) -> ServerConfig {
+    let defaults = ServerConfig::default();
+    ServerConfig {
+        max_connections: opts.max_connections.unwrap_or(defaults.max_connections),
+        trace_seed: opts.trace_seed.unwrap_or(defaults.trace_seed),
+        trace_slow_us: opts.trace_slow_us.unwrap_or(defaults.trace_slow_us),
+        ..defaults
     }
-    let millis = |name: &'static str| -> Option<std::time::Duration> {
-        let v = std::env::var(name).ok().filter(|v| !v.is_empty())?;
-        let ms: u64 = v
-            .parse()
-            .ok()
-            .filter(|&ms| ms > 0)
-            .unwrap_or_else(|| usage(&format!("{name} must be a positive integer (ms)")));
-        Some(std::time::Duration::from_millis(ms))
-    };
-    if let Some(t) = millis("CABLE_IO_TIMEOUT_MS") {
-        config.io_timeout = t;
-    }
-    if let Some(t) = millis("CABLE_CONN_DEADLINE_MS") {
-        config.connection_deadline = t;
-    }
-    config
 }
 
-/// Binds the obs HTTP server with its API plane and store health,
+/// Binds the HTTP server with its API plane and store health,
 /// announces the bound address on stdout (so scripts can pass port 0
 /// and discover the port), and serves until the process is killed.
 fn serve_blocking(
     addr: &str,
-    config: cable::obs::ServerConfig,
+    config: ServerConfig,
     api: Option<std::sync::Arc<dyn cable::obs::ApiHandler>>,
-    health: Option<cable::obs::HealthInfo>,
+    health: Option<HealthInfo>,
 ) -> ! {
-    let server = cable::obs::ObsServer::bind_with(addr, config, api, health)
+    let server = ObsServer::bind_with(addr, config, api, health)
         .unwrap_or_else(|e| die(&format!("binding {addr}: {e}")));
     println!(
         "serving http://{}/metrics /healthz /tracez /eventz /sloz",
@@ -848,12 +822,6 @@ fn serve(opts: &Opts) -> i32 {
         .obs_listen
         .as_ref()
         .unwrap_or_else(|| usage("--obs-listen ADDR is required"));
-    let config = resolve_server_config(opts);
-    // The flag beats the CABLE_TRACE_SLOW_US fallback init_from_env
-    // already applied.
-    if let Some(us) = opts.trace_slow_us {
-        cable::obs::tail::set_slow_threshold_us(us);
-    }
     let mut _profiler = None;
     let mut health = None;
     if let Some(dir) = &opts.store {
@@ -882,7 +850,7 @@ fn serve(opts: &Opts) -> i32 {
     } else {
         None
     };
-    serve_blocking(addr, config, api, health);
+    serve_blocking(addr, server_config(opts), api, health);
 }
 
 /// `cable profile diff BEFORE AFTER`: the self-time regression report

@@ -21,7 +21,8 @@
 //! * [`verify`] — the trace-level specification checker producing
 //!   violation traces,
 //! * [`session`] — Cable itself: concept-lattice-driven labeling sessions
-//!   and the labeling strategies of §4.2,
+//!   and the labeling strategies of §4.2, plus the labeling service and
+//!   the HTTP server behind `cable serve` (`session::server`),
 //! * [`specs`] — the seventeen evaluation specifications (Table 1),
 //! * [`par`] — the deterministic work-stealing pool the pipeline stages
 //!   run on (`CABLE_PAR` / `--threads` control the worker count),

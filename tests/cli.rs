@@ -510,13 +510,17 @@ fn read_status_line(stream: &mut TcpStream) -> String {
     let mut buf = [0u8; 256];
     loop {
         match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
+            Ok(0) => break,
             Ok(n) => {
                 bytes.extend_from_slice(&buf[..n]);
                 if bytes.windows(2).any(|w| w == b"\r\n") {
                     break;
                 }
             }
+            // A blocking read under a socket timeout is not restarted
+            // after a signal (signal(7)): EINTR is no end of stream.
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
         }
     }
     String::from_utf8_lossy(&bytes).into_owned()
@@ -560,7 +564,7 @@ fn serve_survives_oversized_heads_and_idle_connection_herds() {
     // Slowloris herd: open idle connections up to the concurrency cap.
     // The server must still answer promptly — a 503 at the cap is the
     // survival behaviour; anything but a stall is acceptable.
-    let idle: Vec<TcpStream> = (0..cable::obs::http::MAX_CONNECTIONS)
+    let idle: Vec<TcpStream> = (0..cable::session::server::MAX_CONNECTIONS)
         .map(|_| TcpStream::connect(&addr).expect("idle connect"))
         .collect();
     let mut stream = TcpStream::connect(&addr).expect("connect past the cap");
@@ -835,25 +839,15 @@ fn http_post(addr: &str, path: &str, body: &str) -> (String, String) {
     (status, body.to_owned())
 }
 
-/// Satellite `--max-connections` configurability: the flag and the
-/// `CABLE_MAX_CONNS` environment variable size the worker pool, and
-/// every unknown or non-positive value is a usage error (exit 2), never
-/// a silent fallback to the default.
+/// `--max-connections` sizes the worker pool, and every unknown or
+/// non-positive value is a usage error (exit 2), never a silent
+/// fallback to the default.
 #[test]
 fn max_connections_rejects_bad_values_and_accepts_good_ones() {
     for bad in ["0", "-1", "eight", ""] {
         let out = cable(&["serve", "--obs-listen", "0", "--max-connections", bad]);
         assert_eq!(out.status.code(), Some(2), "--max-connections {bad:?}");
         assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
-    }
-    for bad in ["0", "nope"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_cable"))
-            .args(["serve", "--obs-listen", "0"])
-            .env("CABLE_MAX_CONNS", bad)
-            .output()
-            .expect("cable runs");
-        assert_eq!(out.status.code(), Some(2), "CABLE_MAX_CONNS={bad:?}");
-        assert!(stderr(&out).contains("CABLE_MAX_CONNS"), "{}", stderr(&out));
     }
     // `--api` and `--store-root` only make sense together.
     let out = cable(&["serve", "--obs-listen", "0", "--api"]);
