@@ -131,10 +131,8 @@ fn bench_obs_overhead() {
 fn bench_guard_overhead() {
     let mut group = Group::new("lattice/guard-overhead");
     let ctx = synthetic(24);
-    // Compare the sequential paths head-to-head so the measurement is
-    // exactly "Godin with checkpoints" vs "Godin without" — the auto
-    // entry points would route both through the shard path and hide
-    // the checkpoint cost entirely.
+    // Compare the two Godin entry points head-to-head so the
+    // measurement is exactly "Godin with checkpoints" vs "Godin without".
     let plain = group.bench("godin/guard-off", || {
         black_box(cable_fca::godin::concepts(black_box(&ctx)));
     });

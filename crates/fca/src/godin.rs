@@ -27,7 +27,7 @@ use crate::context::Context;
 use crate::lattice::Concept;
 use cable_obs::CounterHandle;
 use cable_util::BitSet;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 /// Objects inserted through Godin's algorithm (batch or incremental).
 static OBJECTS_INSERTED: CounterHandle = CounterHandle::new("fca.godin.objects_inserted");
@@ -122,124 +122,9 @@ pub fn try_concepts(ctx: &Context) -> Result<Vec<Concept>, Box<BudgetStop>> {
     Ok(concepts)
 }
 
-/// Objects per shard in [`concepts_sharded`].
-pub const SHARD_SIZE: usize = 32;
-
-/// Picks between [`concepts`] and [`concepts_sharded`]: sharding only
-/// pays for itself when there are at least two full shards of objects
-/// and the [`cable_par`] pool actually has workers. Both paths produce
-/// the same concept set (see `sharded_matches_sequential_*` tests), so
-/// the choice never changes results.
-pub fn concepts_auto(ctx: &Context) -> Vec<Concept> {
-    if ctx.object_count() >= 2 * SHARD_SIZE && cable_par::threads() > 1 {
-        concepts_sharded(ctx)
-    } else {
-        concepts(ctx)
-    }
-}
-
-/// [`concepts_auto`] under the installed `cable-guard` budget.
-///
-/// When a budget is active the sequential guarded path is taken
-/// regardless of pool size: its stop points depend only on the object
-/// order, so a budget-exceeded partial result is bit-identical across
-/// `CABLE_PAR` settings — the same determinism guarantee the full build
-/// makes. Without a budget this picks exactly like [`concepts_auto`]
-/// (the sharded path still honours cancellation via its cancel points).
-pub fn try_concepts_auto(ctx: &Context) -> Result<Vec<Concept>, Box<BudgetStop>> {
-    if !cable_guard::budget_active()
-        && ctx.object_count() >= 2 * SHARD_SIZE
-        && cable_par::threads() > 1
-    {
-        Ok(concepts_sharded(ctx))
-    } else {
-        try_concepts(ctx)
-    }
-}
-
-/// Computes all concepts of the context by shard-and-merge: objects are
-/// partitioned into runs of [`SHARD_SIZE`], each shard's intent family
-/// is built independently (with the same [`Inserter`] as the sequential
-/// path, so the `fca.godin.*` counters account for every object), the
-/// families are merged pairwise, and the final extents are recovered
-/// with `τ` over the full context.
-///
-/// **Why the merge is exact.** For contexts `K_A`, `K_B` over disjoint
-/// object sets `A`, `B` and the same attributes, every intent of the
-/// union context is `σ(X ∪ Y) = σ_A(X) ∩ σ_B(Y)` for some `X ⊆ A`,
-/// `Y ⊆ B`, and conversely every such intersection is `σ`-closed in the
-/// union — so `Int(K_{A∪B})` is exactly the set of pairwise
-/// intersections of `Int(K_A)` and `Int(K_B)`. Each family contains the
-/// full attribute set (`σ(∅)`), which is the identity of the merge.
-/// Distinct closed intents have distinct `τ`-extents, so the final
-/// concept set is duplicate-free.
-///
-/// The output is a permutation of [`concepts`]' output — and an equal
-/// set whatever the pool size, because the merge result is kept in
-/// canonical (sorted) intent order.
-pub fn concepts_sharded(ctx: &Context) -> Vec<Concept> {
-    let started = std::time::Instant::now();
-    let n_attrs = ctx.attribute_count();
-    let shards: Vec<(usize, usize)> = (0..ctx.object_count())
-        .step_by(SHARD_SIZE)
-        .map(|s| (s, (s + SHARD_SIZE).min(ctx.object_count())))
-        .collect();
-    let families: Vec<BTreeSet<BitSet>> =
-        cable_par::par_map("fca.godin.shard", &shards, |&(start, end)| {
-            let mut shard_concepts = vec![Concept {
-                extent: BitSet::new(),
-                intent: BitSet::full(n_attrs),
-            }];
-            let mut inserter = Inserter::new(&shard_concepts, n_attrs);
-            for o in start..end {
-                cable_guard::cancel_point("fca.godin.shard");
-                inserter.add_object(&mut shard_concepts, o, ctx.row(o));
-            }
-            shard_concepts.into_iter().map(|c| c.intent).collect()
-        });
-    let merged = cable_par::par_reduce(
-        "fca.godin.merge",
-        &families,
-        || BTreeSet::from([BitSet::full(n_attrs)]),
-        |acc, family| {
-            cable_guard::cancel_point("fca.godin.merge");
-            merge_intent_families(&acc, family)
-        },
-        |a, b| merge_intent_families(&a, &b),
-    );
-    let intents: Vec<BitSet> = merged.into_iter().collect();
-    let out = cable_par::par_map("fca.godin.extents", &intents, |intent| {
-        cable_guard::cancel_point("fca.godin.extents");
-        Concept {
-            extent: ctx.tau(intent),
-            intent: intent.clone(),
-        }
-    });
-    if cable_obs::events::enabled() {
-        cable_obs::events::emit(
-            cable_obs::WideEvent::new("shard_merge", "fca")
-                .stage("fca.godin.shard_merge")
-                .duration(started.elapsed())
-                .field("objects", ctx.object_count() as u64)
-                .field("shards", shards.len() as u64)
-                .field("concepts", out.len() as u64),
-        );
-    }
-    out
-}
-
-/// The intent family of the union of two disjoint-object contexts: all
-/// pairwise intersections of the two families (both intersection-closed
-/// and containing the full attribute set).
-fn merge_intent_families(a: &BTreeSet<BitSet>, b: &BTreeSet<BitSet>) -> BTreeSet<BitSet> {
-    let mut out = BTreeSet::new();
-    for ya in a {
-        for yb in b {
-            out.insert(ya.intersection(yb));
-        }
-    }
-    out
-}
+/// The name `perfbench`'s lattice workload times: the same sequential
+/// build as [`concepts`].
+pub use self::concepts as concepts_auto;
 
 /// Inserts one object with the given attribute row into an existing
 /// concept set (which must be the concept set of the context restricted
@@ -439,73 +324,6 @@ mod tests {
         let b: std::collections::HashSet<_> =
             batch.into_iter().map(|c| (c.extent, c.intent)).collect();
         assert_eq!(a, b);
-    }
-
-    /// A random context: `n_objects` rows over `n_attrs` attributes, each
-    /// pair present with probability `density`.
-    fn random_ctx(seed: u64, n_objects: usize, n_attrs: usize, density: f64) -> Context {
-        use cable_util::rng::Rng;
-        let mut rng = cable_util::rng::seeded(seed);
-        let mut ctx = Context::new(n_objects, n_attrs);
-        for o in 0..n_objects {
-            for a in 0..n_attrs {
-                if rng.gen_bool(density) {
-                    ctx.add(o, a);
-                }
-            }
-        }
-        ctx
-    }
-
-    fn concept_set(cs: Vec<Concept>) -> std::collections::BTreeSet<(BitSet, BitSet)> {
-        cs.into_iter().map(|c| (c.extent, c.intent)).collect()
-    }
-
-    #[test]
-    fn sharded_matches_sequential_on_small_contexts() {
-        // Below, at, and just above the shard size, plus empty.
-        for n_objects in [0usize, 1, 5, SHARD_SIZE, SHARD_SIZE + 1] {
-            let ctx = random_ctx(90 + n_objects as u64, n_objects, 8, 0.35);
-            assert_eq!(
-                concept_set(concepts_sharded(&ctx)),
-                concept_set(concepts(&ctx)),
-                "n_objects = {n_objects}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_matches_sequential_on_randomized_contexts() {
-        for seed in 0u64..6 {
-            let n_objects = 64 + (seed as usize * 29) % 80;
-            let n_attrs = 6 + (seed as usize) % 5;
-            let density = 0.15 + 0.08 * seed as f64;
-            let ctx = random_ctx(seed, n_objects, n_attrs, density);
-            let sharded = concepts_sharded(&ctx);
-            let sequential = concepts(&ctx);
-            assert_eq!(sharded.len(), sequential.len(), "seed {seed}");
-            assert_eq!(concept_set(sharded), concept_set(sequential), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn sharded_concepts_are_closed_pairs() {
-        let ctx = random_ctx(7, 100, 9, 0.3);
-        for c in concepts_sharded(&ctx) {
-            assert_eq!(ctx.sigma(&c.extent), c.intent, "intent = σ(extent)");
-            assert_eq!(ctx.tau(&c.intent), c.extent, "extent = τ(intent)");
-        }
-    }
-
-    #[test]
-    fn sharded_inserts_every_object_through_the_counters() {
-        let before = cable_obs::registry().snapshot();
-        let ctx = random_ctx(11, 70, 7, 0.3);
-        let _ = concepts_sharded(&ctx);
-        let delta = cable_obs::registry().snapshot().delta_since(&before);
-        // Each object goes through the same Inserter as the sequential
-        // path exactly once (counters are process-wide: bound from below).
-        assert!(delta.counter("fca.godin.objects_inserted").unwrap_or(0) >= 70);
     }
 
     #[test]

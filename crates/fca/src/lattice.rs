@@ -125,13 +125,11 @@ pub struct ConceptLattice {
 
 impl ConceptLattice {
     /// Builds the lattice of a context with Godin's incremental algorithm
-    /// (the paper's choice). Large contexts are built shard-and-merge on
-    /// the [`cable_par`] pool when it has workers
-    /// ([`crate::godin::concepts_auto`]); the concept set — and therefore
-    /// the lattice, whose order is canonical — is identical either way.
+    /// (the paper's choice), inserting the objects in order on the
+    /// calling thread at every pool size.
     pub fn build(ctx: &Context) -> Self {
         let _span = Span::enter("fca.lattice.build", &BUILD_NS);
-        Self::from_concepts(crate::godin::concepts_auto(ctx))
+        Self::from_concepts(crate::godin::concepts(ctx))
     }
 
     /// Builds the lattice with Ganter's NextClosure (batch) algorithm.
@@ -142,14 +140,13 @@ impl ConceptLattice {
 
     /// [`ConceptLattice::build`] under the installed `cable-guard`
     /// budget: the Godin insertion loop checkpoints before every object
-    /// and checks the concept-count ceiling after it.
+    /// (cancellation included) and checks the concept-count ceiling
+    /// after it.
     ///
-    /// When a budget is active the build is forced onto the sequential
-    /// guarded path, so a budget-exceeded stop lands at the same object
-    /// whatever `CABLE_PAR` is — the partial lattice is bit-identical
-    /// across worker counts. With nothing installed this is [`build`]
-    /// (including the sharded path) plus one relaxed atomic load per
-    /// object.
+    /// The build is sequential, so a budget-exceeded stop lands at the
+    /// same object whatever `CABLE_PAR` is — the partial lattice is
+    /// bit-identical across worker counts. With nothing installed this
+    /// is [`build`] plus one relaxed atomic load per object.
     ///
     /// [`build`]: ConceptLattice::build
     ///
@@ -160,7 +157,7 @@ impl ConceptLattice {
     /// never a panic, never a hang.
     pub fn try_build(ctx: &Context) -> Result<Self, Box<PartialBuild>> {
         let _span = Span::enter("fca.lattice.build", &BUILD_NS);
-        match crate::godin::try_concepts_auto(ctx) {
+        match crate::godin::try_concepts(ctx) {
             Ok(concepts) => Ok(Self::from_concepts(concepts)),
             Err(stop) => Err(Box::new(PartialBuild {
                 error: stop.error,

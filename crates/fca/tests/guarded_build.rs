@@ -1,7 +1,7 @@
 //! Guarded lattice builds: budget-exceeded stops return *valid partial
 //! lattices* (prefix-exact — equal to the lattice of the truncated
-//! context), cancellation bails the sharded path, and an absent guard
-//! changes nothing.
+//! context), a pending cancellation stops the build before its first
+//! object, and an absent guard changes nothing.
 //!
 //! Budgets and cancellation are process-global, so these tests live in
 //! their own integration binary and serialise on a local mutex.
@@ -139,17 +139,19 @@ fn memory_ceiling_stop_is_prefix_exact() {
     assert_eq!(concept_set(&stop.lattice), concept_set(&expected));
 }
 
-/// The sharded (parallel) path honours cancellation: its cancel points
-/// bail with the tunnelled guard payload, which `contain` maps back to
-/// the typed error.
+/// The guarded build honours cancellation: its per-object checkpoint
+/// sees a pending cancel before the first insertion and returns the
+/// typed error with the (empty) prefix-exact partial lattice.
 #[test]
-fn cancellation_bails_the_sharded_path() {
+fn cancellation_stops_the_build_before_its_first_object() {
     let _l = lock();
     let ctx = random_ctx(7, 96, 8, 0.3);
     cable_guard::cancel();
-    let result = cable_guard::contain(|| cable_fca::godin::concepts_sharded(&ctx));
+    let result = ConceptLattice::try_build(&ctx);
     cable_guard::clear_cancel();
-    assert_eq!(result, Err(GuardError::Cancelled));
+    let stop = result.expect_err("a pending cancel must stop the build");
+    assert_eq!(stop.error, GuardError::Cancelled);
+    assert_eq!(stop.objects_inserted, 0);
 }
 
 #[test]

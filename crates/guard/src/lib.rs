@@ -588,13 +588,13 @@ pub fn charge_mem(bytes: u64) {
 pub struct GuardUnwind(pub GuardError);
 
 /// Unwinds with a [`GuardUnwind`] payload. Only reachable from code
-/// running under a [`contain`] (or `cable-par` scope) boundary.
+/// running under a [`contain`] (or `cable-par` chunk) boundary.
 pub fn bail(error: GuardError) -> ! {
     std::panic::panic_any(GuardUnwind(error))
 }
 
 /// The cancellation checkpoint for closures that cannot return `Err`
-/// (the `cable-par` chunk and shard closures): a single relaxed load
+/// (the `cable-par` chunk closures): a single relaxed load
 /// when nothing is cancelled, an unwinding [`bail`] otherwise.
 #[inline]
 pub fn cancel_point(site: &str) {

@@ -323,7 +323,7 @@ mod tests {
     fn chrome_trace_has_metadata_and_matched_pairs() {
         let l = lane(vec![
             ev("work", EventKind::Begin, 1_000),
-            ev("steal", EventKind::Instant, 1_500),
+            ev("park", EventKind::Instant, 1_500),
             ev("queue", EventKind::Counter(3), 1_600),
             ev("work", EventKind::End, 2_000),
         ]);

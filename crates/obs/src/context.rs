@@ -5,7 +5,7 @@
 //! recorded while a request is active carries the originating 128-bit
 //! trace id, its own span id, and its parent span id — so a request's
 //! spans can be reassembled into one causal tree even when the work
-//! crossed `cable-par` workers via work stealing.
+//! crossed `cable-par` workers.
 //!
 //! # Model
 //!
@@ -21,16 +21,16 @@
 //!   context into a cloneable [`TraceHandle`]; the receiving worker
 //!   calls [`TraceHandle::adopt`] with a deterministic task tag (e.g.
 //!   the chunk index), which swaps the worker's *entire* frame stack in
-//!   and restores it on drop — a stolen task can never leak spans into
-//!   whatever request the worker was touching before.
+//!   and restores it on drop — a handed-off task can never leak spans
+//!   into whatever request the worker was touching before.
 //!
 //! # Deterministic span ids
 //!
 //! Child ids are minted structurally, not from a clock or a global
 //! counter: `child = mix(parent_span_id, k)` where `k` is the parent's
 //! per-frame child sequence number for in-thread children, or the
-//! caller-supplied adopt tag for cross-thread tasks (chunk index, spawn
-//! index). Chunk boundaries depend only on input length, so the same
+//! caller-supplied adopt tag for cross-thread tasks (the chunk index).
+//! Chunk boundaries depend only on input length, so the same
 //! request produces the same span ids under `CABLE_PAR=1` and
 //! `CABLE_PAR=8` — which is what lets the determinism gate cover
 //! attribution.
@@ -46,8 +46,6 @@ pub const MAX_SPANS_PER_TRACE: usize = 4096;
 
 /// Tag space for `par_map` chunk tasks (`CHUNK_TAG | chunk_index`).
 pub const CHUNK_TAG: u64 = 0x8000_0000_0000_0000;
-/// Tag space for `scope().spawn` tasks (`SPAWN_TAG | spawn_index`).
-pub const SPAWN_TAG: u64 = 0x4000_0000_0000_0000;
 /// Tag for the synthetic accept-queue wait span under the request root.
 pub const QUEUE_TAG: u64 = 0x2000_0000_0000_0001;
 
@@ -410,9 +408,9 @@ pub fn capture() -> Option<TraceHandle> {
 impl TraceHandle {
     /// Installs this context on the current thread for the guard's
     /// lifetime, swapping out (and on drop restoring) whatever context
-    /// the thread had — a worker mid-steal can never interleave two
+    /// the thread had — a worker mid-chunk can never interleave two
     /// requests' frames. `tag` must be deterministic for the task
-    /// (chunk index, spawn index): the task's top-level spans get ids
+    /// (the chunk index): the task's top-level spans get ids
     /// derived from `mix(parent_span, tag)` regardless of which worker
     /// runs it.
     pub fn adopt(&self, tag: u64) -> AdoptGuard {

@@ -2,8 +2,8 @@
 //! work.
 //!
 //! Counters say *how much*, the recorder says *when*; wide events say
-//! *what happened*: one record per ingest batch, Godin shard merge,
-//! label op, HTTP request, budget trip, or contained panic, carrying the
+//! *what happened*: one record per ingest batch, parallel stage, label
+//! op, HTTP request, budget trip, or contained panic, carrying the
 //! scope id, the stage, the outcome, the duration, and whatever counter
 //! deltas the emitter attributes to that unit. This is the canonical
 //! log-line pattern — instead of ten interleaved log lines per request,

@@ -35,13 +35,6 @@ impl Counter {
         self.add(1);
     }
 
-    /// Raises the counter to `v` if it is currently lower — high-water
-    /// marks such as `par.queue_max`.
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// The current total.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -316,16 +309,6 @@ mod tests {
                 assert!(v > bucket_bound(b - 1), "{v} beyond bucket {}", b - 1);
             }
         }
-    }
-
-    #[test]
-    fn record_max_is_a_high_water_mark() {
-        let c = Counter::new();
-        c.record_max(5);
-        c.record_max(3);
-        assert_eq!(c.get(), 5);
-        c.record_max(9);
-        assert_eq!(c.get(), 9);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Counters and histograms (the rest of this crate) aggregate — they
 //! answer *how much*. The recorder answers *when*: every span begin and
-//! end, every instant event (a steal, a park, a journal append), and
+//! end, every instant event (a park, a journal append), and
 //! every counter mark is stamped with a monotonic-clock timestamp and
 //! appended to the recording thread's own ring. Two consumers read the
 //! rings back:
@@ -76,7 +76,7 @@ pub enum EventKind {
     Begin,
     /// A span closed.
     End,
-    /// A point in time (a steal, a park, a journal append).
+    /// A point in time (a park, a journal append).
     Instant,
     /// A counter observation carrying the counter's current value.
     Counter(u64),

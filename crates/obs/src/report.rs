@@ -138,15 +138,15 @@ mod tests {
             max: sum,
         };
         s.histograms
-            .insert("par.stage.fca.godin.shard.busy_ns".into(), h(4_000_000));
+            .insert("par.stage.fa.executed.busy_ns".into(), h(4_000_000));
         s.histograms
-            .insert("par.stage.fca.godin.shard.wall_ns".into(), h(1_000_000));
+            .insert("par.stage.fa.executed.wall_ns".into(), h(1_000_000));
         // An unpaired busy histogram is skipped.
         s.histograms.insert("par.stage.orphan.busy_ns".into(), h(9));
         let stages = s.parallel_stages();
         assert_eq!(stages.len(), 1);
         let (label, busy, wall, speedup) = &stages[0];
-        assert_eq!(label, "fca.godin.shard");
+        assert_eq!(label, "fa.executed");
         assert_eq!((*busy, *wall), (4_000_000, 1_000_000));
         assert!((speedup - 4.0).abs() < 1e-9);
         let text = s.render();

@@ -2,13 +2,17 @@
 //! workspace.
 //!
 //! Every stage of the reproduction pipeline — executed-transition sweeps,
-//! context construction, Godin insertion, workload generation, the
-//! per-specification table loop — decomposes into independent units, and
-//! the ROADMAP's north star is "as fast as the hardware allows". This
-//! crate supplies the executor those stages share, with **no dependencies
-//! beyond `std`** (the workspace builds offline): a work-stealing thread
-//! pool hand-rolled on `std::sync` primitives, per-worker deques plus a
-//! global injector, sized from [`std::thread::available_parallelism`].
+//! context construction, workload generation, the per-specification
+//! table loop — decomposes into independent units, and the ROADMAP's
+//! north star is "as fast as the hardware allows". This crate supplies
+//! the executor those stages share, with **no dependencies beyond
+//! `std`** (the workspace builds offline): a thread pool hand-rolled on
+//! `std::sync` primitives, sized from
+//! [`std::thread::available_parallelism`]. Each multi-chunk [`par_map`]
+//! is one job whose chunks are claimed from an atomic cursor; its caller
+//! runs the unclaimed ones and waits only for chunks other threads
+//! claimed, so a caller never runs another stage's work (the isolation
+//! and deadlock-freedom argument is in the `pool` module).
 //!
 //! # Determinism contract
 //!
@@ -16,10 +20,8 @@
 //! parallelism must not break that. The contract:
 //!
 //! * [`par_map`] returns results in **input index order**, whatever
-//!   schedule the workers run;
-//! * [`par_reduce`] folds fixed chunks whose boundaries depend only on
-//!   the input length — never on the worker count — and combines the
-//!   per-chunk results in chunk order;
+//!   schedule the workers run, over chunks whose boundaries depend only
+//!   on the input length — never on the worker count;
 //! * `CABLE_PAR=1` (or [`configure`]`(1)`, or a single-core machine)
 //!   takes a pure sequential path that produces the very same values.
 //!
@@ -34,30 +36,22 @@
 //!
 //! # Observability
 //!
-//! The pool feeds `cable-obs`: counters `par.tasks`, `par.steals` and
-//! `par.queue_max`, and — while observation is enabled — per-stage
-//! histograms `par.stage.<label>.busy_ns` / `par.stage.<label>.wall_ns`
-//! whose ratio is the per-stage speedup line of the `--stats` report.
+//! The pool feeds `cable-obs`: counters `par.tasks` and
+//! `par.task_panics`, the worker park histogram `wait.park.us`, and —
+//! while observation is enabled — per-stage histograms
+//! `par.stage.<label>.busy_ns` / `par.stage.<label>.wall_ns` whose ratio
+//! is the per-stage speedup line of the `--stats` report.
 //!
 //! # Examples
 //!
 //! ```
 //! let squares = cable_par::par_map("doc.squares", &[1u64, 2, 3, 4], |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! let sum = cable_par::par_reduce(
-//!     "doc.sum",
-//!     &[1u64, 2, 3, 4],
-//!     || 0u64,
-//!     |acc, x| acc + x,
-//!     |a, b| a + b,
-//! );
-//! assert_eq!(sum, 10);
 //! ```
 
 mod pool;
 
-pub use pool::{Pool, Scope};
+pub use pool::Pool;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -77,8 +71,8 @@ pub fn configure(n: usize) -> bool {
     GLOBAL.get().is_none()
 }
 
-/// The number of logical threads the global pool runs units on
-/// (workers plus the calling thread, which helps while it waits).
+/// The number of logical threads the global pool runs chunks on
+/// (workers plus the calling thread).
 pub fn threads() -> usize {
     global().threads()
 }
@@ -105,13 +99,6 @@ fn resolve_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f` with a [`Scope`] on the global pool; every unit spawned into
-/// the scope completes before this returns. Panics from units are
-/// propagated.
-pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
-    global().scope(f)
-}
-
 /// Maps `f` over `items` on the global pool, returning results in input
 /// order regardless of worker count or schedule. See [`Pool::par_map`].
 pub fn par_map<T, U, F>(label: &'static str, items: &[T], f: F) -> Vec<U>
@@ -133,28 +120,9 @@ where
     global().par_map_indexed(label, items, f)
 }
 
-/// Reduces `items` on the global pool with deterministic chunking. See
-/// [`Pool::par_reduce`].
-pub fn par_reduce<T, U, I, F, G>(
-    label: &'static str,
-    items: &[T],
-    identity: I,
-    fold: F,
-    combine: G,
-) -> U
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> U + Sync,
-    F: Fn(U, &T) -> U + Sync,
-    G: Fn(U, U) -> U,
-{
-    global().par_reduce(label, items, identity, fold, combine)
-}
-
 /// The fixed chunk size for `n` items: depends only on `n`, so chunk
-/// boundaries — and therefore [`par_reduce`] groupings — are identical
-/// for every worker count. Targets at most 64 chunks.
+/// boundaries — and therefore chunk span ids — are identical for every
+/// worker count. Targets at most 64 chunks.
 pub(crate) fn chunk_size(n: usize) -> usize {
     n.div_ceil(64).max(1)
 }

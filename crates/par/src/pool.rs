@@ -1,38 +1,40 @@
-//! The work-stealing pool: per-worker deques, a global injector, scoped
-//! spawns, and the deterministic `par_map` / `par_reduce` combinators.
+//! The pool: worker threads, one list of open jobs, and the deterministic
+//! `par_map` combinators.
 //!
-//! The design is the crossbeam shape hand-rolled on `std::sync`: each
-//! worker owns a deque it pushes and pops at the back (LIFO, for cache
-//! locality of nested spawns) while thieves take from the front (FIFO,
-//! oldest — largest — units first); external spawns land in a shared
-//! injector queue. Every queue is a `Mutex<VecDeque>` rather than a
-//! lock-free chase-lev deque — the pipeline's units are coarse (a whole
-//! trace sweep, a whole shard build), so queue contention is noise, and
+//! A multi-chunk `par_map` publishes one **job**. Its chunks are claimed
+//! from an atomic cursor, so each chunk runs on exactly one thread. The
+//! calling thread claims and runs its own job's chunks until none is left
+//! unclaimed, then waits for the chunks other threads claimed. Idle
+//! workers take chunks from the oldest open job that has any left. The
+//! pipeline's chunks are coarse (a whole trace sweep, a whole
+//! specification), so one mutex over the job list is noise, and
 //! `std`-only is a workspace policy.
 //!
-//! Deadlock freedom under nesting comes from a *helping* wait: any thread
-//! blocked on a [`Scope`] runs pending pool units while it waits, so a
-//! worker whose unit opens a nested scope (the table2 fan-out builds
-//! sessions whose lattice builds shard) never wedges the pool.
+//! **Isolation.** A waiting caller never runs another job's chunk: it
+//! claims only from its own cursor, and once that is exhausted it blocks.
+//! So a stage's span and histogram time that stage's work and nothing
+//! else, and a caller returns as soon as its own job is done.
+//!
+//! **Deadlock freedom.** A caller waits only for chunks that other
+//! threads have already claimed, and a claimed chunk runs to completion
+//! on the thread that claimed it. If that chunk opens a nested `par_map`,
+//! its thread becomes the nested job's caller, which again runs every
+//! unclaimed chunk itself and waits only on claimed ones. By induction on
+//! nesting depth (a chunk with no nested `par_map` ends when its closure
+//! returns), every wait ends, however many workers are idle — none
+//! included.
 
 use cable_obs::{context, CounterHandle, HistogramHandle, Span};
 use std::any::Any;
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Units spawned into the pool (scoped or chunked).
+/// Chunks published as pool jobs (the sequential path publishes none).
 static TASKS: CounterHandle = CounterHandle::new("par.tasks");
-/// Units taken from another worker's deque.
-static STEALS: CounterHandle = CounterHandle::new("par.steals");
-/// High-water mark of queued units across all queues.
-static QUEUE_MAX: CounterHandle = CounterHandle::new("par.queue_max");
-/// Genuine unit panics contained at the task boundary (guard unwinds —
+/// Genuine chunk panics contained at the task boundary (guard unwinds —
 /// budget trips and cancellations tunnelled out of closures — are not
 /// panics and are not counted here).
 static TASK_PANICS: CounterHandle = CounterHandle::new("par.task_panics");
@@ -42,237 +44,178 @@ static TASK_PANICS: CounterHandle = CounterHandle::new("par.task_panics");
 /// starved for work, not stuck on locks.
 static WAIT_PARK: HistogramHandle = HistogramHandle::new("wait.park.us");
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// One multi-chunk `par_map` in flight.
+///
+/// The atomics are `Relaxed` because they publish no data: a claim is
+/// one atomic read-modify-write, the job's inputs reach workers through
+/// the `Shared::state` mutex, and chunk results and panics reach the
+/// caller through mutexes (`finished`, `panic`, the result slots).
+struct Job {
+    /// The next unclaimed chunk index.
+    cursor: AtomicUsize,
+    chunks: usize,
+    /// Claimed chunks that are done (run, skipped or panicked).
+    finished: Mutex<usize>,
+    /// Signalled when `finished` reaches `chunks`.
+    done: Condvar,
+    /// Set when a chunk panics (or bails on a guard error): chunks
+    /// claimed after that are skipped, the job's outcome is decided.
+    poisoned: AtomicBool,
+    /// The first chunk panic, re-raised on the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Runs one chunk by index. Borrows the caller's stack frame; see
+    /// the SAFETY note in [`Pool::run_job`].
+    run: &'static (dyn Fn(usize) + Sync),
+}
 
-/// How long an idle worker or a waiting scope sleeps before re-checking
-/// the queues. Bounds the cost of a missed wakeup without busy-waiting.
-const IDLE_POLL: Duration = Duration::from_millis(1);
+impl Job {
+    fn has_unclaimed(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) < self.chunks
+    }
 
-thread_local! {
-    /// `(pool identity, worker index)` when the current thread is a pool
-    /// worker — lets spawns land in the worker's own deque.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// Claims the next chunk and runs it behind a `catch_unwind` boundary
+    /// and the `panic@par.task` fault point. Returns `false`, touching
+    /// nothing, once every chunk is claimed.
+    fn run_next(&self) -> bool {
+        let claim = self
+            .cursor
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                (c < self.chunks).then_some(c + 1)
+            });
+        let Ok(index) = claim else {
+            return false;
+        };
+        if !self.poisoned.load(Ordering::Relaxed) {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                cable_guard::faults::maybe_panic("par.task");
+                (self.run)(index)
+            }));
+            if let Err(p) = result {
+                self.poisoned.store(true, Ordering::Relaxed);
+                if !cable_guard::is_guard_payload(&*p) {
+                    TASK_PANICS.get().incr();
+                    cable_obs::recorder::instant("par.task_panic");
+                }
+                // Ask in-flight siblings to bail at their next cancel
+                // point; the caller clears the flag once the job is done.
+                cable_guard::cancel();
+                self.panic
+                    .lock()
+                    .expect("par job poisoned")
+                    .get_or_insert(p);
+            }
+        }
+        let mut finished = self.finished.lock().expect("par job poisoned");
+        *finished += 1;
+        if *finished == self.chunks {
+            self.done.notify_all();
+        }
+        true
+    }
 }
 
 struct Shared {
-    injector: Mutex<VecDeque<Task>>,
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Signalled after a push; sleepers also time out (see [`IDLE_POLL`]).
-    idle: Condvar,
-    shutdown: AtomicBool,
-    /// Currently queued (not yet running) units, for `par.queue_max`.
-    queued: AtomicU64,
+    state: Mutex<State>,
+    /// Signalled when a job is published or the pool shuts down.
+    work: Condvar,
     threads: usize,
 }
 
+#[derive(Default)]
+struct State {
+    /// Open jobs, oldest first. A caller retires its job once every
+    /// chunk is claimed.
+    jobs: Vec<Arc<Job>>,
+    shutdown: bool,
+}
+
 impl Shared {
-    fn identity(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
-    }
-
-    /// The current thread's worker index in this pool, if any.
-    fn worker_index(self: &Arc<Self>) -> Option<usize> {
-        WORKER.with(|w| match w.get() {
-            Some((id, index)) if id == self.identity() => Some(index),
-            _ => None,
-        })
-    }
-
-    fn push(self: &Arc<Self>, task: Task) {
-        TASKS.get().incr();
-        // Count the unit before publishing it: a worker may pop it (and
-        // decrement) as soon as it lands in a queue.
-        let queued = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
-        QUEUE_MAX.get().record_max(queued);
-        match self.worker_index() {
-            Some(w) => self.deques[w]
-                .lock()
-                .expect("par deque poisoned")
-                .push_back(task),
-            None => self
-                .injector
-                .lock()
-                .expect("par injector poisoned")
-                .push_back(task),
-        }
-        self.idle.notify_one();
-    }
-
-    /// Takes one unit: own deque back, then injector front, then steal
-    /// from the other deques front.
-    fn find_task(self: &Arc<Self>) -> Option<Task> {
-        let me = self.worker_index();
-        if let Some(w) = me {
-            if let Some(t) = self.deques[w]
-                .lock()
-                .expect("par deque poisoned")
-                .pop_back()
-            {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        if let Some(t) = self
-            .injector
-            .lock()
-            .expect("par injector poisoned")
-            .pop_front()
-        {
-            self.queued.fetch_sub(1, Ordering::Relaxed);
-            return Some(t);
-        }
-        let n = self.deques.len();
-        let start = me.map_or(0, |w| w + 1);
-        for i in 0..n {
-            let victim = (start + i) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(t) = self.deques[victim]
-                .lock()
-                .expect("par deque poisoned")
-                .pop_front()
-            {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                STEALS.get().incr();
-                cable_obs::recorder::instant("par.steal");
-                return Some(t);
-            }
-        }
-        None
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("par state poisoned")
     }
 }
 
-fn run_task(task: Task) {
-    // Unit panics are contained here and reported through the owning
-    // scope (the spawn wrapper); a stray panic must not kill a worker.
-    let _ = catch_unwind(AssertUnwindSafe(task));
-}
-
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((shared.identity(), index))));
+fn worker_loop(shared: &Shared) {
     // Give this worker a recorder lane up front (labelled by the thread
     // name, `cable-par-{index}`), so traces show every worker even if it
-    // never wins a unit.
+    // never wins a chunk.
     cable_obs::recorder::instant("par.worker.start");
-    // Park instants mark the busy→idle edge only; re-checking an empty
-    // queue every IDLE_POLL is not news.
+    // Park instants mark the busy→idle edge only.
     let mut was_busy = false;
+    let mut state = shared.state();
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
+        if state.shutdown {
             return;
         }
-        if let Some(task) = shared.find_task() {
+        if let Some(job) = state.jobs.iter().find(|j| j.has_unclaimed()).cloned() {
+            drop(state);
+            while job.run_next() {}
             was_busy = true;
-            run_task(task);
+            state = shared.state();
             continue;
         }
-        if was_busy {
-            was_busy = false;
+        if std::mem::take(&mut was_busy) {
             cable_obs::recorder::instant("par.park");
         }
-        let guard = shared.injector.lock().expect("par injector poisoned");
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Timed wait: a push between `find_task` and here is recovered on
-        // the next iteration at worst.
         let park_start = cable_obs::enabled().then(Instant::now);
-        let _ = shared.idle.wait_timeout(guard, IDLE_POLL);
+        state = shared.work.wait(state).expect("par state poisoned");
         if let Some(start) = park_start {
             WAIT_PARK.get().record(start.elapsed().as_micros() as u64);
         }
     }
 }
 
-/// A work-stealing thread pool. The workspace normally uses the global
-/// pool through the crate-level free functions; tests construct local
-/// pools of fixed sizes.
+/// A thread pool whose callers run their own jobs. The workspace normally
+/// uses the global pool through the crate-level free functions; tests
+/// construct local pools of fixed sizes.
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Pool {
-    /// Creates a pool that runs units on `threads` logical threads:
-    /// `threads - 1` workers plus the calling thread, which helps while
-    /// it waits on a scope. `threads <= 1` spawns no workers at all and
-    /// every combinator takes its sequential path.
+    /// Creates a pool that runs chunks on `threads` logical threads:
+    /// `threads - 1` workers plus the calling thread, which runs its own
+    /// job's chunks. `threads <= 1` spawns no workers at all and every
+    /// map takes its sequential path.
     pub fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
-        let n_workers = threads - 1;
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..n_workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            idle: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            queued: AtomicU64::new(0),
+            state: Mutex::default(),
+            work: Condvar::new(),
             threads,
         });
-        let workers = (0..n_workers)
+        let workers = (0..threads - 1)
             .map(|i| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("cable-par-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning pool worker")
             })
             .collect();
         Pool { shared, workers }
     }
 
-    /// The logical thread count (workers plus the helping caller).
+    /// The logical thread count (workers plus the calling thread).
     pub fn threads(&self) -> usize {
         self.shared.threads
     }
 
-    /// Runs `f` with a [`Scope`] that can spawn borrowing units onto the
-    /// pool. All spawned units complete before `scope` returns — this is
-    /// what makes the `'env` borrows sound — and the first unit panic (or
-    /// the closure's own) is propagated after the wait.
+    /// Maps `f` over `items`, returning results in input index order for
+    /// any worker count or schedule. With one thread (or one chunk) this
+    /// is a plain sequential map producing bit-identical values.
     ///
-    /// **Panic isolation.** A panicking unit *poisons* the scope: units
-    /// of the poisoned scope that have not started yet are skipped, and
-    /// in-flight siblings are cancelled cooperatively through the
-    /// `cable-guard` token (they bail at their next
+    /// **Panic isolation.** On the parallel path a panicking chunk
+    /// *poisons* the job: its chunks that have not started yet are
+    /// skipped, and in-flight siblings are cancelled cooperatively
+    /// through the `cable-guard` token (they bail at their next
     /// [`cable_guard::cancel_point`]). The first payload is re-raised
-    /// here on the submitting thread once every unit has wound down —
+    /// here on the calling thread once every chunk has wound down —
     /// callers that need a structured error instead of an unwind wrap
     /// the pipeline in [`cable_guard::contain`], which maps genuine
     /// panics to `GuardError::TaskPanic` and tunnelled guard payloads
     /// back to their typed errors. The pool itself always survives.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'env>) -> R) -> R {
-        let scope = Scope {
-            shared: self.shared.clone(),
-            state: Arc::new(ScopeState::default()),
-            _env: PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Wait unconditionally: spawned units may still borrow the
-        // caller's stack even when `f` itself panicked.
-        scope.wait();
-        let unit_panic = scope.state.panic.lock().expect("par scope poisoned").take();
-        if unit_panic.is_some() {
-            // The failing unit's wrapper cancelled its siblings; the
-            // cancellation window closes with the scope.
-            cable_guard::clear_cancel();
-        }
-        match result {
-            Err(p) => resume_unwind(p),
-            Ok(r) => {
-                if let Some(p) = unit_panic {
-                    resume_unwind(p);
-                }
-                r
-            }
-        }
-    }
-
-    /// Maps `f` over `items`, returning results in input index order for
-    /// any worker count or schedule. With one thread (or one item) this
-    /// is a plain sequential map producing bit-identical values.
     pub fn par_map<T, U, F>(&self, label: &'static str, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -283,63 +226,16 @@ impl Pool {
     }
 
     /// Like [`Pool::par_map`], passing each item's index too.
+    ///
+    /// Splits `items` into at most 64 chunks whose boundaries depend only
+    /// on `items.len()`, runs them — in order on one thread, as one job
+    /// otherwise — and records per-stage busy/wall histograms while
+    /// observation is enabled.
     pub fn par_map_indexed<T, U, F>(&self, label: &'static str, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
         U: Send,
         F: Fn(usize, &T) -> U + Sync,
-    {
-        let mut chunks = self.chunked_map(label, items, |start, slice| {
-            slice
-                .iter()
-                .enumerate()
-                .map(|(k, item)| f(start + k, item))
-                .collect::<Vec<U>>()
-        });
-        chunks.sort_unstable_by_key(|&(start, _)| start);
-        let mut out = Vec::with_capacity(items.len());
-        for (_, vals) in chunks {
-            out.extend(vals);
-        }
-        out
-    }
-
-    /// Folds `items` into chunks whose boundaries depend only on the item
-    /// count — never the worker count — then combines the chunk results
-    /// in chunk order. Deterministic for any associative `combine` (and
-    /// even for non-associative ones, since the grouping is fixed).
-    pub fn par_reduce<T, U, I, F, G>(
-        &self,
-        label: &'static str,
-        items: &[T],
-        identity: I,
-        fold: F,
-        combine: G,
-    ) -> U
-    where
-        T: Sync,
-        U: Send,
-        I: Fn() -> U + Sync,
-        F: Fn(U, &T) -> U + Sync,
-        G: Fn(U, U) -> U,
-    {
-        let mut chunks = self.chunked_map(label, items, |_, slice| {
-            slice.iter().fold(identity(), &fold)
-        });
-        chunks.sort_unstable_by_key(|&(start, _)| start);
-        chunks.into_iter().map(|(_, v)| v).fold(identity(), combine)
-    }
-
-    /// The shared chunked executor: splits `items` at fixed boundaries
-    /// (see [`crate::chunk_size`]), runs `f` per chunk — sequentially on
-    /// one thread, as scoped units otherwise — and returns the unsorted
-    /// `(chunk start, result)` pairs, recording per-stage busy/wall
-    /// histograms while observation is enabled.
-    fn chunked_map<T, U, F>(&self, label: &'static str, items: &[T], f: F) -> Vec<(usize, U)>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &[T]) -> U + Sync,
     {
         let n = items.len();
         if n == 0 {
@@ -347,86 +243,120 @@ impl Pool {
         }
         let observe = cable_obs::enabled();
         let wall_start = observe.then(Instant::now);
+        let busy = observe.then(|| busy_handle(label));
         let chunk = crate::chunk_size(n);
-        let n_chunks = n.div_ceil(chunk);
-        let stage = Stage::new(label, observe);
+        let chunks = n.div_ceil(chunk);
         // Capture the caller's trace context once; every chunk adopts it
         // with `CHUNK_TAG | chunk_index`. Chunk boundaries depend only on
-        // the item count, so the sequential and parallel paths mint
-        // *identical* span ids — the determinism gate compares them.
+        // the item count, so every schedule mints *identical* span ids —
+        // the determinism gate compares them.
         let trace = context::capture();
-        let results = if self.threads() <= 1 || n_chunks == 1 {
-            let mut results = Vec::with_capacity(n_chunks);
-            for (index, start) in (0..n).step_by(chunk).enumerate() {
-                let end = (start + chunk).min(n);
-                let _adopt = trace
-                    .as_ref()
-                    .map(|t| t.adopt(context::CHUNK_TAG | index as u64));
-                let _span = stage.busy.map(|busy| Span::enter(label, busy));
-                results.push((start, f(start, &items[start..end])));
-            }
-            results
-        } else {
-            let results = Mutex::new(Vec::with_capacity(n_chunks));
-            self.scope(|s| {
-                for (index, start) in (0..n).step_by(chunk).enumerate() {
-                    let end = (start + chunk).min(n);
-                    let slice = &items[start..end];
-                    let (f, results, stage) = (&f, &results, &stage);
-                    let trace = trace.clone();
-                    s.spawn(move || {
-                        // Restore the request context on whichever worker
-                        // stole this chunk, under the chunk's own tag.
-                        let _adopt = trace
-                            .as_ref()
-                            .map(|t| t.adopt(context::CHUNK_TAG | index as u64));
-                        let value = {
-                            let _span = stage.busy.map(|busy| Span::enter(label, busy));
-                            f(start, slice)
-                        };
-                        results
-                            .lock()
-                            .expect("par results poisoned")
-                            .push((start, value));
-                    });
-                }
-            });
-            results.into_inner().expect("par results poisoned")
+        let slots: Vec<Mutex<Vec<U>>> = (0..chunks).map(|_| Mutex::default()).collect();
+        let run = |index: usize| {
+            let start = index * chunk;
+            let slice = &items[start..(start + chunk).min(n)];
+            let _adopt = trace
+                .as_ref()
+                .map(|t| t.adopt(context::CHUNK_TAG | index as u64));
+            let values = {
+                let _span = busy.map(|busy| Span::enter(label, busy));
+                slice
+                    .iter()
+                    .enumerate()
+                    .map(|(k, item)| f(start + k, item))
+                    .collect()
+            };
+            *slots[index].lock().expect("par results poisoned") = values;
         };
-        stage.record_wall(wall_start);
+        if self.threads() <= 1 || chunks == 1 {
+            (0..chunks).for_each(&run);
+        } else {
+            self.run_job(chunks, &run);
+        }
+        if let Some(start) = wall_start {
+            cable_obs::registry()
+                .histogram(&format!("par.stage.{label}.wall_ns"))
+                .record_duration(start.elapsed());
+        }
         // One wide event per stage execution. Guarded on enabled() so
         // the off path never pays the event's String building.
         if cable_obs::events::enabled() {
             let mut event = cable_obs::WideEvent::new("par_stage", "par")
                 .stage(label)
                 .field("items", n as u64)
-                .field("chunks", n_chunks as u64)
+                .field("chunks", chunks as u64)
                 .field("threads", self.threads() as u64);
             if let Some(start) = wall_start {
                 event = event.duration(start.elapsed());
             }
             cable_obs::events::emit(event);
         }
-        results
+        let mut out = Vec::with_capacity(n);
+        for slot in slots {
+            out.extend(slot.into_inner().expect("par results poisoned"));
+        }
+        out
+    }
+
+    /// Runs chunks `0..chunks` of `run` as one job: publishes it, runs
+    /// its unclaimed chunks on this thread, then waits for the chunks
+    /// other threads claimed. The first chunk panic is re-raised here
+    /// once every chunk is done.
+    fn run_job(&self, chunks: usize, run: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: the job outlives this frame (workers hold `Arc`s), so
+        // it needs a `'static` closure. `Job::run` is called only on a
+        // claimed chunk index, and this function returns only after
+        // `finished == chunks`, i.e. after every claim has run: chunk
+        // panics are caught inside `run_next`, and nothing else between
+        // a claim and its `finished` count unwinds. Once every chunk is
+        // claimed, `run_next` on a stale `Arc<Job>` returns without
+        // touching `run`, so no borrow in `run` outlives its use.
+        let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
+        let job = Arc::new(Job {
+            cursor: AtomicUsize::new(0),
+            chunks,
+            finished: Mutex::new(0),
+            done: Condvar::new(),
+            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            run,
+        });
+        TASKS.get().add(chunks as u64);
+        self.shared.state().jobs.push(job.clone());
+        self.shared.work.notify_all();
+        while job.run_next() {}
+        // Every chunk is claimed: retire the job, then wait only for the
+        // chunks other threads are still running.
+        self.shared.state().jobs.retain(|j| !Arc::ptr_eq(j, &job));
+        let mut finished = job.finished.lock().expect("par job poisoned");
+        while *finished < chunks {
+            finished = job.done.wait(finished).expect("par job poisoned");
+        }
+        drop(finished);
+        let panic = job.panic.lock().expect("par job poisoned").take();
+        if let Some(p) = panic {
+            // The failing chunk cancelled its siblings; the cancellation
+            // window closes with the job.
+            cable_guard::clear_cancel();
+            resume_unwind(p);
+        }
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.idle.notify_all();
+        // No panic in drop: every update to `State` leaves it valid, so a
+        // poisoned lock's guard is still sound to use.
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
+        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
-}
-
-/// Per-stage busy/wall histograms, absent while observation is off.
-/// Each chunk's span records into `busy`; the whole stage's wall time
-/// lands in `wall`.
-struct Stage {
-    busy: Option<&'static HistogramHandle>,
-    wall: Option<Arc<cable_obs::Histogram>>,
 }
 
 /// The `par.stage.<label>.busy_ns` handle chunk spans record into.
@@ -444,135 +374,9 @@ fn busy_handle(label: &'static str) -> &'static HistogramHandle {
     handle
 }
 
-impl Stage {
-    fn new(label: &'static str, observe: bool) -> Stage {
-        if !observe {
-            return Stage {
-                busy: None,
-                wall: None,
-            };
-        }
-        Stage {
-            busy: Some(busy_handle(label)),
-            wall: Some(cable_obs::registry().histogram(&format!("par.stage.{label}.wall_ns"))),
-        }
-    }
-
-    fn record_wall(&self, start: Option<Instant>) {
-        if let (Some(h), Some(start)) = (&self.wall, start) {
-            h.record_duration(start.elapsed());
-        }
-    }
-}
-
-#[derive(Default)]
-struct ScopeState {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Units spawned so far; each unit adopts the submitter's trace
-    /// context under `SPAWN_TAG | its own index`, so span ids don't
-    /// depend on which worker wins the unit.
-    spawn_seq: AtomicU64,
-    /// Set when any unit of the scope panics (or bails on a guard
-    /// error): queued-but-unstarted siblings are skipped, the scope's
-    /// outcome is already decided.
-    poisoned: AtomicBool,
-}
-
-/// A spawn scope: units may borrow anything that outlives `'env`,
-/// because [`Pool::scope`] waits for all of them before returning.
-pub struct Scope<'env> {
-    shared: Arc<Shared>,
-    state: Arc<ScopeState>,
-    /// Invariant in `'env`, the crossbeam trick: stops the borrow checker
-    /// from shrinking the environment lifetime under the spawned units.
-    _env: PhantomData<fn(&'env ()) -> &'env ()>,
-}
-
-impl<'env> Scope<'env> {
-    /// Spawns a unit onto the pool. It may borrow from the enclosing
-    /// environment (`'env`); the scope waits for it before returning, and
-    /// its panic — if any — is propagated by [`Pool::scope`].
-    ///
-    /// Each unit runs behind a `catch_unwind` boundary and a
-    /// fault-injection point (`panic@par.task`); a unit of an already
-    /// poisoned scope is skipped without running.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'env) {
-        *self.state.remaining.lock().expect("par scope poisoned") += 1;
-        let state = self.state.clone();
-        // Snapshot the submitter's trace context *here*, before the unit
-        // moves: the worker that eventually runs it may be mid-steal on a
-        // different request (or on none at all).
-        let trace = context::capture();
-        let spawn_seq = self.state.spawn_seq.fetch_add(1, Ordering::Relaxed);
-        let wrapper = move || {
-            if !state.poisoned.load(Ordering::Relaxed) {
-                let _adopt = trace
-                    .as_ref()
-                    .map(|t| t.adopt(context::SPAWN_TAG | spawn_seq));
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    cable_guard::faults::maybe_panic("par.task");
-                    f()
-                }));
-                if let Err(p) = result {
-                    state.poisoned.store(true, Ordering::Relaxed);
-                    if !cable_guard::is_guard_payload(&*p) {
-                        TASK_PANICS.get().incr();
-                        cable_obs::recorder::instant("par.task_panic");
-                    }
-                    // Ask in-flight siblings to bail at their next
-                    // cancel point; `Pool::scope` clears the flag once
-                    // the scope has wound down.
-                    cable_guard::cancel();
-                    state
-                        .panic
-                        .lock()
-                        .expect("par scope poisoned")
-                        .get_or_insert(p);
-                }
-            }
-            let mut remaining = state.remaining.lock().expect("par scope poisoned");
-            *remaining -= 1;
-            if *remaining == 0 {
-                state.done.notify_all();
-            }
-        };
-        let task: Box<dyn FnOnce() + Send + 'env> = Box::new(wrapper);
-        // SAFETY: the pool requires 'static tasks because workers outlive
-        // any one scope, but `Pool::scope` never returns before every
-        // unit of this scope has completed (the wait runs even when the
-        // scope closure panics), so no borrow in `task` outlives its use.
-        let task: Task = unsafe { std::mem::transmute(task) };
-        self.shared.push(task);
-    }
-
-    /// Blocks until every spawned unit is done, *helping*: pending pool
-    /// units (of any scope) are run while waiting, so nested scopes on a
-    /// saturated pool cannot deadlock.
-    fn wait(&self) {
-        loop {
-            if *self.state.remaining.lock().expect("par scope poisoned") == 0 {
-                return;
-            }
-            if let Some(task) = self.shared.find_task() {
-                run_task(task);
-                continue;
-            }
-            let remaining = self.state.remaining.lock().expect("par scope poisoned");
-            if *remaining > 0 {
-                // Timed: a unit queued after `find_task` is picked up on
-                // the next iteration.
-                let _ = self.state.done.wait_timeout(remaining, IDLE_POLL);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn sequential_pool_runs_inline() {
@@ -586,25 +390,24 @@ mod tests {
     }
 
     #[test]
-    fn scope_waits_for_all_units() {
+    fn par_map_runs_every_item() {
         let pool = Pool::new(4);
         let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        let items: Vec<usize> = (0..64).collect();
+        pool.par_map("test.count", &items, |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 64);
     }
 
     #[test]
-    fn unit_panics_propagate() {
+    fn chunk_panics_propagate() {
         let pool = Pool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("unit failure"));
+            pool.par_map("test.panic", &[0u64, 1], |&x| {
+                if x == 0 {
+                    panic!("chunk failure");
+                }
             });
         }));
         assert!(result.is_err());
@@ -613,44 +416,16 @@ mod tests {
     }
 
     #[test]
-    fn nested_scopes_do_not_deadlock() {
+    fn nested_par_maps_do_not_deadlock() {
         let pool = Pool::new(2);
         let total = AtomicUsize::new(0);
-        pool.scope(|outer| {
-            for _ in 0..8 {
-                let total = &total;
-                let pool_ref = &pool;
-                outer.spawn(move || {
-                    pool_ref.scope(|inner| {
-                        for _ in 0..8 {
-                            inner.spawn(|| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
+        let outer: Vec<usize> = (0..8).collect();
+        let inner: Vec<usize> = (0..8).collect();
+        pool.par_map("test.outer", &outer, |_| {
+            pool.par_map("test.inner", &inner, |_| {
+                total.fetch_add(1, Ordering::Relaxed);
+            });
         });
         assert_eq!(total.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn par_reduce_groups_by_length_not_threads() {
-        // String concatenation is associative but *not* commutative: the
-        // result is order-sensitive, so equality across pool sizes proves
-        // the grouping and combine order are schedule-independent.
-        let items: Vec<String> = (0..200).map(|i| format!("{i},")).collect();
-        let reduce = |pool: &Pool| {
-            pool.par_reduce(
-                "test.concat",
-                &items,
-                String::new,
-                |acc, s| acc + s,
-                |a, b| a + &b,
-            )
-        };
-        let seq = reduce(&Pool::new(1));
-        assert_eq!(seq, items.concat());
-        assert_eq!(reduce(&Pool::new(3)), seq);
     }
 }

@@ -1,17 +1,18 @@
-//! Panic isolation at `cable-par` task boundaries: a panicking unit —
-//! genuine or injected — poisons its scope, cancels its siblings, and
+//! Panic isolation at `cable-par` task boundaries: a panicking chunk —
+//! genuine or injected — poisons its job, cancels its siblings, and
 //! surfaces as a structured error at the `cable_guard::contain`
 //! boundary, with the pool (and process) fully serviceable afterwards.
 //!
 //! These tests install process-global fault planes and cancellations,
 //! so they live in their own integration binary and serialise on a
-//! local mutex: any scope running in the same process while a
+//! local mutex: any `par_map` running in the same process while a
 //! `panic@par.task` rule is armed could draw the firing hit.
 
 use cable_guard::{faults, GuardError};
 use cable_par::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -46,7 +47,7 @@ fn injected_panic_surfaces_as_structured_error_and_process_keeps_serving() {
     assert!(!cable_guard::cancel_requested(), "cancel window was closed");
 }
 
-/// A genuine unit panic is counted under `par.task_panics`; tunnelled
+/// A genuine chunk panic is counted under `par.task_panics`; tunnelled
 /// guard payloads (budget trips, cancellations) are not.
 #[test]
 fn task_panic_counter_counts_genuine_panics_only() {
@@ -54,9 +55,12 @@ fn task_panic_counter_counts_genuine_panics_only() {
     let pool = Pool::new(2);
     let before = cable_obs::registry().snapshot();
 
+    // Two items, two chunks: the job path, where the task boundary is.
     let result = cable_guard::contain(|| {
-        pool.scope(|s| {
-            s.spawn(|| panic!("genuine failure"));
+        pool.par_map("test.genuine", &[0u64, 1], |&x| {
+            if x == 0 {
+                panic!("genuine failure");
+            }
         })
     });
     assert_eq!(
@@ -67,11 +71,11 @@ fn task_panic_counter_counts_genuine_panics_only() {
     );
 
     let result = cable_guard::contain(|| {
-        pool.scope(|s| {
-            s.spawn(|| {
+        pool.par_map("test.tunnelled", &[0u64, 1], |&x| {
+            if x == 0 {
                 cable_guard::cancel();
                 cable_guard::cancel_point("test.bail");
-            });
+            }
         })
     });
     assert_eq!(result, Err(GuardError::Cancelled));
@@ -81,41 +85,36 @@ fn task_panic_counter_counts_genuine_panics_only() {
     assert_eq!(delta.counter("par.task_panics"), Some(1));
 }
 
-/// A panicking unit poisons its scope: queued siblings are skipped and
-/// in-flight ones bail at their next cancel point, so the scope winds
+/// A panicking chunk poisons its job: queued siblings are skipped and
+/// in-flight ones bail at their next cancel point, so the job winds
 /// down promptly instead of finishing a doomed fan-out.
 #[test]
-fn poisoned_scope_skips_queued_units() {
+fn poisoned_job_skips_queued_chunks() {
     let _l = lock();
-    // One logical thread beyond the caller, so queued units drain one at
-    // a time and everything behind the panicking unit is still queued
-    // when the poison lands.
+    // Two logical threads: the caller and one worker. 65 items make 33
+    // chunks of two, so item 1 shares the failing chunk and the other
+    // 63 items sit in 32 sibling chunks.
     let pool = Pool::new(2);
     let ran = AtomicUsize::new(0);
+    let items: Vec<usize> = (0..65).collect();
     let result = cable_guard::contain(|| {
-        pool.scope(|s| {
-            s.spawn(|| panic!("first unit fails"));
-            for _ in 0..64 {
-                s.spawn(|| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    // Siblings must be slower than the panic's unwind:
-                    // a bare fetch_add lets all 64 drain before the
-                    // poison flag lands, turning this test into a race
-                    // on unwinding speed. A short sleep per unit keeps
-                    // the queue occupied well past any plausible
-                    // catch-and-poison latency.
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                });
+        pool.par_map("test.poisoned", &items, |&i| {
+            if i == 0 {
+                panic!("first item fails");
+            }
+            ran.fetch_add(1, Ordering::Relaxed);
+            // Hold every sibling until the failing chunk has poisoned
+            // the job (it cancels right after). So at most the one
+            // sibling chunk the other thread claimed before the poison
+            // runs, whatever the timing. The deadline turns a pool that
+            // never cancels into a failure rather than a hang.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cable_guard::cancel_requested() && Instant::now() < deadline {
+                std::thread::yield_now();
             }
         })
     });
     assert!(matches!(result, Err(GuardError::TaskPanic { .. })));
-    // The panic poisons the scope as soon as the first unit runs; units
-    // that had not started by then never run. (How many slipped through
-    // first depends on scheduling; all 64 running would mean no
-    // poisoning at all.)
-    assert!(
-        ran.load(Ordering::Relaxed) < 64,
-        "poisoned scope must skip queued units"
-    );
+    let ran = ran.load(Ordering::Relaxed);
+    assert!(ran <= 2, "poisoned job ran {ran} queued items");
 }

@@ -44,87 +44,18 @@ fn par_map_is_index_ordered_under_jitter() {
 }
 
 #[test]
-fn par_reduce_grouping_is_schedule_independent_under_jitter() {
-    // String concatenation is associative but not commutative: any
-    // grouping or combine-order drift across schedules changes the
-    // result, so cross-pool equality is a sharp invariant.
-    let pools = [Pool::new(1), Pool::new(2), Pool::new(8)];
-    let mut seed_rng = seeded(0xBEEF);
-    for iteration in 0u64..12 {
-        let n = 1 + (iteration as usize * 53) % 400;
-        let items: Vec<String> = (0..n).map(|i| format!("{i};")).collect();
-        let expected = items.concat();
-        for pool in &pools {
-            let jitter_seed = seed_rng.gen::<u64>();
-            let out = pool.par_reduce(
-                "stress.reduce",
-                &items,
-                String::new,
-                |acc, s| {
-                    let mut rng = seeded(jitter_seed ^ s.len() as u64 ^ acc.len() as u64);
-                    jitter(&mut rng);
-                    acc + s
-                },
-                |a, b| a + &b,
-            );
-            assert_eq!(
-                out,
-                expected,
-                "iteration {iteration}, {} threads, n = {n}",
-                pool.threads()
-            );
-        }
-    }
-}
-
-#[test]
-fn par_reduce_sums_match_sequential_under_jitter() {
-    let pools = [Pool::new(2), Pool::new(8)];
-    let mut seed_rng = seeded(0x5EED);
-    for iteration in 0u64..8 {
-        let n = 64 + (iteration as usize * 91) % 500;
-        let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E3779B9)).collect();
-        let expected: u64 = items.iter().fold(0u64, |a, &b| a.wrapping_add(b));
-        for pool in &pools {
-            let jitter_seed = seed_rng.gen::<u64>();
-            let sum = pool.par_reduce(
-                "stress.sum",
-                &items,
-                || 0u64,
-                |acc, &x| {
-                    let mut rng = seeded(jitter_seed ^ x);
-                    jitter(&mut rng);
-                    acc.wrapping_add(x)
-                },
-                |a, b| a.wrapping_add(b),
-            );
-            assert_eq!(
-                sum,
-                expected,
-                "iteration {iteration}, {} threads",
-                pool.threads()
-            );
-        }
-    }
-}
-
-#[test]
-fn scoped_units_all_run_despite_jitter() {
+fn every_item_runs_once_despite_jitter() {
     let pool = Pool::new(8);
     let mut rng = seeded(7);
     for _ in 0..6 {
         let counter = AtomicUsize::new(0);
         let units = rng.gen_range(1usize..128);
         let jitter_seed = rng.gen::<u64>();
-        pool.scope(|s| {
-            for u in 0..units {
-                let counter = &counter;
-                s.spawn(move || {
-                    let mut rng = seeded(jitter_seed ^ u as u64);
-                    jitter(&mut rng);
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        let items: Vec<u64> = (0..units as u64).collect();
+        pool.par_map("stress.count", &items, |&u| {
+            let mut rng = seeded(jitter_seed ^ u);
+            jitter(&mut rng);
+            counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), units);
     }
@@ -132,9 +63,10 @@ fn scoped_units_all_run_despite_jitter() {
 
 #[test]
 fn nested_par_map_inside_par_map_stays_ordered() {
-    // The table2 shape: an outer fan-out whose units run inner parallel
-    // stages on the same pool. The helping wait must keep this both
-    // deadlock-free and deterministic.
+    // The table2 shape: an outer fan-out whose chunks run inner parallel
+    // stages on the same pool. A chunk that opens a nested map is that
+    // job's caller, which keeps this both deadlock-free and
+    // deterministic.
     let pool = Pool::new(4);
     let outer: Vec<u64> = (0..20).collect();
     let result = pool.par_map("stress.outer", &outer, |&o| {
@@ -156,13 +88,13 @@ fn global_pool_tracks_task_counters() {
     let items: Vec<u64> = (0..200).collect();
     let _ = cable_par::par_map("stress.counted", &items, |&x| x + 1);
     let delta = cable_obs::registry().snapshot().delta_since(&before);
-    // With a single-thread global pool the sequential path spawns no
-    // units; otherwise each chunk is one task. Either way the counter
-    // is consistent with the pool size.
+    // With a single-thread global pool the sequential path publishes no
+    // job; otherwise each chunk is one task. Either way the counter is
+    // consistent with the pool size.
     let tasks = delta.counter("par.tasks").unwrap_or(0);
     if cable_par::threads() > 1 {
-        assert!(tasks >= 1, "chunks should be spawned as tasks");
+        assert!(tasks >= 1, "chunks should be published as tasks");
     } else {
-        assert_eq!(tasks, 0, "sequential path spawns nothing");
+        assert_eq!(tasks, 0, "sequential path publishes nothing");
     }
 }

@@ -1,13 +1,13 @@
-//! Trace-context propagation across the work-stealing pool.
+//! Trace-context propagation across the pool.
 //!
 //! The contract under test (DESIGN.md §16): a request's `TraceCtx`
-//! follows its work onto whichever worker steals it, span ids are
-//! minted from deterministic path tags (`CHUNK_TAG`/`SPAWN_TAG` plus
-//! in-frame sequence numbers) rather than thread identity, and each
-//! request collects into its own tree. Concretely:
+//! follows its work onto whichever thread claims a chunk, span ids are
+//! minted from deterministic path tags (`CHUNK_TAG` plus in-frame
+//! sequence numbers) rather than thread identity, and each request
+//! collects into its own tree. Concretely:
 //!
 //! * the same request shape yields the *bit-identical* span id set on
-//!   1, 2, and 8 logical threads (sequential vs stolen execution);
+//!   1, 2, and 8 logical threads (sequential vs parallel execution);
 //! * every collected span chains to the request root through parent
 //!   links — no orphans — and every recorder event minted under the
 //!   request carries its trace id;
@@ -33,8 +33,11 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// One request of fixed shape: a 32-item `par_map` whose every item
-/// opens a span, then a scope with three spawned units that each open
-/// a span and run a nested 8-item `par_map` — the nested-steal case.
+/// opens a span, then a 3-item `par_map` whose items each open a span
+/// and run a nested 8-item `par_map` — the nested-job case. The second
+/// fan-out opens under its own span: chunk ids are
+/// `mix(innermost open span, CHUNK_TAG | index)`, so two fan-outs under
+/// one span would mint the same ids.
 fn run_request(pool: &Pool, seed: u64, seq: u64) -> FinishedTrace {
     let ctx = TraceCtx::mint(seed, seq);
     let guard = context::begin_request(ctx, "http.request", 500);
@@ -45,15 +48,14 @@ fn run_request(pool: &Pool, seed: u64, seq: u64) -> FinishedTrace {
     });
     assert_eq!(doubled[31], 62);
     let small: Vec<u64> = (0..8).collect();
-    pool.scope(|s| {
-        for _ in 0..3 {
-            s.spawn(|| {
-                let _spawned = Span::open("tp.spawned");
-                let sums = pool.par_map("tp.inner", &small, |&x| x + 1);
-                assert_eq!(sums.iter().sum::<u64>(), 36);
-            });
-        }
-    });
+    {
+        let _fanout = Span::open("tp.fanout");
+        pool.par_map("tp.units", &[0u64, 1, 2], |_| {
+            let _unit = Span::open("tp.unit");
+            let sums = pool.par_map("tp.inner", &small, |&x| x + 1);
+            assert_eq!(sums.iter().sum::<u64>(), 36);
+        });
+    }
     guard.finish()
 }
 
@@ -84,7 +86,7 @@ fn span_ids_are_bit_identical_across_worker_counts() {
         assert_eq!(trace.dropped, 0, "{threads} threads: spans were dropped");
         // The shape is non-trivial: every unit of work left a span.
         assert_eq!(count(&trace, "tp.item"), 32, "{threads} threads");
-        assert_eq!(count(&trace, "tp.spawned"), 3, "{threads} threads");
+        assert_eq!(count(&trace, "tp.unit"), 3, "{threads} threads");
         assert_eq!(count(&trace, "http.request"), 1, "{threads} threads");
         assert_eq!(count(&trace, "wait.queue"), 1, "{threads} threads");
         assert!(count(&trace, "tp.outer") >= 1, "{threads} threads");

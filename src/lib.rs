@@ -24,7 +24,7 @@
 //!   and the labeling strategies of §4.2, plus the labeling service and
 //!   the HTTP server behind `cable serve` (`session::server`),
 //! * [`specs`] — the seventeen evaluation specifications (Table 1),
-//! * [`par`] — the deterministic work-stealing pool the pipeline stages
+//! * [`par`] — the deterministic thread pool the pipeline stages
 //!   run on (`CABLE_PAR` / `--threads` control the worker count),
 //! * [`store`] — crash-safe persistent session stores (snapshot +
 //!   write-ahead journal) behind `CableSession::save`/`open`,
