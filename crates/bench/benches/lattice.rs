@@ -125,9 +125,11 @@ fn bench_obs_overhead() {
 /// The guard acceptance check: the budget-aware build (`try_build`,
 /// which threads a checkpoint through every Godin insertion) with **no
 /// budget installed** must stay within 5% of the plain build — the
-/// disabled fast path is a single relaxed atomic load per checkpoint.
-/// For scale, the same build is also timed under an ample budget that
-/// never trips (the full slow-path evaluation cost).
+/// uninstalled fast path is one thread-local read plus one relaxed
+/// atomic load per checkpoint, and one thread-local read per concept
+/// check. For scale, the same build is also timed under an ample budget
+/// installed on the bench thread that never trips (the full slow-path
+/// evaluation cost).
 fn bench_guard_overhead() {
     let mut group = Group::new("lattice/guard-overhead");
     let ctx = synthetic(24);

@@ -31,10 +31,11 @@
 //! flight recorder; so does `CABLE_OBS=1`.
 //!
 //! `--deadline-ms N` / `--max-concepts N` install a cable-guard resource
-//! budget for the run: table2 then reports the guarded lattice build,
-//! with `budget_stopped: true` and the deterministic partial concept
-//! count in the JSONL record when the budget trips (the timing and
-//! store measurements are skipped). The CI budget-determinism gate runs
+//! budget on the main thread for the run: table2 then reports the
+//! guarded lattice build, which runs on that thread, with
+//! `budget_stopped: true` and the deterministic partial concept count
+//! in the JSONL record when the budget trips (the timing and store
+//! measurements are skipped). The CI budget-determinism gate runs
 //! table2 this way under different `CABLE_PAR` values and `diff`s the
 //! records. `--faults SEED:SPEC` (or `CABLE_FAULTS`) installs the
 //! deterministic fault-injection plane, as in the `cable` binary.
@@ -205,7 +206,6 @@ fn main() {
     let _budget_guard = cable_guard::Budget {
         deadline: deadline_ms.map(std::time::Duration::from_millis),
         max_concepts,
-        ..Default::default()
     }
     .install();
     if stats || json_out.is_some() || trace_out.is_some() || obs_listen.is_some() {

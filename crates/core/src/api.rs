@@ -5,9 +5,10 @@
 //! into the HTTP server ([`crate::server`]) by `cable serve --api`.
 //! Every request resolves a tenant-qualified session through the
 //! [`SessionManager`] ([`crate::manager`]) and runs under an optional
-//! per-request `cable-guard` budget
-//! ([`cable_guard::Budget::install_local`]), so one runaway lattice
-//! build times out its own request instead of the process.
+//! per-request `cable-guard` budget, installed on the worker thread
+//! serving the request ([`cable_guard::Budget::install`]), so one
+//! runaway lattice build times out its own request instead of the
+//! process.
 //!
 //! # Endpoints
 //!
@@ -176,9 +177,9 @@ type ApiResult = Result<ApiResponse, ApiError>;
 
 impl CableApi {
     /// Builds the handler. `request_deadline` bounds each request's
-    /// wall-clock via a thread-local guard budget; `None` leaves
-    /// requests unbounded (the service drill's configuration — a budget
-    /// trip answers `503`, and the drill gates zero 5xx).
+    /// wall-clock via a guard budget on the request's thread; `None`
+    /// leaves requests unbounded (the service drill's configuration — a
+    /// budget trip answers `503`, and the drill gates zero 5xx).
     pub fn new(manager: Arc<SessionManager>, request_deadline: Option<Duration>) -> CableApi {
         CableApi {
             manager,
@@ -585,7 +586,7 @@ impl ApiHandler for CableApi {
             deadline: self.request_deadline,
             ..Budget::default()
         }
-        .install_local();
+        .install();
         // The panic boundary: a bug in one request answers 500 and the
         // worker keeps serving; a tripped request budget answers 503.
         let result = cable_guard::contain(|| self.route(request));
@@ -610,7 +611,6 @@ impl ApiHandler for CableApi {
             Err(GuardError::BudgetExceeded { limit, site }) => {
                 ApiResponse::error(503, &format!("request budget exceeded at {site}: {limit}"))
             }
-            Err(GuardError::Cancelled) => ApiResponse::error(503, "request cancelled"),
             Err(GuardError::TaskPanic { message }) => {
                 ApiResponse::error(500, &format!("internal error: {message}"))
             }

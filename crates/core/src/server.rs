@@ -938,7 +938,6 @@ fn guard_json() -> Value {
     let read = |name: &str| Value::from(snapshot.counter(name).unwrap_or(0));
     Value::object([
         ("checkpoints", read("guard.checkpoints")),
-        ("cancelled", read("guard.cancelled")),
         ("budget_exceeded", read("guard.budget_exceeded")),
         ("task_panics", read("par.task_panics")),
     ])

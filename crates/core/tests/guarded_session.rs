@@ -2,20 +2,14 @@
 //! valid partial session over the leading trace classes, equal to the
 //! session built from those classes' traces alone.
 //!
-//! Budgets are process-global, so these tests run in their own
-//! integration binary and serialise on a local mutex.
+//! Budgets belong to the thread that installs them, so these tests run
+//! side by side without a lock.
 
 use cable_core::CableSession;
 use cable_fa::templates;
 use cable_guard::{Budget, GuardError, Limit};
 use cable_trace::{Trace, TraceSet, Vocab};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A corpus with many distinct trace shapes, so the lattice is big
 /// enough for a concept ceiling to land mid-build.
@@ -41,7 +35,6 @@ fn corpus(v: &mut Vocab) -> (TraceSet, cable_fa::Fa) {
 
 #[test]
 fn try_new_without_a_guard_equals_new() {
-    let _l = lock();
     let mut v = Vocab::new();
     let (traces, fa) = corpus(&mut v);
     let guarded = CableSession::try_new(traces.clone(), fa.clone()).expect("no budget installed");
@@ -52,7 +45,6 @@ fn try_new_without_a_guard_equals_new() {
 
 #[test]
 fn concept_ceiling_returns_a_valid_partial_session() {
-    let _l = lock();
     let mut v = Vocab::new();
     let (traces, fa) = corpus(&mut v);
     let full = CableSession::new(traces.clone(), fa.clone());
@@ -94,7 +86,6 @@ fn concept_ceiling_returns_a_valid_partial_session() {
 
 #[test]
 fn expired_deadline_stops_the_sweep_with_an_empty_partial() {
-    let _l = lock();
     let mut v = Vocab::new();
     let (traces, fa) = corpus(&mut v);
     let guard = Budget {
@@ -121,7 +112,6 @@ fn expired_deadline_stops_the_sweep_with_an_empty_partial() {
 /// like any complete session.
 #[test]
 fn partial_sessions_are_labelable_and_persistable() {
-    let _l = lock();
     let mut v = Vocab::new();
     let (traces, fa) = corpus(&mut v);
     let full = CableSession::new(traces.clone(), fa.clone());

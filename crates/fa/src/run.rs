@@ -138,22 +138,19 @@ impl Fa {
     ///
     /// The result is index-ordered — `out[i]` is the relation for
     /// `traces[i]` — and bit-for-bit identical to mapping the sequential
-    /// method over the slice, whatever the pool size. Each sweep starts
-    /// with a `cable-guard` cancel point, so a poisoned scope or an
-    /// explicit cancellation stops the fan-out promptly.
+    /// method over the slice, whatever the pool size. If one sweep
+    /// panics, the pool poisons this batch's job and the other chunks
+    /// stop before their next trace.
     pub fn executed_transitions_batch(&self, traces: &[&Trace]) -> Vec<BitSet> {
-        cable_par::par_map("fa.executed", traces, |t| {
-            cable_guard::cancel_point("fa.executed");
-            self.executed_transitions(t)
-        })
+        cable_par::par_map("fa.executed", traces, |t| self.executed_transitions(t))
     }
 
     /// [`executed_transitions_batch`](Fa::executed_transitions_batch)
-    /// under the installed `cable-guard` budget: with a budget active the
-    /// traces are swept sequentially with a checkpoint before each one,
-    /// so a trip returns the relations of the already-swept prefix —
-    /// index-exact, identical across `CABLE_PAR` settings. With no
-    /// budget this is the parallel batch sweep.
+    /// under the calling thread's `cable-guard` budget: with a budget
+    /// installed the traces are swept sequentially on this thread with a
+    /// checkpoint before each one, so a trip returns the relations of the
+    /// already-swept prefix — index-exact, identical across `CABLE_PAR`
+    /// settings. With no budget this is the parallel batch sweep.
     ///
     /// # Errors
     ///

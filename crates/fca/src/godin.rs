@@ -76,11 +76,11 @@ pub struct BudgetStop {
     pub objects_inserted: usize,
 }
 
-/// [`concepts`] under the installed `cable-guard` budget: one
-/// checkpoint before each object insertion (cancellation, deadline,
-/// memory estimate, injected exhaustion) and one concept-count check
-/// after it. With nothing installed each check is a single relaxed
-/// atomic load and the result is identical to [`concepts`].
+/// [`concepts`] under the calling thread's `cable-guard` budget: one
+/// checkpoint before each object insertion (deadline, injected
+/// exhaustion) and one concept-count check after it. With nothing
+/// installed each check is a thread-local read (plus the fault-plane
+/// flag's relaxed load) and the result is identical to [`concepts`].
 ///
 /// # Errors
 ///
@@ -90,9 +90,6 @@ pub struct BudgetStop {
 /// results are bit-deterministic across worker counts.
 pub fn try_concepts(ctx: &Context) -> Result<Vec<Concept>, Box<BudgetStop>> {
     let n_attrs = ctx.attribute_count();
-    // The rough per-concept cost charged against the memory ceiling: two
-    // bitsets spanning the object and attribute universes.
-    let concept_bytes = (ctx.object_count().div_ceil(64) + n_attrs.div_ceil(64)) as u64 * 8 + 48;
     let mut concepts: Vec<Concept> = vec![Concept {
         extent: BitSet::new(),
         intent: BitSet::full(n_attrs),
@@ -106,9 +103,7 @@ pub fn try_concepts(ctx: &Context) -> Result<Vec<Concept>, Box<BudgetStop>> {
                 objects_inserted: o,
             }));
         }
-        let before = concepts.len();
         inserter.add_object(&mut concepts, o, ctx.row(o));
-        cable_guard::charge_mem((concepts.len() - before) as u64 * concept_bytes);
         if let Err(error) = cable_guard::check_concepts(concepts.len()) {
             // The set is already exact for objects 0..=o; the ceiling
             // just means it grew past what the caller will pay for.

@@ -138,15 +138,15 @@ impl ConceptLattice {
         Self::from_concepts(crate::next_closure::concepts(ctx))
     }
 
-    /// [`ConceptLattice::build`] under the installed `cable-guard`
-    /// budget: the Godin insertion loop checkpoints before every object
-    /// (cancellation included) and checks the concept-count ceiling
-    /// after it.
+    /// [`ConceptLattice::build`] under the calling thread's
+    /// `cable-guard` budget: the Godin insertion loop checkpoints before
+    /// every object and checks the concept-count ceiling after it.
     ///
-    /// The build is sequential, so a budget-exceeded stop lands at the
-    /// same object whatever `CABLE_PAR` is — the partial lattice is
-    /// bit-identical across worker counts. With nothing installed this
-    /// is [`build`] plus one relaxed atomic load per object.
+    /// The build runs on the calling thread, so a budget-exceeded stop
+    /// lands at the same object whatever `CABLE_PAR` is — the partial
+    /// lattice is bit-identical across worker counts. With nothing
+    /// installed this is [`build`] plus two thread-local reads and one
+    /// relaxed atomic load per object.
     ///
     /// [`build`]: ConceptLattice::build
     ///

@@ -1,21 +1,14 @@
 //! Guarded lattice builds: budget-exceeded stops return *valid partial
 //! lattices* (prefix-exact — equal to the lattice of the truncated
-//! context), a pending cancellation stops the build before its first
-//! object, and an absent guard changes nothing.
+//! context), and an absent guard changes nothing.
 //!
-//! Budgets and cancellation are process-global, so these tests live in
-//! their own integration binary and serialise on a local mutex.
+//! Budgets belong to the thread that installs them, so these tests run
+//! side by side without a lock.
 
 use cable_fca::{ConceptLattice, Context, LatticeError};
 use cable_guard::{Budget, GuardError, Limit};
 use cable_util::BitSet;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A deterministic random context (same generator as the godin tests).
 fn random_ctx(seed: u64, n_objects: usize, n_attrs: usize, density: f64) -> Context {
@@ -51,7 +44,6 @@ fn concept_set(l: &ConceptLattice) -> std::collections::BTreeSet<(BitSet, BitSet
 
 #[test]
 fn try_build_without_a_guard_equals_build() {
-    let _l = lock();
     let ctx = random_ctx(3, 90, 8, 0.3);
     let guarded = ConceptLattice::try_build(&ctx).expect("no budget installed");
     let plain = ConceptLattice::build(&ctx);
@@ -63,7 +55,6 @@ fn try_build_without_a_guard_equals_build() {
 /// context — a valid result a caller can label, diff, and persist.
 #[test]
 fn concept_ceiling_stop_is_prefix_exact() {
-    let _l = lock();
     let ctx = random_ctx(5, 120, 9, 0.3);
     let full = ConceptLattice::build(&ctx);
     let ceiling = full.len() as u64 / 2;
@@ -96,7 +87,6 @@ fn concept_ceiling_stop_is_prefix_exact() {
 
 #[test]
 fn expired_deadline_stops_before_the_first_object() {
-    let _l = lock();
     let ctx = random_ctx(1, 40, 6, 0.3);
     let guard = Budget {
         deadline: Some(Duration::ZERO),
@@ -118,45 +108,7 @@ fn expired_deadline_stops_before_the_first_object() {
 }
 
 #[test]
-fn memory_ceiling_stop_is_prefix_exact() {
-    let _l = lock();
-    let ctx = random_ctx(9, 100, 9, 0.35);
-    let guard = Budget {
-        max_mem_bytes: Some(2_000),
-        ..Budget::default()
-    }
-    .install();
-    let stop = ConceptLattice::try_build(&ctx).expect_err("memory ceiling must trip");
-    drop(guard);
-    assert!(matches!(
-        stop.error,
-        GuardError::BudgetExceeded {
-            limit: Limit::Memory { .. },
-            ..
-        }
-    ));
-    let expected = ConceptLattice::build(&prefix(&ctx, stop.objects_inserted));
-    assert_eq!(concept_set(&stop.lattice), concept_set(&expected));
-}
-
-/// The guarded build honours cancellation: its per-object checkpoint
-/// sees a pending cancel before the first insertion and returns the
-/// typed error with the (empty) prefix-exact partial lattice.
-#[test]
-fn cancellation_stops_the_build_before_its_first_object() {
-    let _l = lock();
-    let ctx = random_ctx(7, 96, 8, 0.3);
-    cable_guard::cancel();
-    let result = ConceptLattice::try_build(&ctx);
-    cable_guard::clear_cancel();
-    let stop = result.expect_err("a pending cancel must stop the build");
-    assert_eq!(stop.error, GuardError::Cancelled);
-    assert_eq!(stop.objects_inserted, 0);
-}
-
-#[test]
 fn try_from_concepts_reports_structural_errors() {
-    let _l = lock();
     assert_eq!(
         ConceptLattice::try_from_concepts(Vec::new()).err(),
         Some(LatticeError::EmptyConceptSet)
@@ -173,7 +125,6 @@ fn try_from_concepts_reports_structural_errors() {
 
 #[test]
 fn try_insert_object_hands_back_the_untouched_lattice() {
-    let _l = lock();
     let lattice = ConceptLattice::from_concepts(vec![cable_fca::Concept {
         extent: BitSet::new(),
         intent: BitSet::full(3),
@@ -196,7 +147,6 @@ fn try_insert_object_hands_back_the_untouched_lattice() {
 
 #[test]
 fn try_insert_objects_reports_the_offending_object() {
-    let _l = lock();
     let lattice = ConceptLattice::from_concepts(vec![cable_fca::Concept {
         extent: BitSet::new(),
         intent: BitSet::full(2),

@@ -35,8 +35,8 @@
 //! the robustness suite needs: reproducible pressure, not reproducible
 //! victims.
 //!
-//! Firing decisions go through one relaxed atomic load when no plane is
-//! installed, mirroring [`crate::checkpoint`].
+//! Firing decisions cost one relaxed atomic load when no plane is
+//! installed.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, RwLock};
@@ -362,7 +362,12 @@ pub(crate) fn budget_fault_fires(site: &str) -> bool {
 mod tests {
     use super::*;
 
-    use crate::test_lock as lock;
+    /// The fault plane is process-global; tests that install one must
+    /// not interleave.
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn grammar_rejects_malformed_specs() {

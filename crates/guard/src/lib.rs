@@ -1,20 +1,21 @@
-//! `cable-guard`: resource budgets, cooperative cancellation, panic
-//! containment, and deterministic fault injection.
+//! `cable-guard`: resource budgets, panic containment, and
+//! deterministic fault injection.
 //!
 //! FCA lattice size is worst-case exponential in objects × attributes,
 //! so a production Cable service must bound its analyses rather than
 //! trust the input: a single adversarial spec or oversized ingest must
-//! never hang, OOM, or abort the process. This crate is the guard plane
-//! the rest of the workspace checks in with:
+//! never hang or abort the process. This crate is the guard plane the
+//! rest of the workspace checks in with:
 //!
-//! * [`Budget`] — a wall-clock deadline, a concept-count ceiling, and a
-//!   memory-estimate ceiling, installed process-wide for the duration of
-//!   a guarded operation ([`Budget::install`] returns an RAII
-//!   [`InstalledGuard`]), or per-thread for one service request
-//!   ([`Budget::install_local`] returns an RAII [`LocalGuard`]);
-//! * [`CancelToken`] — cooperative cancellation. Like the flight
-//!   recorder's disabled path, the hot-path cost of an uninstalled guard
-//!   is **one relaxed atomic load** ([`checkpoint`], [`cancel_point`]);
+//! * [`Budget`] — a wall-clock deadline and a concept-count ceiling for
+//!   one guarded operation, installed on the calling thread
+//!   ([`Budget::install`] returns an RAII [`InstalledGuard`]). The CLIs
+//!   install one around a command, the session service one around each
+//!   request;
+//! * [`checkpoint`] and [`check_concepts`] — what guarded loops call once
+//!   per unit of work. With nothing installed, [`checkpoint`] costs one
+//!   thread-local read plus one relaxed atomic load (the fault-plane
+//!   flag);
 //! * [`GuardError`] — the typed error every guarded loop returns instead
 //!   of panicking or hanging. Budget-stopped lattice builds carry a
 //!   *valid partial result* at the `cable-fca` layer;
@@ -29,19 +30,23 @@
 //!   `cable-store` read/write shims, and artificial budget exhaustion at
 //!   any checkpoint site.
 //!
-//! # Global-install model
+//! # Thread-scoped budgets
 //!
-//! Exactly like `cable-obs`, the guard is process-global: the pipeline
-//! runs one guarded operation at a time (the CLI installs a budget
-//! around one command), and globals keep the hot path to a single
-//! relaxed load with zero plumbing through the pipeline's many layers.
-//! Installing a second budget while one is active replaces it; the RAII
-//! guard uninstalls on drop.
+//! A budget belongs to the thread that installs it: a checkpoint on any
+//! other thread — a `cable-par` worker, the HTTP worker serving another
+//! request — does not see it. So every guarded path runs on the
+//! installing thread: under a budget, the executed-transition sweep and
+//! the Godin build take their sequential paths, which also makes a stop
+//! land at the same unit of work whatever the pool size. The fault plane
+//! is the one process-wide switch; a drill arms it for the whole run.
+//!
+//! There is no cancellation flag here. A panicking `cable-par` chunk
+//! poisons its own job, whose other chunks stop before their next item;
+//! nothing outside that job notices.
 //!
 //! # Counters
 //!
-//! `guard.checkpoints` (slow-path checkpoint evaluations),
-//! `guard.cancelled` (checkpoints that observed a cancellation), and
+//! `guard.checkpoints` (slow-path checkpoint evaluations) and
 //! `guard.budget_exceeded` (budget trips) register in the `cable-obs`
 //! registry and therefore appear in `--stats`, `/metrics`, and
 //! `/healthz`.
@@ -53,55 +58,25 @@ use std::any::Any;
 use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Slow-path checkpoint evaluations (the fast path — nothing installed —
 /// is not counted: counting would cost more than the check).
 static CHECKPOINTS: CounterHandle = CounterHandle::new("guard.checkpoints");
-/// Checkpoints that observed a cancellation and returned
-/// [`GuardError::Cancelled`].
-static CANCELLED_TRIPS: CounterHandle = CounterHandle::new("guard.cancelled");
-/// Budget ceilings tripped (deadline, concepts, memory, or injected).
+/// Budget ceilings tripped (deadline, concepts, or injected).
 static BUDGET_TRIPS: CounterHandle = CounterHandle::new("guard.budget_exceeded");
 
-/// Bit in [`STATE`]: a [`Budget`] is installed.
-const BUDGET_BIT: u8 = 1;
-/// Bit in [`STATE`]: a fault plane is installed ([`faults::install`]).
-const FAULTS_BIT: u8 = 2;
-/// Bit in [`STATE`]: cancellation has been requested.
-const CANCEL_BIT: u8 = 4;
-/// Bit in [`STATE`]: at least one thread holds a thread-local request
-/// budget ([`Budget::install_local`]). The bit is global so the
-/// uninstalled fast path stays one relaxed load; which budget (if any)
-/// applies is resolved per-thread on the slow path.
-const LOCAL_BIT: u8 = 8;
+/// Whether a fault plane is installed ([`faults::install`]). `Relaxed`
+/// is enough: the flag only lets the fast path skip the plane, which
+/// sits behind its own lock.
+static FAULTS: AtomicBool = AtomicBool::new(false);
 
-/// The one word every hot-path check loads. Zero means "nothing
-/// installed, nothing cancelled" and every guard entry point returns
-/// immediately.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Deadline as nanoseconds since [`epoch`]; `u64::MAX` means none.
-static DEADLINE_NS: AtomicU64 = AtomicU64::new(u64::MAX);
-/// The deadline the user asked for, for error messages.
-static DEADLINE_MS: AtomicU64 = AtomicU64::new(0);
-/// Concept-count ceiling; `u64::MAX` means none.
-static MAX_CONCEPTS: AtomicU64 = AtomicU64::new(u64::MAX);
-/// Memory-estimate ceiling in bytes; `u64::MAX` means none.
-static MAX_MEM_BYTES: AtomicU64 = AtomicU64::new(u64::MAX);
-/// Bytes charged so far against [`MAX_MEM_BYTES`] ([`charge_mem`]).
-static MEM_CHARGED: AtomicU64 = AtomicU64::new(0);
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+thread_local! {
+    /// The calling thread's budget and the instant it was installed.
+    static INSTALLED: Cell<Option<(Budget, Instant)>> = const { Cell::new(None) };
 }
 
 /// Which budget ceiling tripped.
@@ -119,13 +94,6 @@ pub enum Limit {
         /// The count that tripped it.
         reached: u64,
     },
-    /// The memory estimate passed its ceiling.
-    Memory {
-        /// The configured ceiling in bytes.
-        limit_bytes: u64,
-        /// The estimate that tripped it.
-        estimate: u64,
-    },
     /// Artificial exhaustion injected by the fault plane.
     Injected,
 }
@@ -137,13 +105,6 @@ impl fmt::Display for Limit {
             Limit::Concepts { limit, reached } => {
                 write!(f, "concept count {reached} passed the ceiling of {limit}")
             }
-            Limit::Memory {
-                limit_bytes,
-                estimate,
-            } => write!(
-                f,
-                "memory estimate {estimate} B passed the ceiling of {limit_bytes} B"
-            ),
             Limit::Injected => write!(f, "injected budget exhaustion"),
         }
     }
@@ -161,9 +122,6 @@ pub enum GuardError {
         /// The checkpoint site that observed the trip.
         site: String,
     },
-    /// Cancellation was requested (a [`CancelToken`], or a sibling task
-    /// panic poisoning the scope).
-    Cancelled,
     /// A task panicked; the payload was contained and stringified.
     TaskPanic {
         /// The panic message (or a placeholder for non-string payloads).
@@ -177,7 +135,6 @@ impl fmt::Display for GuardError {
             GuardError::BudgetExceeded { limit, site } => {
                 write!(f, "budget exceeded at {site}: {limit}")
             }
-            GuardError::Cancelled => write!(f, "operation cancelled"),
             GuardError::TaskPanic { message } => write!(f, "task panicked: {message}"),
         }
     }
@@ -185,292 +142,164 @@ impl fmt::Display for GuardError {
 
 impl Error for GuardError {}
 
-/// Resource ceilings for one guarded operation. Every field is optional;
-/// an all-`None` budget installs nothing.
+/// Resource ceilings for one guarded operation. Both fields are
+/// optional; an all-`None` budget installs nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock deadline, measured from [`Budget::install`].
     pub deadline: Option<Duration>,
     /// Ceiling on the concept count reported via [`check_concepts`].
     pub max_concepts: Option<u64>,
-    /// Ceiling on the bytes accumulated via [`charge_mem`].
-    pub max_mem_bytes: Option<u64>,
 }
 
 impl Budget {
     /// Whether no ceiling is set.
     pub fn is_empty(&self) -> bool {
-        self.deadline.is_none() && self.max_concepts.is_none() && self.max_mem_bytes.is_none()
+        self.deadline.is_none() && self.max_concepts.is_none()
     }
 
-    /// Installs the budget on the **calling thread only**, returning the
-    /// RAII handle that uninstalls it on drop. This is the per-request
-    /// form used by the session service: each HTTP worker wraps one
-    /// request in a local budget, so concurrent requests get independent
-    /// deadlines without fighting over the process-wide slot.
+    /// Installs the budget on the **calling thread**, returning the RAII
+    /// handle that restores the thread's previous budget (usually none)
+    /// on drop. Budgets nest: an inner install shadows the outer budget
+    /// until its guard drops. An empty budget installs nothing and the
+    /// returned guard is inert.
     ///
-    /// Only the deadline and concept ceilings apply locally; the
-    /// memory-estimate ceiling is process-wide by nature ([`charge_mem`]
-    /// accumulates across threads) and is ignored here. Budgets nest:
-    /// installing over an existing local budget shadows it until drop. A
-    /// thread-local budget does not bound work the thread hands to the
-    /// `cable-par` pool — per-request work in the service runs on the
-    /// worker thread itself.
-    pub fn install_local(self) -> LocalGuard {
-        if self.deadline.is_none() && self.max_concepts.is_none() {
-            return LocalGuard {
-                installed: false,
-                previous: None,
-                _thread_bound: std::marker::PhantomData,
-            };
-        }
-        let budget = LocalBudget {
-            deadline_ns: self
-                .deadline
-                .map_or(u64::MAX, |d| now_ns().saturating_add(d.as_nanos() as u64)),
-            deadline_ms: self.deadline.map_or(0, |d| d.as_millis() as u64),
-            max_concepts: self.max_concepts.unwrap_or(u64::MAX),
-        };
-        let previous = LOCAL.with(|slot| slot.replace(Some(budget)));
-        if previous.is_none() {
-            let mut count = local_count().lock().expect("guard local count poisoned");
-            *count += 1;
-            if *count == 1 {
-                STATE.fetch_or(LOCAL_BIT, Ordering::Relaxed);
-            }
-        }
-        LocalGuard {
-            installed: true,
-            previous,
-            _thread_bound: std::marker::PhantomData,
-        }
-    }
-
-    /// Installs the budget process-wide, returning the RAII handle that
-    /// uninstalls it (and clears any pending cancellation) on drop. An
-    /// empty budget installs nothing and the returned guard is inert.
+    /// Work the thread hands to the `cable-par` pool runs on other
+    /// threads and is not bounded by this budget (see the crate docs).
     pub fn install(self) -> InstalledGuard {
-        if self.is_empty() {
-            return InstalledGuard { installed: false };
-        }
-        DEADLINE_MS.store(
-            self.deadline.map_or(0, |d| d.as_millis() as u64),
-            Ordering::Relaxed,
-        );
-        DEADLINE_NS.store(
-            self.deadline
-                .map_or(u64::MAX, |d| now_ns().saturating_add(d.as_nanos() as u64)),
-            Ordering::Relaxed,
-        );
-        MAX_CONCEPTS.store(self.max_concepts.unwrap_or(u64::MAX), Ordering::Relaxed);
-        MAX_MEM_BYTES.store(self.max_mem_bytes.unwrap_or(u64::MAX), Ordering::Relaxed);
-        MEM_CHARGED.store(0, Ordering::Relaxed);
-        STATE.fetch_or(BUDGET_BIT, Ordering::Relaxed);
-        InstalledGuard { installed: true }
-    }
-}
-
-/// RAII handle for an installed [`Budget`]; uninstalls on drop.
-#[derive(Debug)]
-pub struct InstalledGuard {
-    installed: bool,
-}
-
-impl InstalledGuard {
-    /// The cancel token associated with the guarded operation. (Tokens
-    /// are handles to the process-wide cancellation flag; see
-    /// [`CancelToken`].)
-    pub fn token(&self) -> CancelToken {
-        CancelToken
-    }
-}
-
-impl Drop for InstalledGuard {
-    fn drop(&mut self) {
-        if self.installed {
-            STATE.fetch_and(!(BUDGET_BIT | CANCEL_BIT), Ordering::Relaxed);
-            DEADLINE_NS.store(u64::MAX, Ordering::Relaxed);
-            MAX_CONCEPTS.store(u64::MAX, Ordering::Relaxed);
-            MAX_MEM_BYTES.store(u64::MAX, Ordering::Relaxed);
-            MEM_CHARGED.store(0, Ordering::Relaxed);
+        let previous = (!self.is_empty())
+            .then(|| INSTALLED.with(|slot| slot.replace(Some((self, Instant::now())))));
+        InstalledGuard {
+            previous,
+            _thread_bound: PhantomData,
         }
     }
 }
 
-/// One thread's request budget, resolved on the checkpoint slow path.
-#[derive(Debug, Clone, Copy)]
-struct LocalBudget {
-    /// Deadline as nanoseconds since [`epoch`]; `u64::MAX` means none.
-    deadline_ns: u64,
-    /// The configured deadline in milliseconds, for error messages.
-    deadline_ms: u64,
-    /// Concept-count ceiling; `u64::MAX` means none.
-    max_concepts: u64,
-}
-
-thread_local! {
-    /// The calling thread's request budget, if any.
-    static LOCAL: Cell<Option<LocalBudget>> = const { Cell::new(None) };
-}
-
-/// Threads currently holding a local budget. Install/uninstall
-/// transitions of [`LOCAL_BIT`] run under this lock so a thread
-/// dropping its budget cannot clear the bit out from under a thread
-/// that just installed one.
-fn local_count() -> &'static Mutex<u64> {
-    static COUNT: OnceLock<Mutex<u64>> = OnceLock::new();
-    COUNT.get_or_init(|| Mutex::new(0))
-}
-
-/// RAII handle for a thread-local [`Budget::install_local`]; restores
-/// the thread's previous budget (usually none) on drop.
+/// RAII handle for an installed [`Budget`]; restores the thread's
+/// previous budget on drop.
 ///
 /// Not `Send`: the budget lives in the installing thread's storage, so
 /// dropping it elsewhere would uninstall nothing.
 #[derive(Debug)]
-pub struct LocalGuard {
-    installed: bool,
-    previous: Option<LocalBudget>,
-    // The budget lives in the installing thread's storage; a raw-pointer
-    // marker keeps the guard on that thread (auto-!Send).
-    _thread_bound: std::marker::PhantomData<*const ()>,
+pub struct InstalledGuard {
+    /// The budget this install shadowed, or `None` for an inert guard.
+    previous: Option<Option<(Budget, Instant)>>,
+    // A raw-pointer marker keeps the guard on its thread (auto-!Send).
+    _thread_bound: PhantomData<*const ()>,
 }
 
-impl Drop for LocalGuard {
+impl Drop for InstalledGuard {
     fn drop(&mut self) {
-        if !self.installed {
-            return;
-        }
-        let previous = self.previous.take();
-        let restores_outer = previous.is_some();
-        LOCAL.with(|slot| slot.set(previous));
-        if !restores_outer {
-            let mut count = local_count().lock().expect("guard local count poisoned");
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                STATE.fetch_and(!LOCAL_BIT, Ordering::Relaxed);
-            }
+        if let Some(previous) = self.previous.take() {
+            INSTALLED.with(|slot| slot.set(previous));
         }
     }
 }
 
-/// A handle to the process-wide cancellation flag. `Copy`, `Send`, and
-/// free to clone into any thread; cancelling trips every subsequent
-/// [`checkpoint`] and [`cancel_point`] until [`clear_cancel`] runs
-/// (which the owning scope — an [`InstalledGuard`] drop or the
-/// `cable-par` panic recovery — does when the operation ends).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CancelToken;
-
-impl CancelToken {
-    /// The process-wide token.
-    pub fn global() -> CancelToken {
-        CancelToken
-    }
-
-    /// Requests cancellation.
-    pub fn cancel(&self) {
-        cancel();
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        cancel_requested()
-    }
-}
-
-/// Requests cooperative cancellation of the current guarded operation.
-pub fn cancel() {
-    STATE.fetch_or(CANCEL_BIT, Ordering::Relaxed);
-}
-
-/// Whether cancellation has been requested.
-#[inline]
-pub fn cancel_requested() -> bool {
-    STATE.load(Ordering::Relaxed) & CANCEL_BIT != 0
-}
-
-/// Clears a pending cancellation. Called by the scope that requested it
-/// (or recovered from the panic that did) once the operation has wound
-/// down.
-pub fn clear_cancel() {
-    STATE.fetch_and(!CANCEL_BIT, Ordering::Relaxed);
-}
-
-/// Whether any guard facility (budget, faults, cancellation) is active.
-#[inline]
-pub fn active() -> bool {
-    STATE.load(Ordering::Relaxed) != 0
-}
-
-/// Whether a [`Budget`] is currently installed. Lattice builds use this
-/// to pick the guarded sequential path, whose budget-stopped prefix is
-/// deterministic for every worker count (see DESIGN.md §12).
+/// Whether the calling thread has a [`Budget`] installed. Guarded
+/// callers use this to pick their sequential path, whose budget-stopped
+/// prefix is deterministic for every worker count (see DESIGN.md §12).
 #[inline]
 pub fn budget_active() -> bool {
-    let state = STATE.load(Ordering::Relaxed);
-    if state & BUDGET_BIT != 0 {
-        return true;
-    }
-    state & LOCAL_BIT != 0 && LOCAL.with(|slot| slot.get().is_some())
+    INSTALLED.with(|slot| slot.get().is_some())
 }
 
 pub(crate) fn faults_installed() -> bool {
-    STATE.load(Ordering::Relaxed) & FAULTS_BIT != 0
+    FAULTS.load(Ordering::Relaxed)
 }
 
 pub(crate) fn set_faults_installed(on: bool) {
-    if on {
-        STATE.fetch_or(FAULTS_BIT, Ordering::Relaxed);
-    } else {
-        STATE.fetch_and(!FAULTS_BIT, Ordering::Relaxed);
-    }
+    FAULTS.store(on, Ordering::Relaxed);
 }
 
 /// The cooperative checkpoint guarded loops call once per unit of work
 /// (one object insertion, one trace sweep, one journal record). With
-/// nothing installed this is a single relaxed atomic load; otherwise it
-/// evaluates cancellation, the deadline, the memory estimate, and the
-/// fault plane's `budget@site` rules.
+/// nothing installed this is one thread-local read plus one relaxed
+/// atomic load; otherwise it evaluates the calling thread's deadline and
+/// the fault plane's `budget@site` rules.
 ///
 /// # Errors
 ///
-/// [`GuardError::Cancelled`] on a pending cancellation,
-/// [`GuardError::BudgetExceeded`] on a tripped ceiling or injected
+/// [`GuardError::BudgetExceeded`] on a passed deadline or injected
 /// exhaustion.
 #[inline]
 pub fn checkpoint(site: &str) -> Result<(), GuardError> {
-    let state = STATE.load(Ordering::Relaxed);
-    if state == 0 {
+    let installed = INSTALLED.with(Cell::get);
+    if installed.is_none() && !faults_installed() {
         return Ok(());
     }
-    checkpoint_slow(site, state)
+    checkpoint_slow(site, installed)
 }
 
 #[cold]
-fn checkpoint_slow(site: &str, state: u8) -> Result<(), GuardError> {
-    let result = checkpoint_checks(site, state);
-    if let Err(e) = &result {
-        emit_trip_event(site, e);
+fn checkpoint_slow(site: &str, installed: Option<(Budget, Instant)>) -> Result<(), GuardError> {
+    CHECKPOINTS.get().incr();
+    let passed = installed.and_then(|(budget, since)| {
+        budget
+            .deadline
+            .filter(|&deadline| since.elapsed() >= deadline)
+    });
+    let limit = if let Some(deadline) = passed {
+        Limit::Deadline {
+            limit_ms: deadline.as_millis() as u64,
+        }
+    } else if faults_installed() && faults::budget_fault_fires(site) {
+        Limit::Injected
+    } else {
+        return Ok(());
+    };
+    Err(trip(limit, site))
+}
+
+/// Checks a concept count against the calling thread's ceiling. Callers
+/// report the count *after* each insertion, so a trip at count `c` means
+/// the concept set already holds `c` concepts — still a valid
+/// prefix-exact set (Godin's invariant).
+///
+/// # Errors
+///
+/// [`GuardError::BudgetExceeded`] with [`Limit::Concepts`] once the
+/// count passes the ceiling.
+#[inline]
+pub fn check_concepts(count: usize) -> Result<(), GuardError> {
+    let ceiling = INSTALLED
+        .with(Cell::get)
+        .and_then(|(budget, _)| budget.max_concepts);
+    match ceiling {
+        Some(limit) if count as u64 > limit => {
+            let reached = count as u64;
+            Err(trip(
+                Limit::Concepts { limit, reached },
+                "fca.godin.concepts",
+            ))
+        }
+        _ => Ok(()),
     }
-    result
+}
+
+/// Counts a budget trip, reports it, and returns the typed error.
+fn trip(limit: Limit, site: &str) -> GuardError {
+    BUDGET_TRIPS.get().incr();
+    let error = GuardError::BudgetExceeded {
+        limit,
+        site: site.to_owned(),
+    };
+    emit_trip_event(site, &error);
+    error
 }
 
 /// One wide event per guard trip, so `/eventz` and the SLO windows see
-/// budget exhaustion and cancellation alongside the work they cut short.
+/// budget exhaustion and contained panics alongside the work they cut
+/// short.
 fn emit_trip_event(site: &str, error: &GuardError) {
-    let kind = match error {
-        GuardError::BudgetExceeded { .. } => "budget_trip",
-        GuardError::Cancelled => "cancel_trip",
-        GuardError::TaskPanic { .. } => "contained_panic",
+    let (kind, instant) = match error {
+        GuardError::BudgetExceeded { .. } => ("budget_trip", "guard.budget_trip"),
+        GuardError::TaskPanic { .. } => ("contained_panic", "guard.contained_panic"),
     };
     // A recorder instant too: it carries the active trace context, so a
     // request's waterfall shows *where in the tree* the budget tripped.
-    cable_obs::recorder::instant(match error {
-        GuardError::BudgetExceeded { .. } => "guard.budget_trip",
-        GuardError::Cancelled => "guard.cancel_trip",
-        GuardError::TaskPanic { .. } => "guard.contained_panic",
-    });
+    cable_obs::recorder::instant(instant);
     cable_obs::events::emit(
         cable_obs::WideEvent::new(kind, "guard")
             .stage(site)
@@ -479,111 +308,11 @@ fn emit_trip_event(site: &str, error: &GuardError) {
     );
 }
 
-fn checkpoint_checks(site: &str, state: u8) -> Result<(), GuardError> {
-    CHECKPOINTS.get().incr();
-    if state & CANCEL_BIT != 0 {
-        CANCELLED_TRIPS.get().incr();
-        return Err(GuardError::Cancelled);
-    }
-    if state & LOCAL_BIT != 0 {
-        if let Some(local) = LOCAL.with(Cell::get) {
-            if now_ns() >= local.deadline_ns {
-                BUDGET_TRIPS.get().incr();
-                return Err(GuardError::BudgetExceeded {
-                    limit: Limit::Deadline {
-                        limit_ms: local.deadline_ms,
-                    },
-                    site: site.to_owned(),
-                });
-            }
-        }
-    }
-    if state & BUDGET_BIT != 0 {
-        if now_ns() >= DEADLINE_NS.load(Ordering::Relaxed) {
-            BUDGET_TRIPS.get().incr();
-            return Err(GuardError::BudgetExceeded {
-                limit: Limit::Deadline {
-                    limit_ms: DEADLINE_MS.load(Ordering::Relaxed),
-                },
-                site: site.to_owned(),
-            });
-        }
-        let estimate = MEM_CHARGED.load(Ordering::Relaxed);
-        let limit_bytes = MAX_MEM_BYTES.load(Ordering::Relaxed);
-        if estimate > limit_bytes {
-            BUDGET_TRIPS.get().incr();
-            return Err(GuardError::BudgetExceeded {
-                limit: Limit::Memory {
-                    limit_bytes,
-                    estimate,
-                },
-                site: site.to_owned(),
-            });
-        }
-    }
-    if state & FAULTS_BIT != 0 && faults::budget_fault_fires(site) {
-        BUDGET_TRIPS.get().incr();
-        return Err(GuardError::BudgetExceeded {
-            limit: Limit::Injected,
-            site: site.to_owned(),
-        });
-    }
-    Ok(())
-}
-
-/// Checks a concept count against the installed ceiling. Callers report
-/// the count *after* each insertion, so a trip at count `c` means the
-/// concept set already holds `c` concepts — still a valid prefix-exact
-/// set (Godin's invariant).
-///
-/// # Errors
-///
-/// [`GuardError::BudgetExceeded`] with [`Limit::Concepts`] once the
-/// count passes the ceiling.
-#[inline]
-pub fn check_concepts(count: usize) -> Result<(), GuardError> {
-    let state = STATE.load(Ordering::Relaxed);
-    if state & (BUDGET_BIT | LOCAL_BIT) == 0 {
-        return Ok(());
-    }
-    let mut limit = u64::MAX;
-    if state & BUDGET_BIT != 0 {
-        limit = MAX_CONCEPTS.load(Ordering::Relaxed);
-    }
-    if state & LOCAL_BIT != 0 {
-        if let Some(local) = LOCAL.with(Cell::get) {
-            limit = limit.min(local.max_concepts);
-        }
-    }
-    if count as u64 > limit {
-        BUDGET_TRIPS.get().incr();
-        let error = GuardError::BudgetExceeded {
-            limit: Limit::Concepts {
-                limit,
-                reached: count as u64,
-            },
-            site: "fca.godin.concepts".to_owned(),
-        };
-        emit_trip_event("fca.godin.concepts", &error);
-        return Err(error);
-    }
-    Ok(())
-}
-
-/// Accumulates `bytes` against the installed memory-estimate ceiling
-/// (checked at the next [`checkpoint`]). A no-op without a budget.
-#[inline]
-pub fn charge_mem(bytes: u64) {
-    if STATE.load(Ordering::Relaxed) & BUDGET_BIT != 0 {
-        MEM_CHARGED.fetch_add(bytes, Ordering::Relaxed);
-    }
-}
-
 /// The panic payload [`bail`] tunnels a [`GuardError`] through
 /// `cable-par` closures with (the closures return plain values, so a
-/// budget trip or cancellation inside one unwinds instead).
-/// [`contain`] and the pool's panic recovery recognise it and convert it
-/// back into the typed error rather than counting it as a task panic.
+/// budget trip inside one unwinds instead). [`contain`] and the pool's
+/// panic recovery recognise it and convert it back into the typed error
+/// rather than counting it as a task panic.
 #[derive(Debug)]
 pub struct GuardUnwind(pub GuardError);
 
@@ -591,18 +320,6 @@ pub struct GuardUnwind(pub GuardError);
 /// running under a [`contain`] (or `cable-par` chunk) boundary.
 pub fn bail(error: GuardError) -> ! {
     std::panic::panic_any(GuardUnwind(error))
-}
-
-/// The cancellation checkpoint for closures that cannot return `Err`
-/// (the `cable-par` chunk closures): a single relaxed load
-/// when nothing is cancelled, an unwinding [`bail`] otherwise.
-#[inline]
-pub fn cancel_point(site: &str) {
-    if STATE.load(Ordering::Relaxed) & CANCEL_BIT != 0 {
-        CANCELLED_TRIPS.get().incr();
-        emit_trip_event(site, &GuardError::Cancelled);
-        bail(GuardError::Cancelled)
-    }
 }
 
 /// Whether a caught panic payload is one of the guard's own tunnelled
@@ -667,36 +384,25 @@ pub fn init_from_env() -> Result<bool, String> {
     }
 }
 
-/// The guard state is process-global; tests that install budgets,
-/// planes, or cancellations must not interleave (shared with the
-/// [`faults`] test module).
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_lock as lock;
 
     #[test]
     fn uninstalled_checkpoint_is_ok() {
-        let _l = lock();
         assert_eq!(checkpoint("test.site"), Ok(()));
         assert_eq!(check_concepts(1_000_000), Ok(()));
-        cancel_point("test.site"); // must not unwind
+        assert!(!budget_active());
     }
 
     #[test]
-    fn deadline_trips_and_uninstalls_on_drop() {
-        let _l = lock();
+    fn deadline_trips_only_on_the_installing_thread() {
         let guard = Budget {
             deadline: Some(Duration::from_millis(0)),
             ..Budget::default()
         }
         .install();
+        assert!(budget_active());
         std::thread::sleep(Duration::from_millis(2));
         let err = checkpoint("test.deadline").unwrap_err();
         assert!(matches!(
@@ -706,13 +412,18 @@ mod tests {
                 ..
             }
         ));
+        // Another thread shares the process but not the budget.
+        std::thread::scope(|s| {
+            let handle = s.spawn(|| (checkpoint("test.other_thread"), budget_active()));
+            assert_eq!(handle.join().unwrap(), (Ok(()), false));
+        });
         drop(guard);
         assert_eq!(checkpoint("test.deadline"), Ok(()));
+        assert!(!budget_active());
     }
 
     #[test]
     fn concept_ceiling_trips_past_the_limit() {
-        let _l = lock();
         let _guard = Budget {
             max_concepts: Some(10),
             ..Budget::default()
@@ -733,50 +444,36 @@ mod tests {
     }
 
     #[test]
-    fn memory_ceiling_trips_at_the_next_checkpoint() {
-        let _l = lock();
-        let _guard = Budget {
-            max_mem_bytes: Some(100),
+    fn budgets_nest_and_restore_on_drop() {
+        let outer = Budget {
+            max_concepts: Some(100),
             ..Budget::default()
         }
         .install();
-        charge_mem(50);
-        assert_eq!(checkpoint("test.mem"), Ok(()));
-        charge_mem(51);
-        let err = checkpoint("test.mem").unwrap_err();
-        assert!(matches!(
-            err,
-            GuardError::BudgetExceeded {
-                limit: Limit::Memory { .. },
-                ..
+        {
+            let _inner = Budget {
+                max_concepts: Some(5),
+                ..Budget::default()
             }
-        ));
+            .install();
+            assert!(check_concepts(6).is_err());
+        }
+        // Inner dropped: the outer ceiling applies again.
+        assert_eq!(check_concepts(6), Ok(()));
+        assert!(check_concepts(101).is_err());
+        drop(outer);
+        assert_eq!(check_concepts(101), Ok(()));
     }
 
     #[test]
-    fn cancellation_trips_checkpoints_until_cleared() {
-        let _l = lock();
-        let token = CancelToken::global();
-        assert!(!token.is_cancelled());
-        token.cancel();
-        assert!(token.is_cancelled());
-        assert_eq!(checkpoint("test.cancel"), Err(GuardError::Cancelled));
-        clear_cancel();
-        assert_eq!(checkpoint("test.cancel"), Ok(()));
-    }
-
-    #[test]
-    fn cancel_point_unwinds_with_a_guard_payload() {
-        let _l = lock();
-        cancel();
-        let result = contain(|| cancel_point("test.point"));
-        clear_cancel();
-        assert_eq!(result, Err(GuardError::Cancelled));
+    fn empty_budget_installs_nothing() {
+        let _guard = Budget::default().install();
+        assert!(!budget_active());
+        assert_eq!(checkpoint("test.empty"), Ok(()));
     }
 
     #[test]
     fn contain_converts_panics_and_guard_unwinds() {
-        let _l = lock();
         assert_eq!(contain(|| 7), Ok(7));
         assert_eq!(
             contain(|| panic!("boom")),
@@ -790,111 +487,5 @@ mod tests {
         };
         let inner = err.clone();
         assert_eq!(contain(move || bail(inner)), Err::<(), _>(err));
-    }
-
-    #[test]
-    fn empty_budget_installs_nothing() {
-        let _l = lock();
-        let _guard = Budget::default().install();
-        assert!(!budget_active());
-    }
-
-    #[test]
-    fn local_deadline_trips_only_on_the_installing_thread() {
-        let _l = lock();
-        let guard = Budget {
-            deadline: Some(Duration::from_millis(0)),
-            ..Budget::default()
-        }
-        .install_local();
-        assert!(budget_active());
-        std::thread::sleep(Duration::from_millis(2));
-        let err = checkpoint("test.local_deadline").unwrap_err();
-        assert!(matches!(
-            err,
-            GuardError::BudgetExceeded {
-                limit: Limit::Deadline { .. },
-                ..
-            }
-        ));
-        // Another thread shares the process but not the budget.
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| checkpoint("test.other_thread"));
-            assert_eq!(handle.join().unwrap(), Ok(()));
-        });
-        drop(guard);
-        assert_eq!(checkpoint("test.local_deadline"), Ok(()));
-        assert!(!budget_active());
-    }
-
-    #[test]
-    fn local_concept_ceiling_trips_past_the_limit() {
-        let _l = lock();
-        let _guard = Budget {
-            max_concepts: Some(5),
-            ..Budget::default()
-        }
-        .install_local();
-        assert_eq!(check_concepts(5), Ok(()));
-        let err = check_concepts(6).unwrap_err();
-        assert!(matches!(
-            err,
-            GuardError::BudgetExceeded {
-                limit: Limit::Concepts {
-                    limit: 5,
-                    reached: 6
-                },
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn local_budgets_nest_and_restore_on_drop() {
-        let _l = lock();
-        let outer = Budget {
-            max_concepts: Some(100),
-            ..Budget::default()
-        }
-        .install_local();
-        {
-            let _inner = Budget {
-                max_concepts: Some(5),
-                ..Budget::default()
-            }
-            .install_local();
-            assert!(check_concepts(6).is_err());
-        }
-        // Inner dropped: the outer ceiling applies again.
-        assert_eq!(check_concepts(6), Ok(()));
-        assert!(check_concepts(101).is_err());
-        drop(outer);
-        assert_eq!(check_concepts(101), Ok(()));
-    }
-
-    #[test]
-    fn empty_local_budget_installs_nothing() {
-        let _l = lock();
-        let _guard = Budget::default().install_local();
-        assert!(!budget_active());
-        assert_eq!(checkpoint("test.empty_local"), Ok(()));
-    }
-
-    #[test]
-    fn local_and_global_budgets_compose() {
-        let _l = lock();
-        let _global = Budget {
-            max_concepts: Some(50),
-            ..Budget::default()
-        }
-        .install();
-        let _local = Budget {
-            max_concepts: Some(5),
-            ..Budget::default()
-        }
-        .install_local();
-        // The tighter of the two ceilings wins.
-        assert!(check_concepts(6).is_err());
-        assert!(check_concepts(5).is_ok());
     }
 }

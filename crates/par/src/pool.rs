@@ -35,8 +35,8 @@ use std::time::Instant;
 /// Chunks published as pool jobs (the sequential path publishes none).
 static TASKS: CounterHandle = CounterHandle::new("par.tasks");
 /// Genuine chunk panics contained at the task boundary (guard unwinds —
-/// budget trips and cancellations tunnelled out of closures — are not
-/// panics and are not counted here).
+/// budget trips tunnelled out of closures — are not panics and are not
+/// counted here).
 static TASK_PANICS: CounterHandle = CounterHandle::new("par.task_panics");
 /// Time idle workers spend parked on the condvar, microseconds. The
 /// contention families on `/metrics` read this against `wait.slots.us`
@@ -49,7 +49,9 @@ static WAIT_PARK: HistogramHandle = HistogramHandle::new("wait.park.us");
 /// The atomics are `Relaxed` because they publish no data: a claim is
 /// one atomic read-modify-write, the job's inputs reach workers through
 /// the `Shared::state` mutex, and chunk results and panics reach the
-/// caller through mutexes (`finished`, `panic`, the result slots).
+/// caller through mutexes (`finished`, `panic`, the result slots). A
+/// chunk that reads `poisoned` late only runs items whose results are
+/// discarded.
 struct Job {
     /// The next unclaimed chunk index.
     cursor: AtomicUsize,
@@ -58,14 +60,15 @@ struct Job {
     finished: Mutex<usize>,
     /// Signalled when `finished` reaches `chunks`.
     done: Condvar,
-    /// Set when a chunk panics (or bails on a guard error): chunks
-    /// claimed after that are skipped, the job's outcome is decided.
+    /// Set when a chunk panics (or bails on a guard error): the job's
+    /// outcome is decided, so chunks claimed after that are skipped and
+    /// running ones stop before their next item.
     poisoned: AtomicBool,
     /// The first chunk panic, re-raised on the caller.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Runs one chunk by index. Borrows the caller's stack frame; see
-    /// the SAFETY note in [`Pool::run_job`].
-    run: &'static (dyn Fn(usize) + Sync),
+    /// Runs one chunk by index, given the job's poison flag. Borrows the
+    /// caller's stack frame; see the SAFETY note in [`Pool::run_job`].
+    run: &'static (dyn Fn(usize, &AtomicBool) + Sync),
 }
 
 impl Job {
@@ -88,7 +91,7 @@ impl Job {
         if !self.poisoned.load(Ordering::Relaxed) {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 cable_guard::faults::maybe_panic("par.task");
-                (self.run)(index)
+                (self.run)(index, &self.poisoned)
             }));
             if let Err(p) = result {
                 self.poisoned.store(true, Ordering::Relaxed);
@@ -96,9 +99,6 @@ impl Job {
                     TASK_PANICS.get().incr();
                     cable_obs::recorder::instant("par.task_panic");
                 }
-                // Ask in-flight siblings to bail at their next cancel
-                // point; the caller clears the flag once the job is done.
-                cable_guard::cancel();
                 self.panic
                     .lock()
                     .expect("par job poisoned")
@@ -207,15 +207,15 @@ impl Pool {
     /// is a plain sequential map producing bit-identical values.
     ///
     /// **Panic isolation.** On the parallel path a panicking chunk
-    /// *poisons* the job: its chunks that have not started yet are
-    /// skipped, and in-flight siblings are cancelled cooperatively
-    /// through the `cable-guard` token (they bail at their next
-    /// [`cable_guard::cancel_point`]). The first payload is re-raised
-    /// here on the calling thread once every chunk has wound down —
-    /// callers that need a structured error instead of an unwind wrap
-    /// the pipeline in [`cable_guard::contain`], which maps genuine
-    /// panics to `GuardError::TaskPanic` and tunnelled guard payloads
-    /// back to their typed errors. The pool itself always survives.
+    /// *poisons* its job: chunks that have not started yet are skipped,
+    /// and running ones stop before their next item. The poison is the
+    /// job's own; other jobs and other threads never see it. The first
+    /// payload is re-raised here on the calling thread once every chunk
+    /// has wound down — callers that need a structured error instead of
+    /// an unwind wrap the pipeline in [`cable_guard::contain`], which
+    /// maps genuine panics to `GuardError::TaskPanic` and tunnelled
+    /// guard payloads back to their typed errors. The pool itself always
+    /// survives.
     pub fn par_map<T, U, F>(&self, label: &'static str, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -252,7 +252,7 @@ impl Pool {
         // the determinism gate compares them.
         let trace = context::capture();
         let slots: Vec<Mutex<Vec<U>>> = (0..chunks).map(|_| Mutex::default()).collect();
-        let run = |index: usize| {
+        let run = |index: usize, poisoned: &AtomicBool| {
             let start = index * chunk;
             let slice = &items[start..(start + chunk).min(n)];
             let _adopt = trace
@@ -260,16 +260,23 @@ impl Pool {
                 .map(|t| t.adopt(context::CHUNK_TAG | index as u64));
             let values = {
                 let _span = busy.map(|busy| Span::enter(label, busy));
-                slice
-                    .iter()
-                    .enumerate()
-                    .map(|(k, item)| f(start + k, item))
-                    .collect()
+                let mut values = Vec::with_capacity(slice.len());
+                for (k, item) in slice.iter().enumerate() {
+                    // A poisoned job re-raises its first panic, so the
+                    // rest of this chunk would never be read.
+                    if poisoned.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    values.push(f(start + k, item));
+                }
+                values
             };
             *slots[index].lock().expect("par results poisoned") = values;
         };
         if self.threads() <= 1 || chunks == 1 {
-            (0..chunks).for_each(&run);
+            // No job: a panic unwinds straight out, nothing is poisoned.
+            let unpoisoned = AtomicBool::new(false);
+            (0..chunks).for_each(|index| run(index, &unpoisoned));
         } else {
             self.run_job(chunks, &run);
         }
@@ -302,7 +309,7 @@ impl Pool {
     /// its unclaimed chunks on this thread, then waits for the chunks
     /// other threads claimed. The first chunk panic is re-raised here
     /// once every chunk is done.
-    fn run_job(&self, chunks: usize, run: &(dyn Fn(usize) + Sync)) {
+    fn run_job(&self, chunks: usize, run: &(dyn Fn(usize, &AtomicBool) + Sync)) {
         // SAFETY: the job outlives this frame (workers hold `Arc`s), so
         // it needs a `'static` closure. `Job::run` is called only on a
         // claimed chunk index, and this function returns only after
@@ -311,7 +318,7 @@ impl Pool {
         // a claim and its `finished` count unwinds. Once every chunk is
         // claimed, `run_next` on a stale `Arc<Job>` returns without
         // touching `run`, so no borrow in `run` outlives its use.
-        let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
+        let run: &'static (dyn Fn(usize, &AtomicBool) + Sync) = unsafe { std::mem::transmute(run) };
         let job = Arc::new(Job {
             cursor: AtomicUsize::new(0),
             chunks,
@@ -335,9 +342,6 @@ impl Pool {
         drop(finished);
         let panic = job.panic.lock().expect("par job poisoned").take();
         if let Some(p) = panic {
-            // The failing chunk cancelled its siblings; the cancellation
-            // window closes with the job.
-            cable_guard::clear_cancel();
             resume_unwind(p);
         }
     }

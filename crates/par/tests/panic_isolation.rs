@@ -1,14 +1,15 @@
 //! Panic isolation at `cable-par` task boundaries: a panicking chunk —
-//! genuine or injected — poisons its job, cancels its siblings, and
+//! genuine or injected — poisons its job, stops its siblings, and
 //! surfaces as a structured error at the `cable_guard::contain`
 //! boundary, with the pool (and process) fully serviceable afterwards.
 //!
-//! These tests install process-global fault planes and cancellations,
-//! so they live in their own integration binary and serialise on a
-//! local mutex: any `par_map` running in the same process while a
-//! `panic@par.task` rule is armed could draw the firing hit.
+//! These tests install process-global fault planes and read the global
+//! `par.task_panics` counter, so they live in their own integration
+//! binary and serialise on a local mutex: any `par_map` running in the
+//! same process while a `panic@par.task` rule is armed could draw the
+//! firing hit.
 
-use cable_guard::{faults, GuardError};
+use cable_guard::{faults, GuardError, Limit};
 use cable_par::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -44,11 +45,10 @@ fn injected_panic_surfaces_as_structured_error_and_process_keeps_serving() {
     // pool returns complete, correct results.
     let clean = pool.par_map("test.clean", &items, |&x| x * 2);
     assert_eq!(clean, items.iter().map(|&x| x * 2).collect::<Vec<u64>>());
-    assert!(!cable_guard::cancel_requested(), "cancel window was closed");
 }
 
 /// A genuine chunk panic is counted under `par.task_panics`; tunnelled
-/// guard payloads (budget trips, cancellations) are not.
+/// guard payloads (budget trips) are not.
 #[test]
 fn task_panic_counter_counts_genuine_panics_only() {
     let _l = lock();
@@ -70,24 +70,26 @@ fn task_panic_counter_counts_genuine_panics_only() {
         })
     );
 
+    let tripped = GuardError::BudgetExceeded {
+        limit: Limit::Injected,
+        site: "test.bail".to_owned(),
+    };
     let result = cable_guard::contain(|| {
         pool.par_map("test.tunnelled", &[0u64, 1], |&x| {
             if x == 0 {
-                cable_guard::cancel();
-                cable_guard::cancel_point("test.bail");
+                cable_guard::bail(tripped.clone());
             }
         })
     });
-    assert_eq!(result, Err(GuardError::Cancelled));
-    assert!(!cable_guard::cancel_requested());
+    assert_eq!(result, Err(tripped));
 
     let delta = cable_obs::registry().snapshot().delta_since(&before);
     assert_eq!(delta.counter("par.task_panics"), Some(1));
 }
 
 /// A panicking chunk poisons its job: queued siblings are skipped and
-/// in-flight ones bail at their next cancel point, so the job winds
-/// down promptly instead of finishing a doomed fan-out.
+/// running ones stop before their next item, so the job winds down
+/// promptly instead of finishing a doomed fan-out.
 #[test]
 fn poisoned_job_skips_queued_chunks() {
     let _l = lock();
@@ -97,6 +99,8 @@ fn poisoned_job_skips_queued_chunks() {
     let pool = Pool::new(2);
     let ran = AtomicUsize::new(0);
     let items: Vec<usize> = (0..65).collect();
+    let panics = cable_obs::registry().counter("par.task_panics");
+    let before = panics.get();
     let result = cable_guard::contain(|| {
         pool.par_map("test.poisoned", &items, |&i| {
             if i == 0 {
@@ -104,12 +108,13 @@ fn poisoned_job_skips_queued_chunks() {
             }
             ran.fetch_add(1, Ordering::Relaxed);
             // Hold every sibling until the failing chunk has poisoned
-            // the job (it cancels right after). So at most the one
-            // sibling chunk the other thread claimed before the poison
-            // runs, whatever the timing. The deadline turns a pool that
-            // never cancels into a failure rather than a hang.
+            // the job (the pool counts the panic right after). So at
+            // most the one sibling chunk the other thread claimed before
+            // the poison runs, whatever the timing. The deadline turns a
+            // pool that never counts the panic into a failure rather
+            // than a hang.
             let deadline = Instant::now() + Duration::from_secs(10);
-            while !cable_guard::cancel_requested() && Instant::now() < deadline {
+            while panics.get() == before && Instant::now() < deadline {
                 std::thread::yield_now();
             }
         })

@@ -58,8 +58,9 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The bytes on disk do not form a valid store file.
     Format(String),
-    /// A `cable-guard` budget or cancellation tripped mid-operation
-    /// (ingest and replay checkpoint between records).
+    /// The calling thread's `cable-guard` budget (or an injected
+    /// `budget@` fault) tripped mid-operation: ingest and replay
+    /// checkpoint between records.
     Guard(cable_guard::GuardError),
     /// The store is read-only after a write-path failure (fail-stop
     /// durability, DESIGN.md §17): writes are refused until

@@ -384,7 +384,7 @@ impl Store {
         match step(self) {
             Ok(value) => Ok(value),
             Err(e) => {
-                // Guard trips (budget, cancellation) stop the operation
+                // Guard trips (budget, injected exhaustion) stop the operation
                 // but do not indict the disk; only real I/O failures
                 // poison durability.
                 if !matches!(e, StoreError::Guard(_)) {

@@ -85,11 +85,16 @@
 //! # Robustness flags
 //!
 //! `--deadline-ms N` and `--max-concepts N` install a resource budget
-//! (cable-guard) for the whole command. Exceeding it does not panic or
-//! hang: commands report the trip on stderr, still print whatever valid
-//! partial result the pipeline produced (a prefix-exact lattice over the
-//! leading trace classes), and exit with code **4**. The partial output
-//! is deterministic — independent of `--threads`/`CABLE_PAR`.
+//! (cable-guard) on the thread that runs the command, for the whole
+//! command. Exceeding it does not panic or hang: commands report the
+//! trip on stderr, still print whatever valid partial result the
+//! pipeline produced (a prefix-exact lattice over the leading trace
+//! classes), and exit with code **4**. The partial output is
+//! deterministic — independent of `--threads`/`CABLE_PAR`. Every command
+//! but `serve` takes them: `serve` handles requests on its own worker
+//! threads, which a command budget would not bound, so it answers a
+//! usage error and bounds each API request with
+//! `--request-deadline-ms N` instead.
 //!
 //! `--faults <seed>:<kind>@<site>[#K|=P][,…]` (or the `CABLE_FAULTS`
 //! environment variable) installs the deterministic fault-injection
@@ -156,9 +161,9 @@ fn main() {
     let budget = cable::guard::Budget {
         deadline: opts.deadline_ms.map(std::time::Duration::from_millis),
         max_concepts: opts.max_concepts,
-        ..Default::default()
     };
-    // Inert when no limit was given; held for the whole command.
+    // Inert when no limit was given; held for the whole command, which
+    // runs on this thread.
     let _budget_guard = budget.install();
     // `contain` is the binary's no-panic boundary: a genuine panic in
     // any pipeline stage or cable-par worker (including injected
@@ -818,6 +823,12 @@ fn spawn_profiler(dir: &Path, opts: &Opts) -> Option<cable::obs::profdiff::Conti
 /// the exposition server, optionally with the multi-tenant session API
 /// plane enabled (see DESIGN.md §14).
 fn serve(opts: &Opts) -> i32 {
+    if opts.deadline_ms.is_some() || opts.max_concepts.is_some() {
+        usage(
+            "serve takes no --deadline-ms or --max-concepts; \
+             --request-deadline-ms N bounds each API request",
+        );
+    }
     let addr = opts
         .obs_listen
         .as_ref()
@@ -1018,8 +1029,8 @@ fn usage(msg: &str) -> ! {
          [--request-deadline-ms N] [--trace-seed N] [--trace-slow-us N]\n\
          \x20      cable profile diff BEFORE.jsonl AFTER.jsonl\n\
          \x20      cable diff-spec A.fa B.fa   (exit 0 equivalent, 1 differ + witness, 2 error)\n\
-         \x20      any command: [--deadline-ms N] [--max-concepts N] [--faults SEED:SPEC] \
-         [--events-out PATH]"
+         \x20      any command: [--faults SEED:SPEC] [--events-out PATH]\n\
+         \x20      any command but serve: [--deadline-ms N] [--max-concepts N]"
     );
     exit(2);
 }

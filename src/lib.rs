@@ -28,8 +28,9 @@
 //!   run on (`CABLE_PAR` / `--threads` control the worker count),
 //! * [`store`] — crash-safe persistent session stores (snapshot +
 //!   write-ahead journal) behind `CableSession::save`/`open`,
-//! * [`guard`] — resource budgets, cooperative cancellation, and the
-//!   deterministic fault-injection plane (`CABLE_FAULTS` / `--faults`).
+//! * [`guard`] — thread-scoped resource budgets, the panic boundary,
+//!   and the deterministic fault-injection plane (`CABLE_FAULTS` /
+//!   `--faults`).
 //!
 //! # Quickstart
 //!

@@ -865,6 +865,36 @@ fn max_connections_rejects_bad_values_and_accepts_good_ones() {
     child.wait().unwrap();
 }
 
+/// A command budget would bound only `serve`'s main thread, not the
+/// worker threads that handle requests, so `--deadline-ms` and
+/// `--max-concepts` are usage errors there (exit 2) that name the
+/// per-request bound. A `serve` that accepted them would keep serving;
+/// the test kills it after 10 s rather than hang.
+#[test]
+fn serve_rejects_command_budget_flags() {
+    for flag in ["--deadline-ms", "--max-concepts"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cable"))
+            .args(["serve", "--obs-listen", "0", flag, "300"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cable starts");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while child.try_wait().unwrap().is_none() {
+            if std::time::Instant::now() >= deadline {
+                child.kill().unwrap();
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "serve {flag} 300");
+        let err = stderr(&out);
+        assert!(err.contains("--request-deadline-ms"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
+}
+
 /// The tentpole labeling API end to end through the real binary:
 /// open → ingest → label → lattice → concepts → focus → digest, plus
 /// the client-error paths (malformed JSON is a 400, an unknown session
