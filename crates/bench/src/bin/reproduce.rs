@@ -644,8 +644,8 @@ fn run_check_trace(args: &[String]) -> ! {
 
 /// The `trace-report` subcommand: critical-path and stage attribution
 /// over a `/tracez/export` dump. The `trace_attribution` record it
-/// writes is the artifact ROADMAP item 1 (sharded slot map, yes or no)
-/// is decided on; `--min-coverage` turns it into a CI gate.
+/// writes is what ROADMAP item 4 measures queue and fsync wait from;
+/// `--min-coverage` turns it into a gate.
 fn run_trace_report(args: &[String]) -> ! {
     let mut export_path: Option<String> = None;
     let mut json_out: Option<String> = None;

@@ -387,19 +387,8 @@ impl CableApi {
             return Err(ApiError::new(422, "\"label\" must be non-empty"));
         }
         let selector = match body.get("selector").and_then(Value::as_str) {
-            None | Some("all") => TraceSelector::All,
-            Some("unlabeled") => TraceSelector::Unlabeled,
-            Some(s) if s.starts_with("with:") => {
-                TraceSelector::WithLabel(s["with:".len()..].to_owned())
-            }
-            Some(other) => {
-                return Err(ApiError::new(
-                    422,
-                    format!(
-                        "selector {other:?} is not \"all\", \"unlabeled\", or \"with:<label>\""
-                    ),
-                ))
-            }
+            None => TraceSelector::All,
+            Some(s) => s.parse().map_err(|e: String| ApiError::new(422, e))?,
         };
         let label = label.to_owned();
         let value = self.manager.with_session(key, |stored| {

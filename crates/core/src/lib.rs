@@ -70,7 +70,7 @@ pub use label::{Label, LabelStore};
 pub use manager::{ManagerError, SessionKey, SessionManager};
 pub use persist::{IngestReport, StoredSession};
 pub use session::{
-    CableSession, ConceptState, FocusSession, LabelCount, SessionProgress, SessionStop,
-    TraceSelector,
+    parse_script, CableSession, ConceptState, FocusSession, LabelCount, SessionProgress,
+    SessionStop, TraceSelector,
 };
 pub use strategy::Cost;

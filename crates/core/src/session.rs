@@ -52,6 +52,61 @@ pub enum TraceSelector {
     WithLabel(String),
 }
 
+impl std::str::FromStr for TraceSelector {
+    type Err = String;
+
+    /// `all`, `unlabeled` or `with:<label>`; the error names the input.
+    fn from_str(s: &str) -> Result<TraceSelector, String> {
+        match s {
+            "all" => Ok(TraceSelector::All),
+            "unlabeled" => Ok(TraceSelector::Unlabeled),
+            _ => match s.strip_prefix("with:") {
+                Some(name) => Ok(TraceSelector::WithLabel(name.to_owned())),
+                None => Err(format!(
+                    "selector {s:?} is not \"all\", \"unlabeled\", or \"with:<label>\""
+                )),
+            },
+        }
+    }
+}
+
+/// Parses a labeling script (the file `cable label --script` reads) into
+/// `(concept, selector, label)` commands. Lines are
+/// `label c<N> <all|unlabeled|with:NAME> <label>`; blank lines and `;`
+/// comments are skipped, and concept ids must be below `lattice_len`.
+///
+/// # Errors
+///
+/// `line N: …` for the first line (1-based) that does not parse.
+pub fn parse_script(
+    script: &str,
+    lattice_len: usize,
+) -> Result<Vec<(ConceptId, TraceSelector, String)>, String> {
+    let mut commands = Vec::new();
+    for (lineno, raw) in script.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with(';') {
+            continue;
+        }
+        let error = |message: &str| format!("line {}: {message}", lineno + 1);
+        let ["label", concept, selector, name] = line.split_whitespace().collect::<Vec<_>>()[..]
+        else {
+            return Err(error("expected `label <concept> <selector> <name>`"));
+        };
+        let id = concept
+            .strip_prefix('c')
+            .and_then(|n| n.parse::<u32>().ok())
+            .map(ConceptId)
+            .filter(|id| id.index() < lattice_len)
+            .ok_or_else(|| error(&format!("unknown concept {concept:?}")))?;
+        let selector = selector
+            .parse()
+            .map_err(|_| error("selector must be all, unlabeled or with:NAME"))?;
+        commands.push((id, selector, name.to_owned()));
+    }
+    Ok(commands)
+}
+
 /// A Cable debugging session over one set of traces and one reference FA.
 ///
 /// Identical traces are grouped into classes (the lattice objects, as in
@@ -1046,5 +1101,27 @@ mod tests {
         s.clear_labels();
         assert!(!s.all_labeled());
         assert_eq!(s.labels().unlabeled_count(), 4);
+    }
+
+    #[test]
+    fn scripts_parse_or_name_their_failing_line() {
+        let commands = parse_script("; comment\n\n  label c1 with:good bad  \n", 2).unwrap();
+        let with_good = TraceSelector::WithLabel("good".into());
+        assert_eq!(commands, vec![(ConceptId(1), with_good, "bad".into())]);
+        for (script, error) in [
+            ("label c2 all x", "line 1: unknown concept \"c2\""),
+            ("\nlabel 0 all x", "line 2: unknown concept \"0\""),
+            (
+                "label c0 any x",
+                "line 1: selector must be all, unlabeled or with:NAME",
+            ),
+            (
+                "label c0 all",
+                "line 1: expected `label <concept> <selector> <name>`",
+            ),
+        ] {
+            assert_eq!(parse_script(script, 2), Err(error.to_owned()));
+        }
+        assert_eq!("unlabeled".parse(), Ok(TraceSelector::Unlabeled));
     }
 }

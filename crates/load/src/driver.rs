@@ -16,13 +16,16 @@
 //! precisely "every 5xx under fault injection is a declared one".
 //! A logical request that exhausts its retry budget is counted as
 //! `gave_up`, separately from transport failures.
+//!
+//! Each labeler also logs the mutations the server acknowledged, in
+//! order, and the server's final digest of its session
+//! ([`LabelerLog`]), so a sequential replay can check that the session
+//! state depends only on those decisions.
 
 use crate::client::{request, Response};
 use crate::plan::{Labeler, Op};
 use cable_obs::json::Value;
 use cable_util::rng::{self, Rng, SmallRng};
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// How many retryable answers (429, or declared 503 under `--chaos`)
@@ -45,13 +48,9 @@ pub struct LoadOptions {
     pub labelers: usize,
     /// Ops per labeler after the opening create.
     pub requests: usize,
-    /// The workload seed; labeler `i` uses stream `(seed, i)`.
+    /// The workload seed; labeler `i` uses stream `(seed, i)` and
+    /// tenant `load{i:03}`.
     pub seed: u64,
-    /// Tenant name prefix: labeler `i` is tenant `{prefix}{i:03}`.
-    pub tenant_prefix: String,
-    /// When set, write per-labeler op logs and final server digests
-    /// here for sequential CLI replay.
-    pub verify_dir: Option<PathBuf>,
     /// Chaos-drill assertion mode: declared degraded 503s are retried
     /// and counted (`degraded_503`) instead of failing the run;
     /// undeclared 5xx remain hard errors.
@@ -59,18 +58,38 @@ pub struct LoadOptions {
 }
 
 impl LoadOptions {
-    /// Defaults: 8 labelers, 32 ops each, seed 42, prefix `load`.
+    /// Defaults: 8 labelers, 32 ops each, seed 42.
     pub fn new(addr: impl Into<String>) -> LoadOptions {
         LoadOptions {
             addr: addr.into(),
             labelers: 8,
             requests: 32,
             seed: 42,
-            tenant_prefix: "load".into(),
-            verify_dir: None,
             chaos: false,
         }
     }
+}
+
+/// One mutation the server acknowledged, in the order it did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step {
+    /// The session was created from this trace text.
+    Open(String),
+    /// This trace text was ingested.
+    Ingest(String),
+    /// This labeling-script line ([`Op::script_line`]) was applied.
+    Label(String),
+}
+
+/// One labeler's acknowledged mutations and the server's final word on
+/// its session.
+#[derive(Debug, Clone, Default)]
+pub struct LabelerLog {
+    /// Every acknowledged mutation, in order.
+    pub steps: Vec<Step>,
+    /// The server's `session_state` record after the last op, when the
+    /// final digest request succeeded.
+    pub digest: Option<Value>,
 }
 
 /// What one run observed.
@@ -95,6 +114,11 @@ pub struct LoadReport {
     pub gave_up: u64,
     /// Transport-level failures (connect/read/write/timeout).
     pub io_errors: u64,
+    /// The first 5xx answer (status, method, path and body), so a failed
+    /// run says why.
+    pub first_5xx: Option<String>,
+    /// Labeler `i`'s acknowledged mutations and final digest at index `i`.
+    pub logs: Vec<LabelerLog>,
     /// Wall-clock time for the whole run.
     pub wall: Duration,
     /// Total time labelers slept honouring `Retry-After` — backpressure
@@ -152,7 +176,7 @@ impl LoadReport {
 
     /// A one-screen human summary.
     pub fn render(&self) -> String {
-        format!(
+        let mut text = format!(
             "load: {} labelers, {} requests in {:.2}s ({:.1} req/s)\n\
              load: {} ok, {} 4xx, {} 5xx, {} io errors, {} gave up\n\
              load: {} retried 429s, {} degraded 503s ({:.2}s retry wait)\n\
@@ -172,7 +196,11 @@ impl LoadReport {
             self.quantile_ms(0.50),
             self.quantile_ms(0.95),
             self.quantile_ms(0.99),
-        )
+        );
+        if let Some(answer) = &self.first_5xx {
+            text.push_str(&format!("load: first 5xx: {answer}\n"));
+        }
+        text
     }
 }
 
@@ -187,8 +215,10 @@ struct Tally {
     degraded_503: u64,
     gave_up: u64,
     io_errors: u64,
+    first_5xx: Option<String>,
     retry_wait: Duration,
     latencies: Vec<u64>,
+    log: LabelerLog,
 }
 
 /// One labeler's request context: where to send, whether declared
@@ -279,9 +309,9 @@ fn issue(cx: &mut Cx<'_>, method: &str, path: &str, body: Option<&str>) -> Optio
                     500..=599 => {
                         cx.tally.errors_5xx += 1;
                         cable_obs::registry().counter("load.http_5xx").incr();
-                        if std::env::var_os("LOAD_DEBUG").is_some() {
-                            eprintln!("load: {} {method} {path}: {}", r.status, r.body.trim());
-                        }
+                        cx.tally.first_5xx.get_or_insert_with(|| {
+                            format!("{} {method} {path}: {}", r.status, r.body.trim())
+                        });
                     }
                     _ => {
                         cx.tally.errors_4xx += 1;
@@ -310,50 +340,11 @@ fn body_json(r: &Response) -> Option<Value> {
     Value::parse(r.body.trim()).ok()
 }
 
-/// The per-labeler verify log: ordered step files a shell script can
-/// replay through the CLI (`session open`, `session ingest`,
-/// `label --store --script`), plus the server's final digest record.
-struct VerifyLog {
-    dir: Option<PathBuf>,
-    step: usize,
-}
-
-impl VerifyLog {
-    fn new(root: Option<&Path>, index: usize) -> io::Result<VerifyLog> {
-        let dir = match root {
-            Some(root) => {
-                let dir = root.join(format!("labeler-{index:03}"));
-                std::fs::create_dir_all(&dir)?;
-                Some(dir)
-            }
-            None => None,
-        };
-        Ok(VerifyLog { dir, step: 0 })
-    }
-
-    fn write(&mut self, kind: &str, content: &str) -> io::Result<()> {
-        if let Some(dir) = &self.dir {
-            let path = dir.join(format!("step-{:04}-{kind}", self.step));
-            std::fs::write(path, content)?;
-        }
-        self.step += 1;
-        Ok(())
-    }
-
-    fn write_digest(&self, record: &Value) -> io::Result<()> {
-        if let Some(dir) = &self.dir {
-            std::fs::write(dir.join("digest.jsonl"), format!("{record}\n"))?;
-        }
-        Ok(())
-    }
-}
-
 /// Runs one labeler's whole life: create, op mix, final digest.
-fn run_labeler(opts: &LoadOptions, index: usize) -> io::Result<Tally> {
+fn run_labeler(opts: &LoadOptions, index: usize) -> Tally {
     let mut cx = Cx::new(opts, index);
-    let mut log = VerifyLog::new(opts.verify_dir.as_deref(), index)?;
     let mut labeler = Labeler::new(opts.seed, index as u64);
-    let tenant = format!("{}{index:03}", opts.tenant_prefix);
+    let tenant = format!("load{index:03}");
     let session = "s";
     let base = format!("/api/sessions/{session}");
     let query = format!("?tenant={tenant}");
@@ -368,12 +359,12 @@ fn run_labeler(opts: &LoadOptions, index: usize) -> io::Result<Tally> {
     let r = issue(&mut cx, "POST", "/api/sessions", Some(&create.to_string()));
     let mut concepts = match r.as_ref().filter(|r| r.status == 201).and_then(body_json) {
         Some(v) => {
-            log.write("open.traces", &seed_traces)?;
+            cx.tally.log.steps.push(Step::Open(seed_traces));
             v.get("concepts").and_then(Value::as_u64).unwrap_or(1) as usize
         }
         // Without a session every follow-up would 404; report what we
         // saw and stop this labeler.
-        None => return Ok(cx.tally),
+        None => return cx.tally,
     };
 
     // Learn the lattice top once — focus ops target it (its extent is
@@ -403,7 +394,7 @@ fn run_labeler(opts: &LoadOptions, index: usize) -> io::Result<Tally> {
                     Some(&body.to_string()),
                 );
                 if let Some(v) = r.as_ref().filter(|r| r.status == 200).and_then(body_json) {
-                    log.write("ingest.traces", traces)?;
+                    cx.tally.log.steps.push(Step::Ingest(traces.clone()));
                     if let Some(n) = v.get("concepts").and_then(Value::as_u64) {
                         concepts = n as usize;
                     }
@@ -427,7 +418,8 @@ fn run_labeler(opts: &LoadOptions, index: usize) -> io::Result<Tally> {
                     Some(&body.to_string()),
                 );
                 if r.as_ref().is_some_and(|r| r.status == 200) {
-                    log.write("label.script", &op.script_line().expect("label op"))?;
+                    let line = op.script_line().expect("a label op has a script line");
+                    cx.tally.log.steps.push(Step::Label(line));
                 }
             }
             Op::Lattice => {
@@ -451,35 +443,19 @@ fn run_labeler(opts: &LoadOptions, index: usize) -> io::Result<Tally> {
     }
 
     // The server's final word on this session, for the replay diff.
-    if let Some(v) = issue(&mut cx, "GET", &format!("{base}/digest{query}"), None)
+    cx.tally.log.digest = issue(&mut cx, "GET", &format!("{base}/digest{query}"), None)
         .as_ref()
         .filter(|r| r.status == 200)
-        .and_then(body_json)
-    {
-        log.write_digest(&v)?;
-    }
-    Ok(cx.tally)
+        .and_then(body_json);
+    cx.tally
 }
 
-/// Runs the whole fleet and merges the tallies.
-///
-/// # Errors
-///
-/// Fails only on verify-log I/O; HTTP-level failures are *counted*,
-/// not raised, so a sick server still yields a report to gate on.
-pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
-    if let Some(dir) = &opts.verify_dir {
-        std::fs::create_dir_all(dir)?;
-        let manifest = Value::object([
-            ("labelers", Value::from(opts.labelers as u64)),
-            ("requests", Value::from(opts.requests as u64)),
-            ("seed", Value::from(opts.seed)),
-            ("tenant_prefix", Value::from(opts.tenant_prefix.as_str())),
-        ]);
-        std::fs::write(dir.join("manifest.json"), format!("{manifest}\n"))?;
-    }
+/// Runs the whole fleet and merges the tallies. HTTP-level failures
+/// are *counted*, not raised, so a sick server still yields a report to
+/// gate on.
+pub fn run(opts: &LoadOptions) -> LoadReport {
     let start = Instant::now();
-    let tallies: Vec<io::Result<Tally>> = std::thread::scope(|scope| {
+    let tallies: Vec<Tally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.labelers)
             .map(|i| scope.spawn(move || run_labeler(opts, i)))
             .collect();
@@ -497,12 +473,13 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         degraded_503: 0,
         gave_up: 0,
         io_errors: 0,
+        first_5xx: None,
+        logs: Vec::with_capacity(tallies.len()),
         wall,
         retry_wait: Duration::ZERO,
         latencies: Vec::new(),
     };
-    for tally in tallies {
-        let t = tally?;
+    for t in tallies {
         report.requests += t.requests;
         report.ok += t.ok;
         report.errors_4xx += t.errors_4xx;
@@ -511,11 +488,13 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         report.degraded_503 += t.degraded_503;
         report.gave_up += t.gave_up;
         report.io_errors += t.io_errors;
+        report.first_5xx = report.first_5xx.or(t.first_5xx);
         report.retry_wait += t.retry_wait;
         report.latencies.extend(t.latencies);
+        report.logs.push(t.log);
     }
     report.latencies.sort_unstable();
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
@@ -533,6 +512,8 @@ mod tests {
             degraded_503: 0,
             gave_up: 0,
             io_errors: 0,
+            first_5xx: None,
+            logs: Vec::new(),
             wall: Duration::from_secs(2),
             retry_wait: Duration::ZERO,
             latencies,
@@ -562,6 +543,14 @@ mod tests {
         assert_eq!(v.get("retry_wait_ms").and_then(Value::as_u64), Some(0));
         assert!(v.get("p99_ms").and_then(Value::as_f64).unwrap() > 1.9);
         assert!((r.throughput_rps() - 5.0).abs() < 1e-9);
+        assert!(!r.render().contains("first 5xx"));
+        let failed = LoadReport {
+            first_5xx: Some("500 POST /api/sessions: boom".into()),
+            ..r
+        };
+        assert!(failed
+            .render()
+            .contains("load: first 5xx: 500 POST /api/sessions: boom\n"));
     }
 
     #[test]

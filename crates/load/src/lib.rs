@@ -6,12 +6,13 @@
 //! concepts / focus / digest requests over plain HTTP. The whole
 //! workload is a pure function of `(seed, labeler index)` via
 //! [`cable_util::rng::stream`], so a run is replayable bit-for-bit —
-//! and, because every *mutating* op is also written to a per-labeler
-//! op log (`--verify-dir`), a run can be replayed **sequentially
-//! through the `cable` CLI** and the resulting store digests compared
-//! against the server's. That equivalence (concurrent service run ≡
-//! sequential CLI replay, per session) is the determinism gate the CI
-//! service drill enforces.
+//! and, because [`run`] returns every mutation the server acknowledged
+//! ([`Step`]) with the server's final digest of each session
+//! ([`LabelerLog`]), a run can be replayed **sequentially** into fresh
+//! stores and the resulting digests compared against the server's.
+//! That equivalence (concurrent service run ≡ sequential replay, per
+//! session) is the determinism gate of the service and chaos drills
+//! (`cable-load drill service|chaos`).
 //!
 //! The driver reports throughput, error counts, and exact p50/p95/p99
 //! request latencies, and writes a JSONL file whose final record is
@@ -24,5 +25,5 @@ pub mod driver;
 pub mod plan;
 
 pub use client::{request, Response};
-pub use driver::{run, LoadOptions, LoadReport};
+pub use driver::{run, LabelerLog, LoadOptions, LoadReport, Step};
 pub use plan::{Labeler, Op};

@@ -11,7 +11,7 @@
 //! label or focus on) resolve that choice at issue time from the
 //! concept count the server reported — a pure function of the traces
 //! ingested so far, hence still deterministic. The resolved op is what
-//! lands in the verify log, so a CLI replay needs no re-resolution.
+//! lands in the run's step log, so a replay needs no re-resolution.
 
 use cable_util::rng::{self, Rng, SmallRng};
 
@@ -135,7 +135,7 @@ impl Labeler {
 
 impl Op {
     /// Whether the op mutates session state (and so must appear in the
-    /// verify log for CLI replay).
+    /// step log a replay applies).
     pub fn mutates(&self) -> bool {
         matches!(self, Op::Ingest { .. } | Op::Label { .. })
     }

@@ -1,21 +1,20 @@
 //! The in-process service drill: the load driver against a real
 //! server + API handler, then a sequential replay of every labeler's
-//! verify log, asserting the drill's two gates — zero server errors,
-//! and bit-identical session digests between the concurrent run and
-//! the sequential replay.
+//! acknowledged steps, asserting the drill's two gates — zero server
+//! errors, and bit-identical session digests between the concurrent run
+//! and the sequential replay.
 //!
-//! This is the same property `scripts/service_drill.sh` checks through
-//! the CLI in CI; here it runs in-process so `cargo test` covers it on
-//! every change.
+//! This is the property `cable-load drill service` checks against a
+//! `cable serve` process; here it runs on one in-process server so
+//! `cargo test` covers it on every change.
 
 use cable_core::digest::session_state_record;
-use cable_core::manager::{SessionKey, SessionManager};
+use cable_core::manager::{ManagerError, SessionKey, SessionManager};
 use cable_core::server::{ObsServer, ServerConfig};
-use cable_core::session::{CableSession, TraceSelector};
+use cable_core::session::{parse_script, CableSession};
 use cable_core::CableApi;
 use cable_fa::templates;
-use cable_fca::ConceptId;
-use cable_load::{run, LoadOptions};
+use cable_load::{run, LoadOptions, Step};
 use cable_obs::json::Value;
 use cable_trace::{Trace, TraceSet, Vocab};
 use std::path::Path;
@@ -28,65 +27,43 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Replays one labeler's verify log sequentially into a fresh store
-/// and returns the final digest record.
-fn replay(steps_dir: &Path, store_root: &Path, tenant: &str) -> Value {
+/// Replays one labeler's steps sequentially into a fresh store and
+/// returns the final digest record.
+fn replay(steps: &[Step], store_root: &Path, tenant: &str) -> Value {
     let manager = SessionManager::new(store_root, 4);
     let key = SessionKey::new(tenant, "s").unwrap();
-    let mut steps: Vec<_> = std::fs::read_dir(steps_dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("step-"))
-        })
-        .collect();
-    steps.sort();
     assert!(!steps.is_empty(), "no steps logged for {tenant}");
-    for step in &steps {
-        let name = step.file_name().unwrap().to_str().unwrap();
-        let content = std::fs::read_to_string(step).unwrap();
-        if name.ends_with("open.traces") {
-            let mut vocab = Vocab::new();
-            let traces = TraceSet::parse(&content, &mut vocab).unwrap();
-            let list: Vec<Trace> = traces.iter().map(|(_, t)| t.clone()).collect();
-            let fa = templates::unordered_of_trace_events(&list);
-            manager
-                .create(&key, CableSession::new(traces, fa), vocab)
-                .unwrap();
-        } else if name.ends_with("ingest.traces") {
-            manager
+    for step in steps {
+        match step {
+            Step::Open(text) => {
+                let mut vocab = Vocab::new();
+                let traces = TraceSet::parse(text, &mut vocab).unwrap();
+                let list: Vec<Trace> = traces.iter().map(|(_, t)| t.clone()).collect();
+                let fa = templates::unordered_of_trace_events(&list);
+                manager
+                    .create(&key, CableSession::new(traces, fa), vocab)
+                    .unwrap();
+            }
+            Step::Ingest(text) => manager
                 .with_session(&key, |stored| {
                     stored
-                        .ingest_text(&content, false)
-                        .map_err(cable_core::manager::ManagerError::Store)?;
+                        .ingest_text(text, false)
+                        .map_err(ManagerError::Store)?;
                     Ok(())
                 })
-                .unwrap();
-        } else if name.ends_with("label.script") {
-            // `label cN <all|unlabeled> <name>` — the syntax
-            // `cable label --script` parses.
-            let parts: Vec<&str> = content.split_whitespace().collect();
-            let [_, concept, selector, label] = parts.as_slice() else {
-                panic!("bad script line {content:?}");
-            };
-            let id = ConceptId(concept.strip_prefix('c').unwrap().parse().unwrap());
-            let selector = match *selector {
-                "all" => TraceSelector::All,
-                "unlabeled" => TraceSelector::Unlabeled,
-                other => panic!("unexpected selector {other:?}"),
-            };
-            manager
+                .unwrap(),
+            Step::Label(line) => manager
                 .with_session(&key, |stored| {
-                    stored
-                        .label_traces(id, &selector, label)
-                        .map_err(cable_core::manager::ManagerError::Store)?;
+                    let commands = parse_script(line, stored.session().lattice().len())
+                        .unwrap_or_else(|e| panic!("bad script line {line:?}: {e}"));
+                    for (id, selector, label) in commands {
+                        stored
+                            .label_traces(id, &selector, &label)
+                            .map_err(ManagerError::Store)?;
+                    }
                     Ok(())
                 })
-                .unwrap();
-        } else {
-            panic!("unexpected step file {name:?}");
+                .unwrap(),
         }
     }
     manager
@@ -97,7 +74,6 @@ fn replay(steps_dir: &Path, store_root: &Path, tenant: &str) -> Value {
 #[test]
 fn concurrent_run_replays_sequentially_to_identical_digests() {
     let root = tmp_dir("stores");
-    let verify = tmp_dir("verify");
 
     // A deliberately tight manager (4 slots for 6 labelers) so the
     // drill exercises eviction under concurrency, and a small worker
@@ -122,8 +98,7 @@ fn concurrent_run_replays_sequentially_to_identical_digests() {
     opts.labelers = 6;
     opts.requests = 12;
     opts.seed = 1234;
-    opts.verify_dir = Some(verify.clone());
-    let report = run(&opts).unwrap();
+    let report = run(&opts);
 
     // Gate 1: nothing 5xx'd, nothing broke at the transport level,
     // and the run actually did work.
@@ -139,20 +114,18 @@ fn concurrent_run_replays_sequentially_to_identical_digests() {
     assert_eq!(report.ok, report.requests);
 
     // Gate 2: every labeler's server-side digest equals a sequential
-    // replay of its logged ops into a fresh store.
-    for i in 0..opts.labelers {
-        let labeler_dir = verify.join(format!("labeler-{i:03}"));
-        let digest_text = std::fs::read_to_string(labeler_dir.join("digest.jsonl")).unwrap();
-        let server_digest = Value::parse(digest_text.trim()).unwrap();
+    // replay of its acknowledged steps into a fresh store.
+    assert_eq!(report.logs.len(), opts.labelers);
+    for (i, log) in report.logs.iter().enumerate() {
+        let server_digest = log.digest.as_ref().expect("the server answered the digest");
         let tenant = format!("load{i:03}");
-        let replayed = replay(&labeler_dir, &root.join(format!("replay-{i}")), &tenant);
+        let replayed = replay(&log.steps, &root.join(format!("replay-{i}")), &tenant);
         assert_eq!(
-            server_digest, replayed,
+            *server_digest, replayed,
             "labeler {i}: concurrent service run diverged from sequential replay"
         );
     }
 
     drop(guard);
     let _ = std::fs::remove_dir_all(&root);
-    let _ = std::fs::remove_dir_all(&verify);
 }

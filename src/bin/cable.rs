@@ -114,7 +114,7 @@
 use cable::fa::templates;
 use cable::prelude::*;
 use cable::session::server::{HealthInfo, ObsServer, ServerConfig};
-use cable::session::{StoredSession, TraceSelector};
+use cable::session::{parse_script, StoredSession, TraceSelector};
 use cable::trace::Vocab;
 use std::fs;
 use std::path::Path;
@@ -481,51 +481,6 @@ fn cluster(opts: &Opts) -> i32 {
     code
 }
 
-/// Parses a labeling script into `(concept, selector, label)` commands,
-/// validating concept ids against the lattice size.
-fn parse_script(
-    script: &str,
-    lattice_len: usize,
-) -> Vec<(cable::fca::ConceptId, TraceSelector, String)> {
-    let mut commands = Vec::new();
-    for (lineno, raw) in script.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with(';') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        match parts.as_slice() {
-            ["label", concept, selector, label_name] => {
-                let id = concept
-                    .strip_prefix('c')
-                    .and_then(|n| n.parse::<u32>().ok())
-                    .map(cable::fca::ConceptId)
-                    .filter(|id| id.index() < lattice_len)
-                    .unwrap_or_else(|| {
-                        die(&format!("line {}: unknown concept {concept:?}", lineno + 1))
-                    });
-                let selector = match *selector {
-                    "all" => TraceSelector::All,
-                    "unlabeled" => TraceSelector::Unlabeled,
-                    other => match other.strip_prefix("with:") {
-                        Some(name) => TraceSelector::WithLabel(name.to_owned()),
-                        None => die(&format!(
-                            "line {}: selector must be all, unlabeled or with:NAME",
-                            lineno + 1
-                        )),
-                    },
-                };
-                commands.push((id, selector, (*label_name).to_owned()));
-            }
-            _ => die(&format!(
-                "line {}: expected `label <concept> <selector> <name>`",
-                lineno + 1
-            )),
-        }
-    }
-    commands
-}
-
 /// Prints every trace with its final label and the per-label tallies;
 /// returns the exit code (3 when traces remain unlabeled).
 fn report_labels(session: &CableSession, vocab: &Vocab) -> i32 {
@@ -561,7 +516,9 @@ fn label(opts: &Opts) -> i32 {
         // is applied, so the labels survive a crash.
         let (mut stored, report) = open_store(dir);
         report_recovery(&report);
-        for (id, selector, name) in parse_script(&script, stored.session().lattice().len()) {
+        let commands =
+            parse_script(&script, stored.session().lattice().len()).unwrap_or_else(|e| die(&e));
+        for (id, selector, name) in commands {
             let n = stored
                 .label_traces(id, &selector, &name)
                 .unwrap_or_else(|e| die(&format!("journaling labels to {dir}: {e}")));
@@ -573,7 +530,8 @@ fn label(opts: &Opts) -> i32 {
     let traces = load_traces(opts, &mut vocab);
     let fa = reference_fa(opts, &traces, &mut vocab);
     let (mut session, code) = build_session(traces, fa);
-    for (id, selector, name) in parse_script(&script, session.lattice().len()) {
+    let commands = parse_script(&script, session.lattice().len()).unwrap_or_else(|e| die(&e));
+    for (id, selector, name) in commands {
         let n = session.label_traces(id, &selector, &name);
         eprintln!("labeled {n} classes in {id} as {name:?}");
     }

@@ -298,28 +298,13 @@ fn serve_exposes_metrics_and_health_over_http() {
 
     // Bare port 0: binds an ephemeral port on 127.0.0.1 and announces
     // the bound address on stdout.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cable"))
-        .args([
-            "serve",
-            "--obs-listen",
-            "0",
-            "--store",
-            store.to_str().unwrap(),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve starts");
-    let mut announce = String::new();
-    BufReader::new(child.stdout.take().unwrap())
-        .read_line(&mut announce)
-        .unwrap();
-    let addr = announce
-        .trim()
-        .strip_prefix("serving http://")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or_else(|| panic!("unexpected announcement {announce:?}"))
-        .to_owned();
+    let (mut child, addr) = spawn_serving(&[
+        "serve",
+        "--obs-listen",
+        "0",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
     assert!(
         addr.starts_with("127.0.0.1:"),
         "bare port binds localhost: {addr}"
@@ -330,6 +315,8 @@ fn serve_exposes_metrics_and_health_over_http() {
     assert!(body.contains("\"generation\":0"), "{body}");
     assert!(body.contains("\"journal_lag_bytes\""), "{body}");
     assert!(body.contains("\"journal_lag_records\""), "{body}");
+    assert!(body.contains("\"version\""), "{body}");
+    assert!(body.contains("\"uptime_seconds\""), "{body}");
 
     let (status, metrics) = http_get(&addr, "/metrics");
     assert!(status.contains("200"), "{status}");
@@ -960,6 +947,7 @@ fn serve_api_labels_sessions_end_to_end() {
         &format!("/api/sessions/s/focus?tenant=t1&concept={top}"),
     );
     assert!(status.contains("200"), "{status} {focus}");
+    assert!(focus.contains("\"concepts\""), "{focus}");
     let (status, digest) = http_get(&addr, "/api/sessions/s/digest?tenant=t1");
     assert!(status.contains("200"), "{status}");
     assert!(digest.contains("\"corpus_digest\""), "{digest}");

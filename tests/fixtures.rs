@@ -57,27 +57,12 @@ fn labeling_script_fixture_completes_the_session() {
     let list: Vec<Trace> = traces.iter().map(|(_, t)| t.clone()).collect();
     let fa = cable::fa::templates::unordered_of_trace_events(&list);
     let mut session = CableSession::new(traces, fa);
-    // Replay the script by hand (the CLI's `label` command does the
-    // same; this pins the fixture's concept ids).
-    for line in read("labeling.script").lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with(';') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        let [cmd, concept, selector, name] = parts.as_slice() else {
-            panic!("bad script line {line:?}");
-        };
-        assert_eq!(*cmd, "label");
-        let id = cable::fca::ConceptId(concept.strip_prefix('c').unwrap().parse().unwrap());
-        let selector = match *selector {
-            "all" => cable::session::TraceSelector::All,
-            "unlabeled" => cable::session::TraceSelector::Unlabeled,
-            other => cable::session::TraceSelector::WithLabel(
-                other.strip_prefix("with:").unwrap().to_owned(),
-            ),
-        };
-        session.label_traces(id, &selector, name);
+    // Replay the script through the parser `cable label --script` uses
+    // (this pins the fixture's concept ids).
+    let script = read("labeling.script");
+    let commands = cable::session::parse_script(&script, session.lattice().len()).unwrap();
+    for (id, selector, name) in commands {
+        session.label_traces(id, &selector, &name);
     }
     assert!(session.all_labeled(), "the script covers every trace");
     // And the labeling is the correct one.
