@@ -84,11 +84,13 @@ fn bench_spec_contexts() {
 /// observation on (span timing, the flight recorder and request traces
 /// all sit behind the one switch) must stay within a few percent of the
 /// disabled cost — counters are always on, so this isolates the span
-/// cost. The `obs-scoped` case layers the full scoped stack on top —
-/// wide events enabled plus a live scope taking the per-build
-/// accounting a real session does — and must also stay within noise of
-/// obs-off.
+/// cost. The `obs-events` case adds the wide-event log on top, plus the
+/// per-build accounting a stored session does through static handles,
+/// and must also stay within noise of obs-off.
 fn bench_obs_overhead() {
+    static BUILDS: cable_obs::CounterHandle = cable_obs::CounterHandle::new("bench.lattice.builds");
+    static BUILD_NS: cable_obs::HistogramHandle =
+        cable_obs::HistogramHandle::new("bench.lattice.build_ns");
     let mut group = Group::new("lattice/obs-overhead");
     let ctx = synthetic(24);
     cable_obs::set_enabled(false);
@@ -100,24 +102,19 @@ fn bench_obs_overhead() {
         black_box(ConceptLattice::build(black_box(&ctx)));
     });
     cable_obs::events::set_enabled(true);
-    let scope = cable_obs::scoped().open(&[("session", "bench"), ("stage", "lattice")]);
-    let scoped = group.bench("godin/obs-scoped", || {
+    let events = group.bench("godin/obs-events", || {
         let started = std::time::Instant::now();
         black_box(ConceptLattice::build(black_box(&ctx)));
-        scope.incr("bench.lattice.builds_scoped");
-        scope.record("bench.lattice.build_scoped_ns", {
-            let ns = started.elapsed().as_nanos();
-            u64::try_from(ns).unwrap_or(u64::MAX)
-        });
+        BUILDS.get().incr();
+        BUILD_NS.get().record_duration(started.elapsed());
     });
-    drop(scope);
     cable_obs::events::set_enabled(false);
     cable_obs::set_enabled(false);
     cable_obs::recorder::clear();
     println!(
-        "  overhead: spans {:+.2}%, spans+scope+events {:+.2}% (medians vs obs-off)",
+        "  overhead: spans {:+.2}%, spans+events {:+.2}% (medians vs obs-off)",
         (on.median_ns / off.median_ns - 1.0) * 100.0,
-        (scoped.median_ns / off.median_ns - 1.0) * 100.0
+        (events.median_ns / off.median_ns - 1.0) * 100.0
     );
     group.finish();
 }

@@ -594,8 +594,6 @@ fn main() {
     if stats {
         println!("{}", snap.render());
         print!("{}", cable_obs::chrome::render_profile(&profile));
-        let scopes = cable_obs::scoped().snapshot();
-        print!("{}", cable_obs::render_scopes(&scopes));
     }
 }
 

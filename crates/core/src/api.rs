@@ -71,7 +71,9 @@ pub enum Route {
 }
 
 impl Route {
-    const PER_SESSION: [Route; 7] = [
+    /// Every route: [`Route::Sessions`], then the per-session routes.
+    pub(crate) const ALL: [Route; 8] = [
+        Route::Sessions,
         Route::Ingest,
         Route::Label,
         Route::Recover,
@@ -106,8 +108,9 @@ impl Route {
             .collect();
         match segments.as_slice() {
             ["sessions"] => Some((Route::Sessions, "")),
-            ["sessions", id, verb] => Route::PER_SESSION
-                .into_iter()
+            ["sessions", id, verb] => Route::ALL[1..]
+                .iter()
+                .copied()
                 .find(|route| route.pattern().rsplit('/').next() == Some(verb))
                 .map(|route| (route, *id)),
             _ => None,

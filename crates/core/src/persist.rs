@@ -26,7 +26,7 @@ use crate::server::HealthInfo;
 use crate::session::CableSession;
 use cable_fa::Fa;
 use cable_fca::{Concept, ConceptLattice, Context};
-use cable_obs::{scoped, CounterHandle, Scope, Span, WideEvent};
+use cable_obs::{CounterHandle, HistogramHandle, Span, WideEvent};
 use cable_store::{JournalRecord, RecoveryReport, SnapshotData, Store, StoreError};
 use cable_trace::{Trace, TraceId, TraceSet, Vocab};
 use std::path::Path;
@@ -39,22 +39,14 @@ static RESUMES: CounterHandle = CounterHandle::new("core.session.resumes");
 /// Successful degraded-store recoveries through
 /// [`StoredSession::recover`].
 static RECOVERIES: CounterHandle = CounterHandle::new("core.session.recoveries");
-
-/// Opens the attribution scope for a stored session: `session` is the
-/// store directory's basename, `tenant` its parent directory's. Every
-/// metric the session writes through this scope rolls up into the
-/// global registry and exports as a labelled series on `/metrics`.
-fn session_scope(dir: &Path) -> Scope {
-    let name = |p: Option<&Path>| -> String {
-        p.and_then(Path::file_name)
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "-".to_owned())
-    };
-    scoped().open(&[
-        ("session", &name(Some(dir))),
-        ("tenant", &name(dir.parent())),
-    ])
-}
+/// Traces ingested through stored sessions.
+static TRACES_INGESTED: CounterHandle = CounterHandle::new("core.session.traces_ingested");
+/// Wall time of one stored ingest batch, parse to apply.
+static INGEST_NS: HistogramHandle = HistogramHandle::new("core.session.ingest_ns");
+/// Wall time of one resume: snapshot decode plus journal replay.
+static RESUME_NS: HistogramHandle = HistogramHandle::new("core.session.resume_ns");
+/// Compactions attempted on stored sessions.
+static COMPACTIONS: CounterHandle = CounterHandle::new("core.session.compactions");
 
 impl CableSession {
     /// Captures the session as a snapshot at `generation`.
@@ -159,20 +151,17 @@ impl CableSession {
         let store = Store::create(dir, &self.to_snapshot(&vocab, 0))?;
         SAVES.get().incr();
         cable_obs::recorder::instant("core.session.save");
-        let scope = session_scope(dir);
-        scope.incr("core.session.saves_scoped");
-        cable_obs::events::emit(
-            WideEvent::new("session_save", scope.label("session").unwrap_or("-"))
-                .stage("save")
-                .tenant(scope.label("tenant").unwrap_or("-"))
-                .field("traces", self.traces().len() as u64),
-        );
-        Ok(StoredSession {
+        let stored = StoredSession {
             session: self,
             vocab,
             store,
-            scope,
-        })
+        };
+        cable_obs::events::emit(
+            stored
+                .event("session_save", "save")
+                .field("traces", stored.session.traces().len() as u64),
+        );
+        Ok(stored)
     }
 
     /// Opens a saved session: decodes the snapshot, rebuilds the
@@ -192,15 +181,11 @@ impl CableSession {
             session,
             vocab,
             store,
-            scope: session_scope(dir),
         };
         stored.apply(&records)?;
         RESUMES.get().incr();
         cable_obs::recorder::instant("core.session.resume");
-        stored.scope.incr("core.session.resumes_scoped");
-        stored
-            .scope
-            .record_duration("core.session.resume_ns", started.elapsed());
+        RESUME_NS.get().record_duration(started.elapsed());
         cable_obs::events::emit(
             stored
                 .event("session_resume", "resume")
@@ -240,7 +225,6 @@ pub struct StoredSession {
     session: CableSession,
     vocab: Vocab,
     store: Store,
-    scope: Scope,
 }
 
 impl StoredSession {
@@ -249,16 +233,18 @@ impl StoredSession {
         &self.session
     }
 
-    /// The session's attribution scope (see [`cable_obs::scope`]).
-    pub fn scope(&self) -> &Scope {
-        &self.scope
-    }
-
-    /// Starts a wide event carrying this session's scope identity.
+    /// Starts a wide event naming this session: its `scope` is the
+    /// store directory's basename and its `tenant` the parent
+    /// directory's.
     fn event(&self, kind: &'static str, stage: &'static str) -> WideEvent {
-        WideEvent::new(kind, self.scope.label("session").unwrap_or("-"))
+        let name = |p: Option<&Path>| {
+            p.and_then(Path::file_name)
+                .map_or_else(|| "-".to_owned(), |n| n.to_string_lossy().into_owned())
+        };
+        let dir = self.store.dir();
+        WideEvent::new(kind, name(Some(dir)))
             .stage(stage)
-            .tenant(self.scope.label("tenant").unwrap_or("-"))
+            .tenant(name(dir.parent()))
     }
 
     /// The vocabulary the session is interned against.
@@ -309,7 +295,6 @@ impl StoredSession {
         let result = self.store.recover(&data);
         if result.is_ok() {
             RECOVERIES.get().incr();
-            self.scope.incr("core.session.recoveries_scoped");
         }
         cable_obs::events::emit(
             self.event("session_recover", "recover")
@@ -356,10 +341,13 @@ impl StoredSession {
     }
 
     /// Parses `text` as a trace set and ingests every trace: journals
-    /// each one (as its canonical display line), fsyncs, then absorbs
-    /// the batch through the incremental insert path. With `sync_each`
-    /// every trace is fsynced and applied individually, so a crash
-    /// loses at most the trace being written.
+    /// the whole batch (each trace as its canonical display line), then
+    /// absorbs it through the incremental insert path. Without
+    /// `sync_each` the batch is fsynced once, after its last record;
+    /// with it every record is fsynced as it is written, so a crash
+    /// mid-batch loses at most the record being written (a reopen
+    /// replays the durable prefix). Either way nothing is applied until
+    /// the whole batch is journaled.
     ///
     /// Returns, per trace, its id and whether it founded a new
     /// identical class.
@@ -367,19 +355,18 @@ impl StoredSession {
     /// # Errors
     ///
     /// Fails on a parse error (with the 1-based line number) or I/O
-    /// errors. On an I/O failure partway through `sync_each` ingestion,
-    /// the journal and session stay in step: every record journaled so
-    /// far has been applied.
+    /// errors. A batch that fails partway through journaling is
+    /// truncated back off the journal and applies nothing, so the
+    /// journal and session both stay at the last acknowledged state.
     pub fn ingest_text(
         &mut self,
         text: &str,
         sync_each: bool,
     ) -> Result<Vec<(TraceId, bool)>, StoreError> {
         let started = Instant::now();
-        let before = self.scope.snapshot().metrics;
         let result = self.ingest_text_inner(text, sync_each);
         let ingested = result.as_ref().map(Vec::len).unwrap_or(0);
-        self.ingest_event(started, &before, ingested, 0, result.is_ok());
+        self.ingest_event(started, ingested, 0, result.is_ok());
         result
     }
 
@@ -393,18 +380,25 @@ impl StoredSession {
             TraceSet::parse(text, &mut self.vocab)
         }
         .map_err(|e| StoreError::format(e.to_string()))?;
-        let traces: Vec<Trace> = batch.iter().map(|(_, t)| t.clone()).collect();
+        self.journal_then_apply(batch.iter().map(|(_, t)| t.clone()).collect(), sync_each)
+    }
+
+    /// The write-ahead step both ingestion paths share: journals the
+    /// whole batch, then applies it. A mid-batch failure (guard trip or
+    /// degraded disk) must leave the in-memory session exactly at the
+    /// acknowledged state — recovery republishes memory as truth, and
+    /// the client will retry the entire batch it was never acked.
+    /// `append_all` truncates the failed batch off the journal too, so
+    /// it cannot resurrect through a later reopen either.
+    fn journal_then_apply(
+        &mut self,
+        traces: Vec<Trace>,
+        sync_each: bool,
+    ) -> Result<Vec<(TraceId, bool)>, StoreError> {
         let records: Vec<JournalRecord> = traces
             .iter()
             .map(|t| JournalRecord::Trace(t.display(&self.vocab).to_string()))
             .collect();
-        // Journal the whole batch before applying any of it: a mid-batch
-        // failure (guard trip or degraded disk) must leave the in-memory
-        // session exactly at the acknowledged state — recovery
-        // republishes memory as truth, and the client will retry the
-        // entire batch it was never acked. `append_all` rolls the
-        // journal file back too, so the failed batch cannot resurrect
-        // through a later reopen either.
         cable_guard::checkpoint("core.persist.ingest")?;
         self.store.append_all(&records, sync_each)?;
         Ok(self.session.push_traces(traces))
@@ -426,13 +420,12 @@ impl StoredSession {
         sync_each: bool,
     ) -> Result<IngestReport, StoreError> {
         let started = Instant::now();
-        let before = self.scope.snapshot().metrics;
         let result = self.ingest_keep_going_inner(text, sync_each);
         let (ingested, parse_errors) = result
             .as_ref()
             .map(|r| (r.results.len(), r.errors.len()))
             .unwrap_or((0, 0));
-        self.ingest_event(started, &before, ingested, parse_errors, result.is_ok());
+        self.ingest_event(started, ingested, parse_errors, result.is_ok());
         result
     }
 
@@ -455,42 +448,21 @@ impl StoredSession {
             }
         }
         drop(parse_span);
-        let records: Vec<JournalRecord> = traces
-            .iter()
-            .map(|t| JournalRecord::Trace(t.display(&self.vocab).to_string()))
-            .collect();
-        // Same batch-atomicity discipline as the strict path: journal
-        // everything, then apply everything, so a failure applies
-        // nothing.
-        cable_guard::checkpoint("core.persist.ingest")?;
-        self.store.append_all(&records, sync_each)?;
-        let results = self.session.push_traces(traces);
+        let results = self.journal_then_apply(traces, sync_each)?;
         Ok(IngestReport { results, errors })
     }
 
-    /// Scope accounting plus the `ingest_batch` wide event shared by
-    /// both ingestion paths. The event carries this scope's counter
-    /// deltas over the batch, so one record tells the whole story.
-    fn ingest_event(
-        &self,
-        started: Instant,
-        before: &cable_obs::Snapshot,
-        ingested: usize,
-        parse_errors: usize,
-        ok: bool,
-    ) {
-        self.scope
-            .add("core.session.traces_ingested", ingested as u64);
-        self.scope
-            .record_duration("core.session.ingest_ns", started.elapsed());
-        let delta = self.scope.snapshot().metrics.delta_since(before);
+    /// The accounting and `ingest_batch` wide event shared by both
+    /// ingestion paths.
+    fn ingest_event(&self, started: Instant, ingested: usize, parse_errors: usize, ok: bool) {
+        TRACES_INGESTED.get().add(ingested as u64);
+        INGEST_NS.get().record_duration(started.elapsed());
         cable_obs::events::emit(
             self.event("ingest_batch", "ingest")
                 .outcome(if ok { "ok" } else { "error" })
                 .duration(started.elapsed())
                 .field("traces", ingested as u64)
-                .field("parse_errors", parse_errors as u64)
-                .deltas(&delta),
+                .field("parse_errors", parse_errors as u64),
         );
     }
 
@@ -519,13 +491,8 @@ impl StoredSession {
             .collect();
         let appended = self.store.append_all(&records, false);
         if appended.is_ok() {
-            for &c in &selected {
-                self.session.set_class_label(c, label);
-            }
+            self.session.apply_label(&selected, label);
         }
-        self.scope.incr("core.session.label_ops");
-        self.scope
-            .add("core.session.classes_labeled", selected.len() as u64);
         cable_obs::events::emit(
             self.event("label_op", "label")
                 .outcome(if appended.is_ok() { "ok" } else { "error" })
@@ -550,7 +517,7 @@ impl StoredSession {
             .session
             .to_snapshot(&self.vocab, self.store.generation() + 1);
         let result = self.store.compact(&data);
-        self.scope.incr("core.session.compactions");
+        COMPACTIONS.get().incr();
         cable_obs::events::emit(
             self.event("compact", "compact")
                 .outcome(if result.is_ok() { "ok" } else { "error" })

@@ -6,11 +6,11 @@
 //! Every parsed request is minted a [`TraceCtx`] (seeded by
 //! [`ServerConfig::trace_seed`], sequence-numbered per request by the
 //! server) and handled under a request root span. The server owns what
-//! it files each finished request under: its per-route latency scopes
-//! (the `http_request_us` family) and its tail store. All of them, and
-//! the request's wide event, are keyed by a bounded route label — an
-//! exposition path, a [`Route`] pattern, or `other` — never by the raw
-//! path a client sent.
+//! it files each finished request under: its per-route latency
+//! histograms (the `http_request_us` family) and its tail store. Both,
+//! and the request's wide event, are keyed by a bounded route label —
+//! an exposition path, a [`Route`] pattern, or `other` — never by the
+//! raw path a client sent.
 //!
 //! # Tail-based retention
 //!
@@ -46,11 +46,12 @@ use crate::api::Route;
 use cable_obs::context::{self, FinishedTrace, SpanRec, TraceCtx};
 use cable_obs::events::{self, WideEvent};
 use cable_obs::json::Value;
-use cable_obs::{chrome, prom, recorder, registry, scoped, slo};
+use cable_obs::{chrome, prom, recorder, registry, slo};
 use cable_obs::{
-    ApiHandler, ApiRequest, ApiResponse, CounterHandle, HistogramHandle, Scope, RETRY_AFTER_SECONDS,
+    ApiHandler, ApiRequest, ApiResponse, CounterHandle, Histogram, HistogramHandle,
+    RETRY_AFTER_SECONDS,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -74,6 +75,9 @@ static QUEUED: CounterHandle = CounterHandle::new("obs.http.queued");
 /// worker picked them up, microseconds — the queue half of the
 /// `/metrics` contention families.
 static WAIT_QUEUE: HistogramHandle = HistogramHandle::new("wait.queue.us");
+/// Request wall time, microseconds, over every route of every server in
+/// the process; each server also keeps one histogram per route label.
+static REQUEST_US: HistogramHandle = HistogramHandle::new("http.request.us");
 
 /// Ceiling on request line + header bytes a connection may send.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
@@ -218,11 +222,9 @@ struct Plane {
     connection_deadline: Duration,
     /// Finished request traces, retained by the tail rule.
     tail: TailStore,
-    /// One latency scope per route label, opened on its first request
-    /// and held for the server's life: per-request open/drop would churn
-    /// the bounded retired-scope ring and lose the live series between
-    /// scrapes.
-    scopes: Mutex<HashMap<&'static str, Scope>>,
+    /// One latency histogram per route label, fixed at bind: the
+    /// `http_request_us_summary{route=…}` series of this server alone.
+    routes: Vec<(&'static str, Histogram)>,
 }
 
 impl ObsServer {
@@ -267,7 +269,13 @@ impl ObsServer {
                 io_timeout: IO_TIMEOUT,
                 connection_deadline: CONNECTION_DEADLINE,
                 tail: TailStore::new(config.trace_slow_us),
-                scopes: Mutex::new(HashMap::new()),
+                routes: EXPOSITION
+                    .iter()
+                    .map(|(path, _)| *path)
+                    .chain(Route::ALL.map(Route::pattern))
+                    .chain(["other"])
+                    .map(|label| (label, Histogram::new()))
+                    .collect(),
             },
         })
     }
@@ -561,7 +569,7 @@ fn abort_unfinished_read(reader: BufReader<DeadlineStream>, deadline: Instant) {
     }
 }
 
-/// The bounded label a request is filed under — its latency scope,
+/// The bounded label a request is filed under — its latency histogram,
 /// tail summary and SLO window: an exposition path, an `/api/` route
 /// pattern with the session id collapsed to `:id`, or `other`.
 fn route_label(path: &str) -> &'static str {
@@ -740,22 +748,32 @@ impl Plane {
         }
     }
 
-    /// Records one request into the per-route HTTP latency family
+    /// Records one request into the HTTP latency family: the global
+    /// `http.request.us` and this server's series for its route label
     /// (`http_request_us_summary{route="..."}` on `/metrics`).
-    fn record_route_latency(&self, label: &'static str, us: u64) {
-        let mut scopes = self.scopes.lock().expect("obs route scopes poisoned");
-        scopes
-            .entry(label)
-            .or_insert_with(|| scoped().open(&[("route", label)]))
-            .record("http.request.us", us);
+    fn record_route_latency(&self, label: &str, us: u64) {
+        REQUEST_US.get().record(us);
+        if let Some((_, hist)) = self.routes.iter().find(|(route, _)| *route == label) {
+            hist.record(us);
+        }
     }
 
     fn metrics(&self, query: Option<&str>) -> Result<ApiResponse, String> {
         parse_limit(query, 0)?;
+        let routes: Vec<prom::Labelled> = self
+            .routes
+            .iter()
+            .map(|(route, hist)| prom::Labelled {
+                name: REQUEST_US.name(),
+                label: ("route", route),
+                hist: hist.snapshot(),
+            })
+            .filter(|series| series.hist.count > 0)
+            .collect();
         Ok(ApiResponse {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: prom::encode_full(&registry().snapshot(), &scoped().snapshot()),
+            body: prom::encode_full(&registry().snapshot(), &routes),
             retry_after: None,
         })
     }
@@ -1702,9 +1720,9 @@ mod tests {
     fn metrics_exports_per_route_latency_and_queue_wait_families() {
         let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
         let addr = guard.addr();
-        // One request to /healthz populates its route scope; the next
-        // /metrics scrape must show the labelled family and the queue
-        // wait histogram.
+        // One request to /healthz populates its route histogram; the
+        // next /metrics scrape must show the labelled family and the
+        // queue wait histogram.
         let _ = get(addr, "/healthz");
         let (_, body) = get(addr, "/metrics");
         assert!(
@@ -1713,6 +1731,26 @@ mod tests {
         );
         assert!(body.contains("wait_queue_us_bucket"), "{body}");
         drop(guard);
+    }
+
+    #[test]
+    fn each_server_exports_only_its_own_route_series() {
+        let guards = [
+            ObsServer::bind("0").expect("bind ephemeral").spawn(),
+            ObsServer::bind("0").expect("bind ephemeral").spawn(),
+        ];
+        for guard in &guards {
+            let (status, _) = get(guard.addr(), "/healthz");
+            assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        }
+        for guard in &guards {
+            let (_, body) = get(guard.addr(), "/metrics");
+            let own = body
+                .lines()
+                .filter(|line| *line == "http_request_us_summary_count{route=\"/healthz\"} 1")
+                .count();
+            assert_eq!(own, 1, "{body}");
+        }
     }
 
     #[test]

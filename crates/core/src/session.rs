@@ -364,12 +364,20 @@ impl CableSession {
         label: &str,
     ) -> usize {
         let selected = self.select(concept, selector);
-        for &c in &selected {
+        self.apply_label(&selected, label);
+        selected.len()
+    }
+
+    /// Applies one label op to `classes` and counts it: one
+    /// `core.session.label_ops`, and `core.session.classes_labeled` by
+    /// the classes applied. Shared by the in-memory and the stored
+    /// label paths, so an op counts once whichever path applies it.
+    pub(crate) fn apply_label(&mut self, classes: &[usize], label: &str) {
+        for &c in classes {
             self.labels.set(c, label);
         }
         LABEL_OPS.get().incr();
-        CLASSES_LABELED.get().add(selected.len() as u64);
-        selected.len()
+        CLASSES_LABELED.get().add(classes.len() as u64);
     }
 
     /// Removes every label — used when re-running strategies.
@@ -518,14 +526,14 @@ impl CableSession {
     /// Directly labels one class by index — the replay entry point for
     /// persisted label decisions, which journal as `(class, name)`
     /// pairs rather than concept selections so they apply regardless of
-    /// how the lattice has grown since.
+    /// how the lattice has grown since. A restore counts nothing: the
+    /// label op was counted when it was made.
     ///
     /// # Panics
     ///
     /// Panics if `class` is out of range.
     pub fn set_class_label(&mut self, class: usize, name: &str) {
         self.labels.set(class, name);
-        CLASSES_LABELED.get().incr();
     }
 
     /// Reassembles a session from persisted parts, skipping every

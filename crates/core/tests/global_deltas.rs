@@ -9,7 +9,7 @@
 //! while one of them measures.
 
 use cable_core::server::ObsServer;
-use cable_core::CableSession;
+use cable_core::{CableSession, TraceSelector};
 use cable_fa::{templates, Fa};
 use cable_trace::{Trace, TraceSet, Vocab};
 use std::io::{Read as _, Write as _};
@@ -138,6 +138,40 @@ fn ingest_journals_then_extends_incrementally() {
     assert_eq!(report.replayed, 2);
     let (full, _) = build(&format!("{CORPUS}{fresh}"));
     assert_sessions_equal(&full, reopened.session());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A stored label op counts like an in-memory one — one op, one count
+/// per class applied — and a reopen, which restores labels from the
+/// journal, counts nothing.
+#[test]
+fn stored_label_ops_count_once_and_restores_not_at_all() {
+    let _serial = serial();
+    let dir = tmp_dir("label-count");
+    let (session, vocab) = build(CORPUS);
+    let mut stored = session.save(vocab, &dir).unwrap();
+    let top = stored.session().lattice().top();
+
+    let before = cable_obs::registry().snapshot();
+    let labeled = stored
+        .label_traces(top, &TraceSelector::All, "seen")
+        .unwrap();
+    let delta = cable_obs::registry().snapshot().delta_since(&before);
+    assert_eq!(labeled, 4);
+    assert_eq!(delta.counter("core.session.label_ops"), Some(1));
+    assert_eq!(delta.counter("core.session.classes_labeled"), Some(4));
+
+    drop(stored);
+    let before = cable_obs::registry().snapshot();
+    let (reopened, report) = CableSession::open(&dir).unwrap();
+    let delta = cable_obs::registry().snapshot().delta_since(&before);
+    assert_eq!(report.replayed, 4);
+    assert!(reopened.session().all_labeled());
+    assert_eq!(delta.counter("core.session.label_ops").unwrap_or(0), 0);
+    assert_eq!(
+        delta.counter("core.session.classes_labeled").unwrap_or(0),
+        0
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

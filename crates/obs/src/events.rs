@@ -4,8 +4,8 @@
 //! Counters say *how much*, the recorder says *when*; wide events say
 //! *what happened*: one record per ingest batch, parallel stage, label
 //! op, HTTP request, budget trip, or contained panic, carrying the
-//! scope id, the stage, the outcome, the duration, and whatever counter
-//! deltas the emitter attributes to that unit. This is the canonical
+//! scope id, the stage, the outcome, the duration, and whatever counts
+//! the emitter attributes to that unit. This is the canonical
 //! log-line pattern — instead of ten interleaved log lines per request,
 //! one record that can be filtered and aggregated after the fact.
 //!
@@ -23,8 +23,7 @@
 //! * `ts_ms` / `uptime_ns`: wall-clock and monotonic stamps — *timing*
 //!   fields, stripped by `reproduce diff` like every other timing field.
 //!
-//! Optional common fields: `stage`, `tenant`, `duration_ns`, and a
-//! `deltas` object of counter increments attributed to the unit. Any
+//! Optional common fields: `stage`, `tenant` and `duration_ns`. Any
 //! further key/value pairs ride along (the "wide" part).
 //! [`check_schema`] is the contract test — CI runs it over every event a
 //! quick `reproduce` run emits.
@@ -158,21 +157,6 @@ impl WideEvent {
     /// Attaches an extra field (the "wide" part: counts, sizes, paths).
     pub fn field(mut self, key: &'static str, value: impl Into<Value>) -> WideEvent {
         self.fields.push((key, value.into()));
-        self
-    }
-
-    /// Attaches the non-zero counters of a snapshot delta as the
-    /// `deltas` object — the counter increments this unit caused.
-    pub fn deltas(mut self, delta: &crate::registry::Snapshot) -> WideEvent {
-        let nonzero: std::collections::BTreeMap<String, Value> = delta
-            .counters
-            .iter()
-            .filter(|(_, &v)| v > 0)
-            .map(|(k, &v)| (k.clone(), Value::from(v)))
-            .collect();
-        if !nonzero.is_empty() {
-            self.fields.push(("deltas", Value::Object(nonzero)));
-        }
         self
     }
 
@@ -378,24 +362,6 @@ mod tests {
         );
         // `recent` limits from the tail.
         assert_eq!(recent(3).len(), 3);
-        clear_ring();
-    }
-
-    #[test]
-    fn deltas_attach_only_nonzero_counters() {
-        let _l = lock();
-        let reg = crate::registry::Registry::default();
-        reg.counter("ev.delta.work").add(4);
-        reg.counter("ev.delta.idle"); // stays zero
-        let delta = reg.snapshot();
-        set_enabled(true);
-        clear_ring();
-        emit(WideEvent::new("delta_test", "t").deltas(&delta));
-        set_enabled(false);
-        let events = recent(1);
-        let deltas = events[0].get("deltas").expect("deltas object");
-        assert_eq!(deltas.get("ev.delta.work").and_then(Value::as_u64), Some(4));
-        assert!(deltas.get("ev.delta.idle").is_none());
         clear_ring();
     }
 

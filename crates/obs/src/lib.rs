@@ -26,14 +26,12 @@
 //!   marks), overflow tracked under `obs.recorder.dropped`;
 //! * [`chrome`] — Chrome trace-event JSON export of the recorder (one
 //!   lane per thread, loadable in Perfetto) and the self-time profile;
-//! * [`prom`] — Prometheus text exposition of the registry (the
-//!   `/metrics` body);
+//! * [`prom`] — Prometheus text exposition of the registry, plus
+//!   labelled histogram series a caller owns (the `/metrics` body);
 //! * [`ApiHandler`] / [`ApiRequest`] / [`ApiResponse`] — the seam between
 //!   an HTTP server and the session service it hosts. The server itself
 //!   (`--obs-listen`: `/metrics`, `/healthz`, `/tracez`, `/eventz`,
 //!   `/sloz`, `/api/`) lives in `cable-core`, next to the service;
-//! * [`scope`] — per-session/per-tenant [`Scope`]s whose writes roll up
-//!   into the global registry and export as labelled series;
 //! * [`events`] — the wide-event log: one self-describing JSONL record
 //!   per unit of work, ring-buffered for `/eventz` and persisted via
 //!   `--events-out`;
@@ -79,7 +77,6 @@ pub mod prom;
 pub mod recorder;
 mod registry;
 mod report;
-pub mod scope;
 mod sink;
 pub mod slo;
 mod span;
@@ -91,7 +88,6 @@ pub use context::{
 pub use events::WideEvent;
 pub use metrics::{Counter, CounterHandle, Histogram, HistogramHandle, HistogramSnapshot, BUCKETS};
 pub use registry::{registry, Registry, Snapshot};
-pub use scope::{render_scopes, scoped, Scope, ScopeSnapshot, ScopedRegistry};
 pub use sink::{parse_jsonl, JsonlSink};
 pub use span::Span;
 

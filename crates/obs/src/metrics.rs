@@ -282,7 +282,7 @@ impl HistogramHandle {
     }
 
     /// The metric name the histogram registers under.
-    pub(crate) fn name(&self) -> &'static str {
+    pub fn name(&self) -> &'static str {
         self.name
     }
 }

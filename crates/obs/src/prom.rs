@@ -9,76 +9,49 @@
 //! distinct `<name>_summary` family because Prometheus forbids one
 //! family exposing both bucket and quantile series.
 //!
+//! Both encoders also merge [`Labelled`] histogram series that a caller
+//! keeps outside the registry (the server's per-route latencies) into
+//! the summary family they belong to.
+//!
 //! Metric names are sanitized (`.` and any other non-`[a-zA-Z0-9_:]`
 //! byte become `_`) so registry names like `par.tasks` export as
 //! `par_tasks`.
 
 use crate::metrics::HistogramSnapshot;
 use crate::registry::Snapshot;
-use crate::scope::ScopeSnapshot;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Quantiles exposed in each histogram's companion summary family.
 pub const SUMMARY_QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
 
-/// Renders the whole snapshot as Prometheus text exposition.
-pub fn encode(snapshot: &Snapshot) -> String {
-    encode_with_scopes(snapshot, &[])
+/// One labelled histogram series kept outside the registry (the
+/// server's per-route latencies): its summary lines join the family of
+/// the registry histogram `name` under `key="value"`.
+#[derive(Debug, Clone)]
+pub struct Labelled<'a> {
+    /// The registry name of the family it joins (`http.request.us`).
+    pub name: &'a str,
+    /// The label dimension and its value (`("route", "/healthz")`).
+    pub label: (&'a str, &'a str),
+    /// The series' samples.
+    pub hist: HistogramSnapshot,
 }
 
-/// [`encode`] plus per-scope labelled series: each live scope's
-/// counters and histogram summaries join their metric's family as
-/// series labelled with the scope's dimensions (`name{session="…"} v`),
-/// so one Prometheus family carries the global total and its per-scope
-/// breakdown side by side. Only live scopes export — retired scopes
-/// would otherwise pin stale series forever.
-pub fn encode_with_scopes(snapshot: &Snapshot, scopes: &[ScopeSnapshot]) -> String {
-    // Scope series grouped per metric name, in scope-id order.
-    let mut scoped_counters: BTreeMap<&str, Vec<(String, u64)>> = BTreeMap::new();
-    let mut scoped_histograms: BTreeMap<&str, Vec<(String, &HistogramSnapshot)>> = BTreeMap::new();
-    for scope in scopes.iter().filter(|s| s.live) {
-        let labels = label_set(&scope.labels);
-        for (name, &value) in &scope.metrics.counters {
-            scoped_counters
-                .entry(name)
-                .or_default()
-                .push((labels.clone(), value));
-        }
-        for (name, hist) in &scope.metrics.histograms {
-            scoped_histograms
-                .entry(name)
-                .or_default()
-                .push((labels.clone(), hist));
-        }
-    }
+/// Renders the whole snapshot as Prometheus text exposition, with the
+/// `labelled` series merged into their families, so one family carries
+/// the global total and its labelled breakdown side by side. A series
+/// joins the registry histogram it names; its owner records that
+/// histogram too, so the family is always there.
+pub fn encode(snapshot: &Snapshot, labelled: &[Labelled]) -> String {
     let mut out = String::new();
     for (name, &value) in &snapshot.counters {
-        let series = scoped_counters.remove(name.as_str()).unwrap_or_default();
         let name = sanitize(name);
         let _ = writeln!(out, "# TYPE {name} counter");
         let _ = writeln!(out, "{name} {value}");
-        for (labels, v) in series {
-            let _ = writeln!(out, "{name}{{{labels}}} {v}");
-        }
-    }
-    // Scoped counters with no global series should be impossible under
-    // write-through, but a family must not silently vanish if one shows
-    // up (e.g. a scope outliving a registry reset).
-    for (name, series) in scoped_counters {
-        let name = sanitize(name);
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (labels, v) in series {
-            let _ = writeln!(out, "{name}{{{labels}}} {v}");
-        }
     }
     for (name, hist) in &snapshot.histograms {
-        let series = scoped_histograms.remove(name.as_str()).unwrap_or_default();
+        let series: Vec<&Labelled> = labelled.iter().filter(|s| s.name == name).collect();
         encode_histogram(&mut out, &sanitize(name), hist, &series);
-    }
-    for (name, series) in scoped_histograms {
-        let zero = HistogramSnapshot::from_nonzero_buckets(&[], 0, 0, 0);
-        encode_histogram(&mut out, &sanitize(name), &zero, &series);
     }
     out
 }
@@ -87,7 +60,7 @@ fn encode_histogram(
     out: &mut String,
     name: &str,
     hist: &HistogramSnapshot,
-    scoped: &[(String, &HistogramSnapshot)],
+    labelled: &[&Labelled],
 ) {
     let _ = writeln!(out, "# TYPE {name} histogram");
     let mut cumulative = 0u64;
@@ -113,25 +86,31 @@ fn encode_histogram(
     }
     let _ = writeln!(out, "{name}_summary_sum {}", hist.sum);
     let _ = writeln!(out, "{name}_summary_count {}", hist.count);
-    // Per-scope breakdown rides the summary family (quantile series can
-    // carry extra label dimensions; bucket series would need per-scope
+    // Labelled series ride the summary family (quantile series can
+    // carry extra label dimensions; bucket series would need per-label
     // cumulative merging for no operational gain).
-    for (labels, hist) in scoped {
+    for series in labelled {
+        let (key, value) = series.label;
+        let labels = format!("{}=\"{}\"", sanitize(key), escape_label(value));
         for q in SUMMARY_QUANTILES {
             let _ = writeln!(
                 out,
                 "{name}_summary{{{labels},quantile=\"{q}\"}} {}",
-                fmt_f64(hist.quantile_estimate(q))
+                fmt_f64(series.hist.quantile_estimate(q))
             );
         }
-        let _ = writeln!(out, "{name}_summary_sum{{{labels}}} {}", hist.sum);
-        let _ = writeln!(out, "{name}_summary_count{{{labels}}} {}", hist.count);
+        let _ = writeln!(out, "{name}_summary_sum{{{labels}}} {}", series.hist.sum);
+        let _ = writeln!(
+            out,
+            "{name}_summary_count{{{labels}}} {}",
+            series.hist.count
+        );
     }
 }
 
 /// The `/metrics` body: build identity and uptime gauges, then the
-/// global families with per-scope labelled series merged in.
-pub fn encode_full(snapshot: &Snapshot, scopes: &[ScopeSnapshot]) -> String {
+/// global families with the `labelled` series merged in.
+pub fn encode_full(snapshot: &Snapshot, labelled: &[Labelled]) -> String {
     let info = crate::build_info();
     let mut out = String::new();
     let _ = writeln!(out, "# TYPE cable_build_info gauge");
@@ -144,20 +123,7 @@ pub fn encode_full(snapshot: &Snapshot, scopes: &[ScopeSnapshot]) -> String {
     );
     let _ = writeln!(out, "# TYPE uptime_seconds gauge");
     let _ = writeln!(out, "uptime_seconds {}", crate::uptime_seconds());
-    out.push_str(&encode_with_scopes(snapshot, scopes));
-    out
-}
-
-/// Renders scope labels as a Prometheus label set (`k="v",…`), with
-/// keys sanitized like metric names and values escaped.
-fn label_set(labels: &[(String, String)]) -> String {
-    let mut out = String::new();
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}=\"{}\"", sanitize(k), escape_label(v));
-    }
+    out.push_str(&encode(snapshot, labelled));
     out
 }
 
@@ -205,6 +171,7 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Histogram;
     use crate::registry::Registry;
 
     #[test]
@@ -223,7 +190,7 @@ mod tests {
         for v in [1u64, 2, 3, 100] {
             h.record(v);
         }
-        let text = encode(&r.snapshot());
+        let text = encode(&r.snapshot(), &[]);
 
         assert!(text.contains("# TYPE core_ops counter\ncore_ops 42\n"));
         assert!(text.contains("# TYPE span_build_ns histogram"));
@@ -245,49 +212,43 @@ mod tests {
     fn unbounded_top_bucket_folds_into_inf() {
         let r = Registry::default();
         r.histogram("big").record(u64::MAX);
-        let text = encode(&r.snapshot());
+        let text = encode(&r.snapshot(), &[]);
         assert!(!text.contains("le=\"18446744073709551615\""), "{text}");
         assert!(text.contains("big_bucket{le=\"+Inf\"} 1"), "{text}");
     }
 
     #[test]
     fn empty_snapshot_encodes_to_nothing() {
-        assert_eq!(encode(&Snapshot::default()), "");
+        assert_eq!(encode(&Snapshot::default(), &[]), "");
     }
 
     #[test]
-    fn scoped_series_join_their_family_with_labels() {
-        let scoped = crate::scope::ScopedRegistry::default();
-        let scope = scoped.open(&[("session", "s-1"), ("tenant", "acme")]);
-        scope.add("core.work", 7);
-        scope.record("core.lat_ns", 100);
-        let retired = scoped.open(&[("session", "gone")]);
-        retired.add("core.work", 1);
-        drop(retired);
-
-        // A registry standing in for the global one (write-through also
-        // bumped the real global registry; encoding is pure either way).
+    fn labelled_series_join_their_family() {
         let r = Registry::default();
-        r.counter("core.work").add(8);
         r.histogram("core.lat_ns").record(100);
-        let text = encode_with_scopes(&r.snapshot(), &scoped.snapshot());
+        r.histogram("core.lat_ns").record(300);
+        let own = Histogram::new();
+        own.record(100);
+        let labelled = [Labelled {
+            name: "core.lat_ns",
+            label: ("session", "s-1"),
+            hist: own.snapshot(),
+        }];
+        let text = encode_full(&r.snapshot(), &labelled);
 
-        // One TYPE line, global series first, then the labelled series.
-        assert_eq!(text.matches("# TYPE core_work counter").count(), 1);
-        assert!(text.contains("core_work 8\n"), "{text}");
-        assert!(
-            text.contains("core_work{session=\"s-1\",tenant=\"acme\"} 7"),
-            "{text}"
+        // One TYPE line per family, global series first, then the
+        // labelled series on the summary family.
+        assert_eq!(
+            text.matches("# TYPE core_lat_ns_summary summary").count(),
+            1
         );
-        // Retired scopes do not export series.
-        assert!(!text.contains("session=\"gone\""), "{text}");
-        // Scoped histograms ride the summary family with labels.
+        assert!(text.contains("core_lat_ns_summary_count 2\n"), "{text}");
         assert!(
-            text.contains("core_lat_ns_summary{session=\"s-1\",tenant=\"acme\",quantile=\"0.95\"}"),
+            text.contains("core_lat_ns_summary{session=\"s-1\",quantile=\"0.95\"}"),
             "{text}"
         );
         assert!(
-            text.contains("core_lat_ns_summary_count{session=\"s-1\",tenant=\"acme\"} 1"),
+            text.contains("core_lat_ns_summary_count{session=\"s-1\"} 1"),
             "{text}"
         );
     }

@@ -33,9 +33,8 @@
 //! `store.journal.appends`, `store.journal.replayed`,
 //! `store.journal.discarded_bytes`, `store.compactions`, and the
 //! degraded-mode gauges `store.degraded.enter` / `store.degraded.exit`
-//! / `store.degraded.refusals` (plus the `store_degraded{cause=…}`
-//! scoped family and the `store_degraded` / `store_recovered` wide
-//! events).
+//! / `store.degraded.refusals`, plus the `store_degraded` /
+//! `store_recovered` wide events, which carry the cause.
 
 pub mod corpus;
 pub mod crc;

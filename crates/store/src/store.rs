@@ -347,16 +347,13 @@ impl Store {
     }
 
     /// Flips the store to read-only after a write-path failure. The
-    /// transition is counted once (`store.degraded.enter`), surfaced as
-    /// a `store_degraded{cause=…}` scoped metric, and announced with a
-    /// `store_degraded` wide event; a failure while already degraded
-    /// (e.g. inside a failed recovery) only updates the cause.
+    /// transition is counted once (`store.degraded.enter`), and every
+    /// failure is announced with a `store_degraded` wide event carrying
+    /// its cause; a failure while already degraded (e.g. inside a
+    /// failed recovery) only updates the cause.
     fn degrade(&mut self, cause: &str, error: &StoreError) {
         if !self.is_degraded() {
             DEGRADED_ENTER.get().incr();
-            cable_obs::scoped()
-                .open(&[("cause", cause)])
-                .incr("store_degraded");
         }
         if cable_obs::events::enabled() {
             cable_obs::events::emit(

@@ -49,8 +49,12 @@ const SEED: u64 = 20260808;
 /// Sustained chaos: every journal append has a 2% chance of an injected
 /// I/O error, every fsync 1%, reproducible from the seed.
 const CHAOS_FAULTS: &str = "20260808:io@store.journal.append=0.02,io@store.fsync=0.01";
-/// The denser schedule the `CABLE_PAR=1` vs `8` timeline runs under.
+/// The denser schedule the `CABLE_PAR=1` vs `8` timeline runs under:
+/// one labeler issuing `TIMELINE_REQUESTS` ops, so the two runs compare
+/// at least `TIMELINE_MIN_HITS` fired `(site, hit)` pairs.
 const TIMELINE_FAULTS: &str = "777:io@store.journal.append=0.05,io@store.fsync=0.03";
+const TIMELINE_REQUESTS: usize = 128;
+const TIMELINE_MIN_HITS: usize = 16;
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -371,7 +375,7 @@ fn chaos(work: &Path) -> Result<(), String> {
                 ("CABLE_PAR", par),
             ],
         )?;
-        fleet(server.options(1, 24, 777, true), None)?;
+        fleet(server.options(1, TIMELINE_REQUESTS, 777, true), None)?;
         drop(server);
         let mut fired: Vec<(String, u64)> = read_events(&events_path)?
             .iter()
@@ -379,8 +383,11 @@ fn chaos(work: &Path) -> Result<(), String> {
             .filter_map(|(_, e)| Some((e.get("site")?.as_str()?.into(), e.get("hit")?.as_u64()?)))
             .collect();
         fired.sort();
-        if fired.is_empty() {
-            return Err(format!("CABLE_PAR={par}: no faults fired"));
+        if fired.len() < TIMELINE_MIN_HITS {
+            return Err(format!(
+                "CABLE_PAR={par}: {} faults fired, fewer than {TIMELINE_MIN_HITS}",
+                fired.len()
+            ));
         }
         timelines.push(fired);
     }

@@ -210,8 +210,6 @@ fn main() {
         if !profile.is_empty() {
             eprintln!("{}", cable::obs::chrome::render_profile(&profile));
         }
-        let scopes = cable::obs::scoped().snapshot();
-        eprint!("{}", cable::obs::render_scopes(&scopes));
     }
     exit(code);
 }

@@ -328,6 +328,12 @@ fn serve_exposes_metrics_and_health_over_http() {
         "{metrics}"
     );
     assert!(metrics.contains("quantile=\"0.99\""), "{metrics}");
+    // Each series (name plus label set) is exposed once.
+    let mut series = std::collections::BTreeSet::new();
+    for line in metrics.lines().filter(|l| !l.starts_with('#')) {
+        let (name, _) = line.rsplit_once(' ').expect("series and value");
+        assert!(series.insert(name), "{name} exposed twice:\n{metrics}");
+    }
 
     let (status, tracez) = http_get(&addr, "/tracez");
     assert!(status.contains("200"), "{status}");
