@@ -81,12 +81,12 @@ fn bench_spec_contexts() {
 }
 
 /// The observability overhead check: lattice construction with
-/// observation on (span timing, the flight recorder and request traces
-/// all sit behind the one switch) must stay within a few percent of the
-/// disabled cost — counters are always on, so this isolates the span
-/// cost. The `obs-events` case adds the wide-event log on top, plus the
-/// per-build accounting a stored session does through static handles,
-/// and must also stay within noise of obs-off.
+/// observation on (span timing, the flight recorder, request traces and
+/// wide events all sit behind the one switch) must stay within a few
+/// percent of the disabled cost — counters are always on, so this
+/// isolates the span cost. The `obs-events` case adds the per-build
+/// accounting a stored session does through static handles, and must
+/// also stay within noise of obs-off.
 fn bench_obs_overhead() {
     static BUILDS: cable_obs::CounterHandle = cable_obs::CounterHandle::new("bench.lattice.builds");
     static BUILD_NS: cable_obs::HistogramHandle =
@@ -101,14 +101,12 @@ fn bench_obs_overhead() {
     let on = group.bench("godin/obs-on", || {
         black_box(ConceptLattice::build(black_box(&ctx)));
     });
-    cable_obs::events::set_enabled(true);
     let events = group.bench("godin/obs-events", || {
         let started = std::time::Instant::now();
         black_box(ConceptLattice::build(black_box(&ctx)));
         BUILDS.get().incr();
         BUILD_NS.get().record_duration(started.elapsed());
     });
-    cable_obs::events::set_enabled(false);
     cable_obs::set_enabled(false);
     cable_obs::recorder::clear();
     println!(

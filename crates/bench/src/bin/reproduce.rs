@@ -27,8 +27,9 @@
 //! whole metric registry and profile. `--trace-out PATH` exports the
 //! flight recorder as Chrome trace-event JSON (load it in Perfetto),
 //! and `--obs-listen ADDR` serves `/metrics`, `/healthz`, and `/tracez`
-//! while the run lasts. All four flags enable span timing and the
-//! flight recorder; so does `CABLE_OBS=1`.
+//! while the run lasts. All four flags turn observation on (span
+//! timing, the flight recorder and the wide-event log); so does
+//! `CABLE_OBS=1`.
 //!
 //! `--deadline-ms N` / `--max-concepts N` install a cable-guard resource
 //! budget on the main thread for the run: table2 then reports the
@@ -56,9 +57,11 @@
 //! `diff` is the CI determinism gate: exits non-zero unless the two
 //! record files are identical once timing is stripped.
 //! `check-trace` structurally validates a trace file, sniffing its
-//! shape: a `--trace-out` export must be JSON with a `traceEvents`
-//! array, matched B/E pairs and non-decreasing timestamps per lane, and
-//! at least one event on every lane; a `/tracez/export` dump must hold
+//! shape: a Chrome trace-event export (`--trace-out`, or a saved
+//! `/tracez`) must be JSON with a `traceEvents` array, non-decreasing
+//! timestamps per lane, a `dur >= 0` on every complete (`X`) event,
+//! each `X` event nested inside the one around it, and at least one
+//! event on every lane; a `/tracez/export` dump must hold
 //! well-formed span trees (closed spans, acyclic parents, every span
 //! reachable from its request root). `trace-report` then attributes
 //! each kept request's wall time to named stages (queue / lock-wait /
@@ -69,7 +72,8 @@
 //! that much of the p99 request's wall time.
 //!
 //! `--events-out PATH` writes the wide-event log (one self-describing
-//! JSONL record per unit of work) alongside the run; `check-events`
+//! JSONL record per unit of work) alongside the run, and turns
+//! observation on too; `check-events`
 //! validates such a file against the event schema (every record parses
 //! and carries a scope id and outcome). `slo-check` is the CI
 //! latency-budget gate: it reconstructs the per-stage histograms from a

@@ -1,11 +1,12 @@
 //! Structural validation of trace exports.
 //!
-//! `reproduce --trace-out` promises a file Perfetto will load: a JSON
-//! object with a `traceEvents` array where, within every lane (`tid`),
-//! `B`/`E` events pair up and timestamps never go backwards. This module
-//! is that promise as a checkable predicate — `reproduce check-trace`
-//! runs it in CI over the trace artifact, and the integration tests run
-//! it over freshly produced files.
+//! `reproduce --trace-out` and the server's `/tracez` promise a file
+//! Perfetto will load: a JSON object with a `traceEvents` array where,
+//! within every lane (`tid`), timestamps never go backwards and every
+//! complete (`X`) event has a `dur` and nests inside the `X` event open
+//! around it. This module is that promise as a checkable predicate —
+//! `reproduce check-trace` runs it in CI over the trace artifacts, and
+//! the integration tests run it over freshly produced files.
 //!
 //! It also validates the *other* trace shape the server emits:
 //! `/tracez/export`'s `trace_export` record of per-request span trees.
@@ -39,29 +40,33 @@ pub fn check_chrome_trace(text: &str) -> Result<TraceSummary, Vec<String>> {
         return Err(vec!["no traceEvents array".to_owned()]);
     };
 
+    // Whole nanoseconds, the recorder's resolution, so that the sums of
+    // microsecond `ts` and `dur` values compare exactly.
+    let ns = |us: f64| (us * 1e3).round() as i64;
     let mut problems = Vec::new();
-    // Per-lane state: (open span depth, last ts, events seen).
-    let mut lanes: BTreeMap<u64, (i64, f64, usize)> = BTreeMap::new();
+    // Per lane: events seen, last ts, and the ends of the X events open
+    // around the current one (innermost last). Metadata names a lane.
+    let mut lanes: BTreeMap<u64, (usize, f64, Vec<i64>)> = BTreeMap::new();
     let mut total = 0usize;
     for (i, event) in events.iter().enumerate() {
         let Some(ph) = event.get("ph").and_then(Value::as_str) else {
             problems.push(format!("event {i} has no ph"));
             continue;
         };
-        if ph == "M" {
-            continue; // metadata carries no ts
-        }
         let Some(tid) = event.get("tid").and_then(Value::as_u64) else {
             problems.push(format!("event {i} has no tid"));
             continue;
         };
+        let lane = lanes.entry(tid).or_insert((0, f64::MIN, Vec::new()));
+        if ph == "M" {
+            continue; // metadata carries no ts
+        }
         let Some(ts) = event.get("ts").and_then(Value::as_f64) else {
             problems.push(format!("event {i} has no ts"));
             continue;
         };
         total += 1;
-        let lane = lanes.entry(tid).or_insert((0, f64::MIN, 0));
-        lane.2 += 1;
+        lane.0 += 1;
         if ts < lane.1 {
             problems.push(format!(
                 "lane {tid}: ts goes backwards at event {i} ({ts} after {})",
@@ -70,27 +75,33 @@ pub fn check_chrome_trace(text: &str) -> Result<TraceSummary, Vec<String>> {
         }
         lane.1 = ts;
         match ph {
-            "B" => lane.0 += 1,
-            "E" => {
-                lane.0 -= 1;
-                if lane.0 < 0 {
-                    problems.push(format!("lane {tid}: E without a matching B at event {i}"));
-                    lane.0 = 0;
+            "X" => {
+                let Some(dur) = event
+                    .get("dur")
+                    .and_then(Value::as_f64)
+                    .filter(|d| *d >= 0.0)
+                else {
+                    problems.push(format!("lane {tid}: X event {i} lacks a dur >= 0"));
+                    continue;
+                };
+                let (start, around) = (ns(ts), &mut lane.2);
+                while around.pop_if(|end| *end <= start).is_some() {}
+                let end = start + ns(dur);
+                if around.last().is_some_and(|&outer| end > outer) {
+                    problems.push(format!(
+                        "lane {tid}: X event {i} overlaps the span around it without nesting inside it"
+                    ));
                 }
+                around.push(end);
             }
-            "i" | "C" => {}
+            "i" => {}
             other => problems.push(format!("event {i} has unknown ph {other:?}")),
-        }
-    }
-    for (tid, (depth, _, _)) in &lanes {
-        if *depth != 0 {
-            problems.push(format!("lane {tid}: {depth} B events never closed"));
         }
     }
     if total == 0 {
         problems.push("trace holds no events".to_owned());
     }
-    for (tid, (_, _, n)) in &lanes {
+    for (tid, (n, _, _)) in &lanes {
         if *n == 0 {
             problems.push(format!("lane {tid} is empty"));
         }
@@ -233,13 +244,15 @@ mod tests {
 
     #[test]
     fn a_recorded_trace_validates() {
-        use cable_obs::recorder::{self, Event, EventKind};
+        use cable_obs::context::SpanRec;
+        use cable_obs::recorder::{self, Record};
         let lanes = vec![recorder::LaneSnapshot {
             id: 3,
             label: "w".into(),
-            events: vec![
-                Event::plain("a", EventKind::Begin, 100),
-                Event::plain("a", EventKind::End, 900),
+            records: vec![
+                Record::Span(SpanRec::plain("b", 100, 100)),
+                Record::Instant(SpanRec::plain("i", 500, 500)),
+                Record::Span(SpanRec::plain("a", 100, 900)),
             ],
             dropped: 0,
         }];
@@ -248,9 +261,21 @@ mod tests {
         assert_eq!(
             summary,
             TraceSummary {
-                events: 2,
+                events: 3,
                 lanes: 1
             }
+        );
+    }
+
+    fn problems(events: &str) -> Vec<String> {
+        check_chrome_trace(&format!(r#"{{"traceEvents": [{events}]}}"#)).unwrap_err()
+    }
+
+    fn assert_problem(events: &str, needle: &str) {
+        let problems = problems(events);
+        assert!(
+            problems.iter().any(|p| p.contains(needle)),
+            "{needle}: {problems:?}"
         );
     }
 
@@ -259,25 +284,60 @@ mod tests {
         assert!(check_chrome_trace("not json").is_err());
         assert!(check_chrome_trace("{}").is_err());
         // Empty traceEvents: no events at all.
-        assert!(check_chrome_trace(r#"{"traceEvents": []}"#).is_err());
-        // Unbalanced B.
-        let unbalanced = r#"{"traceEvents": [
-            {"ph": "B", "tid": 1, "ts": 1.0, "name": "x", "pid": 1}
-        ]}"#;
-        let problems = check_chrome_trace(unbalanced).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("never closed")),
-            "{problems:?}"
+        assert_problem("", "no events");
+        // An X event without a dur, or with a negative one.
+        assert_problem(
+            r#"{"ph": "X", "tid": 1, "ts": 1.0, "name": "x"}"#,
+            "lacks a dur",
+        );
+        assert_problem(
+            r#"{"ph": "X", "tid": 1, "ts": 1.0, "dur": -0.5, "name": "x"}"#,
+            "lacks a dur",
+        );
+        // An X event that starts inside another and ends after it.
+        assert_problem(
+            r#"{"ph": "X", "tid": 1, "ts": 1.0, "dur": 2.0, "name": "a"},
+               {"ph": "X", "tid": 1, "ts": 2.0, "dur": 2.0, "name": "b"}"#,
+            "without nesting",
         );
         // Backwards timestamps.
-        let backwards = r#"{"traceEvents": [
-            {"ph": "i", "tid": 1, "ts": 5.0, "name": "x", "pid": 1},
-            {"ph": "i", "tid": 1, "ts": 2.0, "name": "y", "pid": 1}
+        assert_problem(
+            r#"{"ph": "i", "tid": 1, "ts": 5.0, "name": "x"},
+               {"ph": "i", "tid": 1, "ts": 2.0, "name": "y"}"#,
+            "backwards",
+        );
+        // A named lane without events.
+        assert_problem(
+            r#"{"ph": "M", "tid": 2, "name": "thread_name", "args": {"name": "idle"}},
+               {"ph": "i", "tid": 1, "ts": 5.0, "name": "x"}"#,
+            "lane 2 is empty",
+        );
+        // Begin/end pairs are not this exporter's shape.
+        assert_problem(
+            r#"{"ph": "B", "tid": 1, "ts": 1.0, "name": "x"}"#,
+            "unknown ph",
+        );
+    }
+
+    #[test]
+    fn nesting_is_checked_at_nanosecond_resolution() {
+        // A child that ends where its parent ends, and a sibling that
+        // starts where the previous one ended, both nest; one
+        // nanosecond past the parent's end does not.
+        let ok = r#"{"traceEvents": [
+            {"ph": "X", "tid": 1, "ts": 1000.001, "dur": 2.002, "name": "p"},
+            {"ph": "X", "tid": 1, "ts": 1001.7, "dur": 0.303, "name": "c"},
+            {"ph": "X", "tid": 1, "ts": 1002.003, "dur": 0, "name": "s"}
         ]}"#;
-        let problems = check_chrome_trace(backwards).unwrap_err();
         assert!(
-            problems.iter().any(|p| p.contains("backwards")),
-            "{problems:?}"
+            check_chrome_trace(ok).is_ok(),
+            "{:?}",
+            check_chrome_trace(ok)
+        );
+        assert_problem(
+            r#"{"ph": "X", "tid": 1, "ts": 1000.001, "dur": 2.002, "name": "p"},
+               {"ph": "X", "tid": 1, "ts": 1001.7, "dur": 0.304, "name": "c"}"#,
+            "without nesting",
         );
     }
 

@@ -1,6 +1,7 @@
 //! End-to-end test of `reproduce --json-out`: the emitted JSONL must be
-//! valid, and its per-spec concept counts must agree with what cable-fca
-//! computes directly on the same prepared contexts.
+//! valid, its per-spec concept counts must agree with what cable-fca
+//! computes directly on the same prepared contexts, and its profile must
+//! count every span its histograms count.
 
 use cable_fca::ConceptLattice;
 use cable_obs::json::Value;
@@ -19,9 +20,12 @@ fn as_u64(v: &Value) -> u64 {
 fn reproduce_table2_json_matches_direct_fca() {
     let seed = 2003u64;
     let out = std::env::temp_dir().join(format!("cable-bench-json-{}.jsonl", std::process::id()));
+    // One worker: every span lands on the main thread's lane, the one
+    // that fills first. The concept counts hold at any pool size.
     let status = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(["table2", "--seed", "2003", "--json-out"])
         .arg(&out)
+        .env("CABLE_PAR", "1")
         .output()
         .expect("running reproduce");
     assert!(
@@ -38,7 +42,7 @@ fn reproduce_table2_json_matches_direct_fca() {
     // Split the stream: per-spec records, then the final whole-registry
     // snapshot.
     let mut per_spec: BTreeMap<String, &Value> = BTreeMap::new();
-    let mut snapshots = 0;
+    let mut snapshots = Vec::new();
     for r in &records {
         match r.get("record").expect("tagged record") {
             Value::String(s) if s == "table2_spec" => {
@@ -48,11 +52,38 @@ fn reproduce_table2_json_matches_direct_fca() {
                 };
                 per_spec.insert(name, r);
             }
-            Value::String(s) if s == "pipeline_snapshot" => snapshots += 1,
+            Value::String(s) if s == "pipeline_snapshot" => snapshots.push(r),
             other => panic!("unknown record tag {other:?}"),
         }
     }
-    assert_eq!(snapshots, 1, "exactly one final snapshot record");
+    assert_eq!(snapshots.len(), 1, "exactly one final snapshot record");
+
+    // The flight recorder kept the whole run: nothing was overwritten,
+    // and the profile counts every lattice build the histogram counts.
+    let snapshot = snapshots[0];
+    let counters = snapshot.get("snapshot").and_then(|s| s.get("counters"));
+    assert_eq!(
+        counters.and_then(|c| c.get("obs.recorder.dropped")),
+        None,
+        "the recorder dropped records"
+    );
+    let histogram_builds = snapshot
+        .get("snapshot")
+        .and_then(|s| s.get("histograms"))
+        .and_then(|h| h.get("fca.lattice.build_ns"))
+        .and_then(|h| h.get("count"))
+        .map(as_u64)
+        .expect("fca.lattice.build_ns histogram");
+    let profile_builds = snapshot
+        .get("profile")
+        .and_then(Value::as_array)
+        .expect("profile array")
+        .iter()
+        .find(|row| row.get("name").and_then(Value::as_str) == Some("fca.lattice.build"))
+        .and_then(|row| row.get("count"))
+        .map(as_u64)
+        .expect("fca.lattice.build profile row");
+    assert_eq!(profile_builds, histogram_builds);
 
     // Every registered spec appears, and its reported concept count is
     // what building the lattice with cable-fca gives on the same

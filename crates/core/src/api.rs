@@ -23,9 +23,11 @@
 //! | `GET  /api/sessions/:id/focus` | `?tenant=&concept=` | Focus sub-session summary |
 //! | `GET  /api/sessions/:id/digest` | `?tenant=` | the deterministic `session_state` record |
 //!
-//! `tenant` defaults to `"default"`. `concept` is `"cN"` or `N` (the
-//! `ConceptId` index); `selector` is `"all"`, `"unlabeled"`, or
-//! `"with:<label>"` ([`TraceSelector`]), defaulting to `"all"`. Errors
+//! A session route takes the tenant from the body's `tenant`, else from
+//! a `?tenant=` query (the create reads only its body); it defaults to
+//! `"default"`. `concept` is `"cN"` or `N` (the `ConceptId` index);
+//! `selector` is `"all"`, `"unlabeled"`, or `"with:<label>"`
+//! ([`TraceSelector`]), defaulting to `"all"`. Errors
 //! are `{"error": …, "status": …}` with the matching HTTP status:
 //! malformed JSON is `400`, an unknown session `404`, a create over an
 //! existing store `409`, and a tripped request budget `503`.
@@ -202,11 +204,11 @@ impl CableApi {
             ("POST", Some((Route::Sessions, _))) => self.create(&parse_body(&request.body)?),
             ("POST", Some((Route::Ingest, id))) => {
                 let body = parse_body(&request.body)?;
-                self.ingest(&self.key(&body, None, id)?, &body)
+                self.ingest(&self.key(&body, query, id)?, &body)
             }
             ("POST", Some((Route::Label, id))) => {
                 let body = parse_body(&request.body)?;
-                self.label(&self.key(&body, None, id)?, &body)
+                self.label(&self.key(&body, query, id)?, &body)
             }
             ("POST", Some((Route::Recover, id))) => {
                 let body = if request.body.trim().is_empty() {
@@ -870,6 +872,38 @@ mod tests {
         assert_eq!(r.status, 201);
         assert!(root.join("alice").join("s").is_dir());
         assert!(root.join("bob").join("s").is_dir());
+        // An ingest and a label that name the tenant only by query reach
+        // alice's session, and only hers.
+        let digest = |tenant: &str| {
+            let r = get(&api, "/api/sessions/s/digest", Some(tenant));
+            assert_eq!(r.status, 200, "{}", r.body);
+            r.body
+        };
+        let post_as_alice = |route: &str, body: String| {
+            api.handle(&ApiRequest {
+                method: "POST".into(),
+                route: route.into(),
+                query: Some("tenant=alice".into()),
+                body,
+            })
+        };
+        let (alice, bob) = (digest("tenant=alice"), digest("tenant=bob"));
+        let r = post_as_alice(
+            "/api/sessions/s/ingest",
+            r#"{"traces": "fopen(Z) fread(Z) fclose(Z)"}"#.into(),
+        );
+        assert_eq!(r.status, 200, "{}", r.body);
+        let ingested = digest("tenant=alice");
+        assert_ne!(ingested, alice, "the ingest reached alice");
+        let lattice = body_json(&get(&api, "/api/sessions/s/lattice", Some("tenant=alice")));
+        let top = lattice.get("top").and_then(Value::as_str).unwrap();
+        let r = post_as_alice(
+            "/api/sessions/s/label",
+            format!(r#"{{"concept": "{top}", "label": "good"}}"#),
+        );
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_ne!(digest("tenant=alice"), ingested, "the label reached alice");
+        assert_eq!(digest("tenant=bob"), bob, "bob's session is untouched");
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -99,8 +99,8 @@ pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// the slowloris guard.
 pub const CONNECTION_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Most recent spans per lane served by `/tracez` (override per request
-/// with `?limit=N`).
+/// Most recent records per lane served by `/tracez` (override per
+/// request with `?limit=N`).
 pub const TRACEZ_SPAN_LIMIT: usize = 64;
 /// Most recent events served by `/eventz` (override with `?limit=N`).
 pub const EVENTZ_EVENT_LIMIT: usize = 64;
@@ -636,9 +636,6 @@ impl Plane {
         let ctx = TraceCtx::mint(self.config.trace_seed, seq);
         let queue_wait_ns = queue_wait.as_nanos().min(u64::MAX as u128) as u64;
         let trace = context::begin_request(ctx, "http.request", queue_wait_ns);
-        if queue_wait_us > 0 {
-            recorder::counter_mark("wait.queue.us", queue_wait_us);
-        }
         let oversized = !saw_end && head.limit() == 0;
         let mut route = String::new();
         let response = if oversized {
@@ -844,7 +841,7 @@ fn parse_limit(query: Option<&str>, default: usize) -> Result<usize, String> {
 /// What one `/tracez` request asks for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum TracezView {
-    /// The per-lane recorder view, at most this many events per lane.
+    /// The recorder's Chrome export, at most this many records per lane.
     Lanes(usize),
     /// One kept request's waterfall, by 32-hex-digit trace id.
     Trace(String),
@@ -961,55 +958,23 @@ fn guard_json() -> Value {
     ])
 }
 
-/// The `/tracez` body: the most recent `limit` events per lane, plus
-/// per-lane drop accounting.
+/// The `/tracez` body: the recorder's Chrome trace-event export of the
+/// newest `limit` records per lane (each lane's `dropped` count rides
+/// in its `thread_name` metadata), plus whether observation is on and
+/// the self-time profile of the whole rings.
 fn tracez_json(limit: usize) -> Value {
-    let lanes = recorder::snapshot();
-    let lanes_json: Vec<Value> = lanes
-        .iter()
-        .map(|lane| {
-            let start = lane.events.len().saturating_sub(limit);
-            let events: Vec<Value> = lane.events[start..]
-                .iter()
-                .map(|e| {
-                    let kind = match e.kind {
-                        recorder::EventKind::Begin => "begin",
-                        recorder::EventKind::End => "end",
-                        recorder::EventKind::Instant => "instant",
-                        recorder::EventKind::Counter(_) => "counter",
-                    };
-                    let mut pairs = vec![
-                        ("name", Value::from(e.name)),
-                        ("kind", Value::from(kind)),
-                        ("ts_ns", Value::from(e.ts_ns)),
-                    ];
-                    if let recorder::EventKind::Counter(v) = e.kind {
-                        pairs.push(("value", Value::from(v)));
-                    }
-                    if e.span != 0 {
-                        pairs.push((
-                            "trace",
-                            Value::from(format!("{:016x}{:016x}", e.trace_hi, e.trace_lo)),
-                        ));
-                        pairs.push(("span", Value::from(format!("{:016x}", e.span))));
-                        pairs.push(("parent", Value::from(format!("{:016x}", e.parent))));
-                    }
-                    Value::object(pairs)
-                })
-                .collect();
-            Value::object([
-                ("id", Value::from(lane.id)),
-                ("label", Value::from(lane.label.as_str())),
-                ("dropped", Value::from(lane.dropped)),
-                ("events", Value::Array(events)),
-            ])
-        })
-        .collect();
-    Value::object([
-        ("recording", Value::from(cable_obs::enabled())),
-        ("lanes", Value::Array(lanes_json)),
-        ("profile", chrome::profile_json(&chrome::self_time(&lanes))),
-    ])
+    let mut lanes = recorder::snapshot();
+    let profile = chrome::profile_json(&chrome::self_time(&lanes));
+    for lane in &mut lanes {
+        lane.records
+            .drain(..lane.records.len().saturating_sub(limit));
+    }
+    let mut body = chrome::chrome_trace(&lanes);
+    if let Value::Object(fields) = &mut body {
+        fields.insert("recording".into(), Value::from(cable_obs::enabled()));
+        fields.insert("profile".into(), profile);
+    }
+    body
 }
 
 /// One retained request summary.
@@ -1360,7 +1325,11 @@ mod tests {
         let (head, body) = get(addr, "/tracez");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         let tracez = Value::parse(body.trim()).expect("tracez is JSON");
-        assert!(tracez.get("lanes").and_then(Value::as_array).is_some());
+        assert!(tracez
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .is_some());
+        assert!(tracez.get("recording").and_then(Value::as_bool).is_some());
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
@@ -1534,19 +1503,14 @@ mod tests {
     fn finished(seq: u64, wall_us: u64, n_spans: usize) -> FinishedTrace {
         let ctx = TraceCtx::mint(99, seq);
         let mut spans = vec![SpanRec {
-            name: "http.request",
             span: ctx.span_id,
-            parent: 0,
-            start_ns: 1_000,
-            end_ns: 1_000 + wall_us * 1_000,
+            ..SpanRec::plain("http.request", 1_000, 1_000 + wall_us * 1_000)
         }];
         for i in 0..n_spans.saturating_sub(1) as u64 {
             spans.push(SpanRec {
-                name: "step",
                 span: context::mix(ctx.span_id, i + 1),
                 parent: ctx.span_id,
-                start_ns: 1_100 + i,
-                end_ns: 1_200 + i,
+                ..SpanRec::plain("step", 1_100 + i, 1_200 + i)
             });
         }
         FinishedTrace {
@@ -1627,18 +1591,13 @@ mod tests {
             ctx,
             spans: vec![
                 SpanRec {
-                    name: "wait.fsync",
                     span: context::mix(ctx.span_id, 1),
                     parent: ctx.span_id,
-                    start_ns: 2_000,
-                    end_ns: 80_000_000,
+                    ..SpanRec::plain("wait.fsync", 2_000, 80_000_000)
                 },
                 SpanRec {
-                    name: "http.request",
                     span: ctx.span_id,
-                    parent: 0,
-                    start_ns: 1_000,
-                    end_ns: 100_001_000,
+                    ..SpanRec::plain("http.request", 1_000, 100_001_000)
                 },
             ],
             dropped: 0,

@@ -1,14 +1,14 @@
 //! Spans close on error paths: a request the API rejects half-way
-//! through still leaves a well-formed span tree and a balanced recorder
-//! lane, because every span is a scope guard rather than a hand-paired
-//! begin/end.
+//! through still leaves a well-formed span tree, and each of its spans
+//! on the recorder lane once, because every span is a scope guard rather
+//! than a hand-paired begin/end.
 //!
 //! Observation is process-wide, so these tests run in their own
 //! integration binary; they only ever turn it on.
 
 use cable_core::{CableApi, SessionManager};
 use cable_obs::context::{self, FinishedTrace, TraceCtx};
-use cable_obs::recorder::{self, EventKind};
+use cable_obs::recorder::{self, Record};
 use cable_obs::{ApiHandler, ApiRequest, ApiResponse, Span};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -63,23 +63,22 @@ fn assert_closed_under_root(trace: &FinishedTrace, name: &str) {
     assert_ne!(spans[0].parent, 0, "{name} is under the root");
 }
 
-/// This thread's lane: every End closes the innermost open Begin, and
-/// nothing is left open.
-fn assert_lane_balanced() {
+/// This thread's lane holds each span of the request's tree exactly
+/// once, as the very record the tree holds.
+fn assert_on_lane_once(trace: &FinishedTrace) {
     let lane = recorder::snapshot()
         .into_iter()
         .find(|l| l.label == THREAD)
         .expect("the request thread has a lane");
     assert_eq!(lane.dropped, 0, "the lane overflowed");
-    let mut open = Vec::new();
-    for event in &lane.events {
-        match event.kind {
-            EventKind::Begin => open.push(event.name),
-            EventKind::End => assert_eq!(open.pop(), Some(event.name), "unmatched End"),
-            _ => {}
-        }
+    for rec in &trace.spans {
+        let copies = lane
+            .records
+            .iter()
+            .filter(|r| **r == Record::Span(*rec))
+            .count();
+        assert_eq!(copies, 1, "{} is on the lane {copies} times", rec.name);
     }
-    assert!(open.is_empty(), "spans left open: {open:?}");
 }
 
 /// The next request on this thread starts from an empty frame stack:
@@ -101,7 +100,7 @@ fn assert_next_request_starts_clean(seq: u64) {
     let trace = request.finish();
     let probe = trace.spans.iter().find(|s| s.name == "probe").unwrap();
     assert_eq!(probe.parent, ctx.span_id);
-    assert_lane_balanced();
+    assert_on_lane_once(&trace);
 }
 
 #[test]
@@ -122,7 +121,7 @@ fn failing_requests_close_their_spans() {
             assert_eq!(response.status, 422, "{}", response.body);
             assert_well_formed(&trace);
             assert_closed_under_root(&trace, "parse.traces");
-            assert_lane_balanced();
+            assert_on_lane_once(&trace);
             assert_next_request_starts_clean(2);
 
             // Malformed traces on ingest into a live session: 422.
@@ -142,7 +141,7 @@ fn failing_requests_close_their_spans() {
             assert_eq!(response.status, 422, "{}", response.body);
             assert_well_formed(&trace);
             assert_closed_under_root(&trace, "parse.traces");
-            assert_lane_balanced();
+            assert_on_lane_once(&trace);
             assert_next_request_starts_clean(5);
 
             let _ = std::fs::remove_dir_all(root);

@@ -216,7 +216,7 @@ fn push_traces_batch_matches_per_trace_pushes() {
 #[test]
 fn distinct_junk_paths_open_at_most_one_slo_window() {
     let _serial = serial();
-    cable_obs::events::set_enabled(true);
+    cable_obs::set_enabled(true);
     let http_windows = || {
         cable_obs::slo::reports(0.01)
             .iter()
@@ -234,9 +234,46 @@ fn distinct_junk_paths_open_at_most_one_slo_window() {
     }
     let added = http_windows() - before;
     drop(guard);
-    cable_obs::events::set_enabled(false);
+    cable_obs::set_enabled(false);
     assert!(
         added <= 1,
         "64 junk paths opened {added} http_request windows"
+    );
+}
+
+/// A request the server answered is a success in its `/sloz` window
+/// unless the answer was a 5xx: three `/healthz` hits add three samples
+/// and no error, and a 5xx outcome in the same window adds one error.
+#[test]
+fn answered_requests_are_slo_successes_unless_5xx() {
+    let _serial = serial();
+    cable_obs::set_enabled(true);
+    let healthz_window = || {
+        cable_obs::slo::reports(0.01)
+            .into_iter()
+            .find(|report| report.key == "http_request:/healthz")
+            .map_or((0, 0), |report| (report.count, report.errors))
+    };
+    let (count, errors) = healthz_window();
+    let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+    for _ in 0..3 {
+        let mut stream = TcpStream::connect(guard.addr()).expect("connect");
+        write!(stream, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    }
+    drop(guard);
+    assert_eq!(healthz_window(), (count + 3, errors), "200s are not errors");
+    cable_obs::events::emit(
+        cable_obs::WideEvent::new("http_request", "http")
+            .stage("/healthz")
+            .outcome("503"),
+    );
+    cable_obs::set_enabled(false);
+    assert_eq!(
+        healthz_window(),
+        (count + 4, errors + 1),
+        "a 5xx is an error"
     );
 }

@@ -297,7 +297,7 @@ fn fire(kind: FaultKind, site: &str) -> Option<Fired> {
                 FaultKind::Io => rule.flavor.as_str(),
                 other => other.as_str(),
             };
-            if cable_obs::events::enabled() {
+            if cable_obs::enabled() {
                 cable_obs::events::emit(
                     cable_obs::WideEvent::new("fault_injected", "faults")
                         .outcome("injected")
@@ -458,13 +458,13 @@ mod tests {
     #[test]
     fn firing_emits_a_fault_injected_wide_event() {
         let _l = lock();
-        cable_obs::events::set_enabled(true);
+        cable_obs::set_enabled(true);
         cable_obs::events::clear_ring();
         install("42:io@store.fsync#2").unwrap();
         assert!(io_error("store.fsync").is_none(), "hit 1 does not fire");
         assert!(io_error("store.fsync").is_some(), "hit 2 fires");
         uninstall();
-        cable_obs::events::set_enabled(false);
+        cable_obs::set_enabled(false);
         let events = cable_obs::events::recent(usize::MAX);
         let event = events
             .iter()

@@ -1,19 +1,21 @@
 //! Consumers of the flight recorder: Chrome trace-event JSON export and
-//! the self-time profile.
+//! the self-time profile, both read through one nesting pass per lane,
+//! [`nest`].
 //!
-//! The export follows the Trace Event Format that Perfetto and
-//! `chrome://tracing` load: a `traceEvents` array of duration events
-//! (`ph: "B"`/`"E"`), instants (`ph: "i"`), counters (`ph: "C"`), and
-//! `thread_name` metadata, with microsecond `ts` values. One lane — one
-//! `tid` — per recorded thread, so every `cable-par` worker gets its own
-//! swimlane.
+//! A lane holds closed spans and instants in the order they were taken;
+//! `nest` puts them in start order and parents each to the span that
+//! encloses it on the lane. Containment is exact because a span closes
+//! on the thread that opened it, so two spans on one lane are disjoint
+//! or nested. The one tie times cannot settle, a span opening at the
+//! very nanosecond a zero-length record was taken, is read as nesting,
+//! which changes no self time and no nesting in the export.
 //!
-//! A partially-overwritten ring (see [`crate::recorder`]) can expose
-//! orphan `End` events (their `Begin` was overwritten) and trailing open
-//! `Begin`s (the snapshot was taken mid-span). The export repairs both:
-//! orphan ends are dropped, and open begins are closed with a synthetic
-//! end at the lane's last timestamp — so the emitted `B`/`E` events are
-//! always matched per `tid`, and `ts` is non-decreasing per lane.
+//! The export is the Trace Event Format that Perfetto and
+//! `chrome://tracing` load. Its `traceEvents` hold, per lane (one `tid`
+//! per recorded thread, so every `cable-par` worker gets a swimlane), a
+//! `thread_name` record carrying the lane's `dropped` count, then the
+//! lane's complete (`ph: "X"`, with a `dur`) and instant (`ph: "i"`)
+//! events in start order, with microsecond `ts` values.
 //!
 //! **Self time** (the profile): a span's *inclusive* time is its whole
 //! begin→end duration; its *exclusive* (self) time is the inclusive time
@@ -21,19 +23,54 @@
 //! Exclusive sums over a tree partition its root's wall time, which is
 //! what makes the profile table answer "where does time actually go".
 //! [`self_times`] is the one fold that computes it over closed spans:
-//! [`self_time`] feeds it a lane's begin/end pairs (nesting by lane
-//! order), `reproduce trace-report` a request's span tree (nesting by
-//! parent id).
+//! [`self_time`] feeds it each lane's spans as [`nest`] parents them,
+//! `reproduce trace-report` a request's span tree (nesting by parent
+//! id).
 
 use crate::json::Value;
-use crate::recorder::{Event, EventKind, LaneSnapshot};
+use crate::recorder::{LaneSnapshot, Record};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
+/// Nests one lane's records: returns each record's index in start
+/// order, paired with the index of the span that encloses it on the
+/// lane (`None` at the top level).
+///
+/// `records` must be in the order the lane took them (a span when it
+/// closed). That order settles ties of equal times: a span encloses
+/// only records taken before it.
+pub fn nest(records: &[Record]) -> Vec<(usize, Option<usize>)> {
+    // A closing span adopts every record still without a parent that
+    // started no earlier than it did: its direct children, which have
+    // already adopted theirs.
+    let mut parents = vec![None; records.len()];
+    let mut orphans: Vec<usize> = Vec::new();
+    for (i, record) in records.iter().enumerate() {
+        if let Record::Span(span) = record {
+            while let Some(child) =
+                orphans.pop_if(|child| records[*child].rec().start_ns >= span.start_ns)
+            {
+                parents[child] = Some(i);
+            }
+        }
+        orphans.push(i);
+    }
+    // On equal starts the longer span, then the later-closed one, is the
+    // outer one, so every span precedes the records nested in it.
+    let mut order: Vec<usize> = (0..records.len()).collect();
+    order.sort_by_key(|&i| {
+        let rec = records[i].rec();
+        (rec.start_ns, Reverse(rec.end_ns), Reverse(i))
+    });
+    order.into_iter().map(|i| (i, parents[i])).collect()
+}
+
 /// Renders lane snapshots as a Chrome trace-event JSON value:
-/// `{"traceEvents": [...], "displayTimeUnit": "ms"}`.
+/// `{"traceEvents": [...], "displayTimeUnit": "ms"}`. Lanes without
+/// records are left out.
 pub fn chrome_trace(lanes: &[LaneSnapshot]) -> Value {
     let mut events = Vec::new();
-    for lane in lanes {
+    for lane in lanes.iter().filter(|lane| !lane.records.is_empty()) {
         // Lane metadata first: Perfetto names the track from it.
         events.push(Value::object([
             ("ph", Value::from("M")),
@@ -42,11 +79,14 @@ pub fn chrome_trace(lanes: &[LaneSnapshot]) -> Value {
             ("tid", Value::from(lane.id)),
             (
                 "args",
-                Value::object([("name", Value::from(lane.label.as_str()))]),
+                Value::object([
+                    ("name", Value::from(lane.label.as_str())),
+                    ("dropped", Value::from(lane.dropped)),
+                ]),
             ),
         ]));
-        for repaired in balance(&lane.events) {
-            events.push(emit(&repaired, lane.id));
+        for (i, _) in nest(&lane.records) {
+            events.push(emit(&lane.records[i], lane.id));
         }
     }
     Value::object([
@@ -55,77 +95,36 @@ pub fn chrome_trace(lanes: &[LaneSnapshot]) -> Value {
     ])
 }
 
-/// Repairs one lane's event sequence: drops `End`s whose `Begin` was
-/// overwritten, and appends synthetic `End`s (at the last timestamp) for
-/// spans still open when the snapshot was taken. The result has matched
-/// `Begin`/`End` pairs and non-decreasing timestamps.
-fn balance(events: &[Event]) -> Vec<Event> {
-    let mut out = Vec::with_capacity(events.len());
-    let mut open: Vec<Event> = Vec::new();
-    let mut last_ts = 0u64;
-    for &event in events {
-        last_ts = last_ts.max(event.ts_ns);
-        match event.kind {
-            EventKind::Begin => {
-                open.push(event);
-                out.push(event);
-            }
-            EventKind::End => {
-                // An end can only close the innermost open span; with
-                // the begin overwritten there is nothing to close.
-                if open.last().map(|b| b.name) == Some(event.name) {
-                    open.pop();
-                    out.push(event);
-                }
-            }
-            EventKind::Instant | EventKind::Counter(_) => out.push(event),
-        }
-    }
-    // Synthetic ends inherit the begin's causal ids, so a mid-span
-    // snapshot still exports a fully id-stamped pair.
-    while let Some(begin) = open.pop() {
-        out.push(Event {
-            kind: EventKind::End,
-            ts_ns: last_ts,
-            ..begin
-        });
-    }
-    out
-}
-
-fn emit(event: &Event, tid: u64) -> Value {
-    let ts_us = event.ts_ns as f64 / 1e3;
+fn emit(record: &Record, tid: u64) -> Value {
+    let rec = record.rec();
     let mut pairs = vec![
-        ("name", Value::from(event.name)),
+        ("name", Value::from(rec.name)),
         ("pid", Value::from(1u64)),
         ("tid", Value::from(tid)),
-        ("ts", Value::from(ts_us)),
+        ("ts", Value::from(rec.start_ns as f64 / 1e3)),
     ];
-    match event.kind {
-        EventKind::Begin => pairs.push(("ph", Value::from("B"))),
-        EventKind::End => pairs.push(("ph", Value::from("E"))),
-        EventKind::Instant => {
+    match record {
+        Record::Span(_) => {
+            pairs.push(("ph", Value::from("X")));
+            pairs.push(("dur", Value::from(rec.duration_ns() as f64 / 1e3)));
+        }
+        Record::Instant(_) => {
             pairs.push(("ph", Value::from("i")));
             pairs.push(("s", Value::from("t")));
         }
-        EventKind::Counter(v) => {
-            pairs.push(("ph", Value::from("C")));
-            pairs.push(("args", Value::object([("value", Value::from(v))])));
-        }
     }
     // Causal ids ride along as args so Perfetto queries can group a
-    // request's spans across worker lanes. Counter args already carry
-    // the value; id-less events stay as small as before.
-    if event.span != 0 && !matches!(event.kind, EventKind::Counter(_)) {
+    // request's spans across worker lanes; id-less records stay small.
+    if rec.span != 0 {
         pairs.push((
             "args",
             Value::object([
                 (
                     "trace",
-                    Value::from(format!("{:016x}{:016x}", event.trace_hi, event.trace_lo)),
+                    Value::from(format!("{:016x}{:016x}", rec.trace_hi, rec.trace_lo)),
                 ),
-                ("span", Value::from(format!("{:016x}", event.span))),
-                ("parent", Value::from(format!("{:016x}", event.parent))),
+                ("span", Value::from(format!("{:016x}", rec.span))),
+                ("parent", Value::from(format!("{:016x}", rec.parent))),
             ]),
         ));
     }
@@ -138,7 +137,7 @@ fn emit(event: &Event, tid: u64) -> Value {
 pub struct ProfileRow {
     /// Span name.
     pub name: &'static str,
-    /// Completed (or synthetically closed) occurrences.
+    /// Closed occurrences.
     pub count: u64,
     /// Total begin→end time.
     pub inclusive_ns: u64,
@@ -164,24 +163,16 @@ pub fn self_times(spans: &[(Option<usize>, u64)]) -> Vec<u64> {
 /// Folds lane snapshots into a self-time profile, sorted by exclusive
 /// time descending (ties by name, so the table is deterministic).
 pub fn self_time(lanes: &[LaneSnapshot]) -> Vec<ProfileRow> {
-    // Each lane's balanced begin/end pairs as closed spans, parented to
-    // the span open around them on the lane.
+    // Every lane's spans, parented as `nest` nests them. A parent comes
+    // before its children, so its index in `spans` is known by then.
     let (mut names, mut spans) = (Vec::new(), Vec::new());
     for lane in lanes {
-        // (index into `spans`, begin timestamp) of each open span.
-        let mut open: Vec<(usize, u64)> = Vec::new();
-        for event in balance(&lane.events) {
-            match event.kind {
-                EventKind::Begin => {
-                    names.push(event.name);
-                    spans.push((open.last().map(|&(i, _)| i), 0));
-                    open.push((spans.len() - 1, event.ts_ns));
-                }
-                EventKind::End => {
-                    let (i, begin_ts) = open.pop().expect("balance() matches every end");
-                    spans[i].1 = event.ts_ns.saturating_sub(begin_ts);
-                }
-                EventKind::Instant | EventKind::Counter(_) => {}
+        let mut at = vec![0; lane.records.len()];
+        for (i, parent) in nest(&lane.records) {
+            if let Record::Span(rec) = &lane.records[i] {
+                at[i] = spans.len();
+                names.push(rec.name);
+                spans.push((parent.map(|p| at[p]), rec.duration_ns()));
             }
         }
     }
@@ -257,56 +248,150 @@ pub(crate) fn fmt_ns(v: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{mix, SpanRec};
 
-    fn ev(name: &'static str, kind: EventKind, ts_ns: u64) -> Event {
-        Event::plain(name, kind, ts_ns)
+    fn span(name: &'static str, start_ns: u64, end_ns: u64) -> Record {
+        Record::Span(SpanRec::plain(name, start_ns, end_ns))
     }
 
-    fn lane(events: Vec<Event>) -> LaneSnapshot {
+    fn instant(name: &'static str, ts_ns: u64) -> Record {
+        Record::Instant(SpanRec::plain(name, ts_ns, ts_ns))
+    }
+
+    fn lane(records: Vec<Record>) -> LaneSnapshot {
         LaneSnapshot {
             id: 7,
             label: "test-lane".into(),
-            events,
+            records,
             dropped: 0,
         }
     }
 
     #[test]
-    fn balance_drops_orphan_ends_and_closes_open_begins() {
-        // Suffix of a well-nested sequence: E(a) is orphaned, b stays
-        // open.
-        let events = vec![
-            ev("a", EventKind::End, 10),
-            ev("b", EventKind::Begin, 20),
-            ev("c", EventKind::Begin, 30),
-            ev("c", EventKind::End, 40),
+    fn nest_orders_by_start_and_parents_by_containment() {
+        // In close order: c inside b inside a, a sibling d of a that
+        // opens at a's end, and an instant inside d.
+        let records = [
+            span("c", 20, 30),
+            span("b", 10, 40),
+            span("a", 0, 50),
+            instant("mark", 55),
+            span("d", 50, 60),
         ];
-        let repaired = balance(&events);
-        let shape: Vec<(&str, EventKind)> = repaired.iter().map(|e| (e.name, e.kind)).collect();
         assert_eq!(
-            shape,
+            nest(&records),
             vec![
-                ("b", EventKind::Begin),
-                ("c", EventKind::Begin),
-                ("c", EventKind::End),
-                ("b", EventKind::End),
+                (2, None),
+                (1, Some(2)),
+                (0, Some(1)),
+                (4, None),
+                (3, Some(4))
             ]
         );
-        assert_eq!(repaired.last().unwrap().ts_ns, 40, "closed at the last ts");
+    }
+
+    /// A random properly nested forest on one lane: its records in close
+    /// order, and each record's generated parent as an index into them.
+    /// The clock may stand still between any two steps except that a
+    /// span opens strictly after the lane's last record, the one tie
+    /// [`nest`] cannot settle; so zero-length spans, a parent and child
+    /// that share an interval, and instants at a span's edges all occur.
+    fn forest(seed: u64) -> (Vec<Record>, Vec<Option<usize>>) {
+        let mut draws = 0u64;
+        let mut draw = |k: u64| {
+            draws += 1;
+            mix(seed, draws) % k
+        };
+        // (id, start) of each open span, innermost last; every record's
+        // (id, parent id) in close order.
+        let (mut t, mut last_taken) = (0u64, None::<u64>);
+        let mut open: Vec<(usize, u64)> = Vec::new();
+        let (mut records, mut ids) = (Vec::new(), Vec::new());
+        let mut next_id = 0usize;
+        let steps = 1 + draw(40);
+        for step in 0.. {
+            let finishing = step >= steps;
+            if finishing && open.is_empty() {
+                break;
+            }
+            t += draw(3);
+            match (finishing, draw(3)) {
+                (false, 0) => {
+                    if last_taken == Some(t) {
+                        t += 1;
+                    }
+                    open.push((next_id, t));
+                    next_id += 1;
+                }
+                (false, 1) => {
+                    records.push(instant("i", t));
+                    ids.push((next_id, open.last().map(|&(id, _)| id)));
+                    next_id += 1;
+                    last_taken = Some(t);
+                }
+                _ => {
+                    if let Some((id, start)) = open.pop() {
+                        records.push(span("s", start, t));
+                        ids.push((id, open.last().map(|&(id, _)| id)));
+                        last_taken = Some(t);
+                    }
+                }
+            }
+        }
+        let index = |id: usize| ids.iter().position(|&(i, _)| i == id);
+        let parents = ids.iter().map(|&(_, p)| p.and_then(index)).collect();
+        (records, parents)
     }
 
     #[test]
-    fn causal_ids_survive_synthetic_ends_and_export_as_args() {
-        let mut begin = ev("req", EventKind::Begin, 10);
-        begin.trace_hi = 0xaa;
-        begin.trace_lo = 0xbb;
-        begin.span = 0x3;
-        let repaired = balance(&[begin]);
-        assert_eq!(repaired.len(), 2, "open begin gets a synthetic end");
-        assert_eq!(repaired[1].kind, EventKind::End);
-        assert_eq!(repaired[1].span, 0x3, "synthetic end inherits the ids");
-        let json = emit(&repaired[1], 1);
-        let args = json.get("args").expect("id-stamped events carry args");
+    fn nest_recovers_every_generated_parent() {
+        for seed in 0..500u64 {
+            let (records, parents) = forest(seed);
+            let nested = nest(&records);
+            let mut seen = vec![false; records.len()];
+            let mut last_start = 0;
+            for &(i, parent) in &nested {
+                assert!(!seen[i], "seed {seed}: record {i} twice");
+                seen[i] = true;
+                let start = records[i].rec().start_ns;
+                assert!(start >= last_start, "seed {seed}: out of start order");
+                last_start = start;
+                assert_eq!(
+                    parent, parents[i],
+                    "seed {seed}: parent of {i} in {records:?}"
+                );
+                assert!(
+                    parent.is_none_or(|p| seen[p]),
+                    "seed {seed}: {i} before its parent"
+                );
+            }
+            assert!(seen.iter().all(|&s| s), "seed {seed}: a record is missing");
+        }
+    }
+
+    #[test]
+    fn nest_settles_shared_intervals_by_close_order() {
+        // A child that shares its parent's interval closes first; two
+        // zero-length spans nest the same way; a zero-length span at a
+        // sibling's end stays its sibling.
+        let records = [span("child", 5, 9), span("parent", 5, 9)];
+        assert_eq!(nest(&records), vec![(1, None), (0, Some(1))]);
+        let records = [span("inner", 5, 5), span("outer", 5, 5)];
+        assert_eq!(nest(&records), vec![(1, None), (0, Some(1))]);
+        let records = [span("first", 1, 5), span("next", 5, 5)];
+        assert_eq!(nest(&records), vec![(0, None), (1, None)]);
+    }
+
+    #[test]
+    fn causal_ids_export_as_args() {
+        let rec = SpanRec {
+            trace_hi: 0xaa,
+            trace_lo: 0xbb,
+            span: 0x3,
+            ..SpanRec::plain("req", 10, 20)
+        };
+        let json = emit(&Record::Span(rec), 1);
+        let args = json.get("args").expect("id-stamped records carry args");
         assert_eq!(
             args.get("span").and_then(Value::as_str),
             Some("0000000000000003")
@@ -315,33 +400,36 @@ mod tests {
             args.get("trace").and_then(Value::as_str),
             Some("00000000000000aa00000000000000bb")
         );
-        // Id-less events stay arg-free (Counter keeps its value args).
-        assert!(emit(&ev("x", EventKind::Begin, 0), 1).get("args").is_none());
+        // Id-less records stay arg-free.
+        assert!(emit(&span("x", 0, 1), 1).get("args").is_none());
     }
 
     #[test]
-    fn chrome_trace_has_metadata_and_matched_pairs() {
-        let l = lane(vec![
-            ev("work", EventKind::Begin, 1_000),
-            ev("park", EventKind::Instant, 1_500),
-            ev("queue", EventKind::Counter(3), 1_600),
-            ev("work", EventKind::End, 2_000),
-        ]);
-        let trace = chrome_trace(&[l]);
+    fn chrome_trace_has_metadata_and_complete_events() {
+        let mut l = lane(vec![instant("park", 1_500), span("work", 1_000, 2_000)]);
+        l.dropped = 3;
+        let empty = LaneSnapshot {
+            id: 8,
+            ..lane(Vec::new())
+        };
+        let trace = chrome_trace(&[l, empty]);
         let events = trace
             .get("traceEvents")
             .and_then(Value::as_array)
             .expect("traceEvents array");
-        assert_eq!(events.len(), 5, "metadata + 4 events");
+        assert_eq!(events.len(), 3, "metadata + 2 records; no empty lane");
         let phases: Vec<&str> = events
             .iter()
             .filter_map(|e| e.get("ph").and_then(Value::as_str))
             .collect();
-        assert_eq!(phases, vec!["M", "B", "i", "C", "E"]);
-        // Microsecond timestamps.
-        let b = &events[1];
-        assert_eq!(b.get("ts").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(b.get("tid").and_then(Value::as_u64), Some(7));
+        assert_eq!(phases, vec!["M", "X", "i"], "start order");
+        let meta = events[0].get("args").unwrap();
+        assert_eq!(meta.get("dropped").and_then(Value::as_u64), Some(3));
+        // Microsecond timestamps and durations.
+        let x = &events[1];
+        assert_eq!(x.get("ts").and_then(Value::as_f64), Some(1.0));
+        assert_eq!(x.get("dur").and_then(Value::as_f64), Some(1.0));
+        assert_eq!(x.get("tid").and_then(Value::as_u64), Some(7));
         // Round-trips through the hand-rolled JSON.
         let text = trace.to_string();
         assert_eq!(Value::parse(&text).unwrap(), trace);
@@ -350,12 +438,7 @@ mod tests {
     #[test]
     fn self_time_splits_exclusive_from_inclusive() {
         // outer [0, 100] wraps inner [20, 60]: outer self = 60.
-        let l = lane(vec![
-            ev("outer", EventKind::Begin, 0),
-            ev("inner", EventKind::Begin, 20),
-            ev("inner", EventKind::End, 60),
-            ev("outer", EventKind::End, 100),
-        ]);
+        let l = lane(vec![span("inner", 20, 60), span("outer", 0, 100)]);
         let rows = self_time(&[l]);
         assert_eq!(rows.len(), 2);
         let outer = rows.iter().find(|r| r.name == "outer").unwrap();
@@ -372,16 +455,15 @@ mod tests {
     #[test]
     fn self_time_only_counts_direct_children_once() {
         // a wraps b wraps c: a's self excludes b (which already contains
-        // c), not b and c both.
+        // c), not b and c both. Instants take no time.
         let l = lane(vec![
-            ev("a", EventKind::Begin, 0),
-            ev("b", EventKind::Begin, 10),
-            ev("c", EventKind::Begin, 20),
-            ev("c", EventKind::End, 30),
-            ev("b", EventKind::End, 40),
-            ev("a", EventKind::End, 50),
+            span("c", 20, 30),
+            instant("mark", 35),
+            span("b", 10, 40),
+            span("a", 0, 50),
         ]);
         let rows = self_time(&[l]);
+        assert_eq!(rows.len(), 3, "instants are not profile rows");
         let a = rows.iter().find(|r| r.name == "a").unwrap();
         assert_eq!(a.inclusive_ns, 50);
         assert_eq!(a.exclusive_ns, 20, "50 - b's 30");

@@ -1,8 +1,8 @@
-//! Request-scoped trace context: causal ids for recorder events.
+//! Request-scoped trace context: causal ids for recorder records.
 //!
 //! The flight recorder ([`crate::recorder`]) stamps *when* things
-//! happened, one lane per thread. This module stamps *why*: every event
-//! recorded while a request is active carries the originating 128-bit
+//! happened, one lane per thread. This module stamps *why*: every record
+//! taken while a request is active carries the originating 128-bit
 //! trace id, its own span id, and its parent span id — so a request's
 //! spans can be reassembled into one causal tree even when the work
 //! crossed `cable-par` workers.
@@ -35,7 +35,6 @@
 //! `CABLE_PAR=8` — which is what lets the determinism gate cover
 //! attribution.
 
-use crate::recorder::Event;
 use crate::span::{with_stack, Span};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,14 +100,19 @@ pub fn parse_trace_hex(s: &str) -> Option<(u64, u64)> {
     Some((hi, lo))
 }
 
-/// One closed span, as collected into a request's span tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One closed span: the record its histogram, its thread's recorder
+/// lane and, inside a request, the request's span tree all receive.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRec {
-    /// Span name (the recorder event name).
+    /// Span name (static, so recording never allocates).
     pub name: &'static str,
-    /// This span's id.
+    /// High half of the originating trace id (0 outside a request).
+    pub trace_hi: u64,
+    /// Low half of the originating trace id (0 outside a request).
+    pub trace_lo: u64,
+    /// This span's id (0 outside a request).
     pub span: u64,
-    /// Parent span id (`0` only for the request root).
+    /// Parent span id (0 at the request root or outside a request).
     pub parent: u64,
     /// Start, nanoseconds since the recorder epoch.
     pub start_ns: u64,
@@ -117,6 +121,16 @@ pub struct SpanRec {
 }
 
 impl SpanRec {
+    /// A record of `[start_ns, end_ns]` with zeroed causal ids.
+    pub fn plain(name: &'static str, start_ns: u64, end_ns: u64) -> SpanRec {
+        SpanRec {
+            name,
+            start_ns,
+            end_ns,
+            ..SpanRec::default()
+        }
+    }
+
     /// Begin→end time, nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
@@ -194,10 +208,10 @@ impl TraceState {
         }
     }
 
-    /// Opens a frame for the span whose `Begin` is `begin`: mints its
-    /// child span id under the innermost open frame (or the context's
-    /// base) and stamps the event with its ids.
-    pub(crate) fn open(&mut self, begin: &mut Event) {
+    /// Opens a frame for the span `rec` records: mints its child span
+    /// id under the innermost open frame (or the context's base) and
+    /// stamps the record with its ids.
+    pub(crate) fn open(&mut self, rec: &mut SpanRec) {
         let (span, parent) = match self.frames.last_mut() {
             Some(top) => {
                 top.child_seq += 1;
@@ -218,7 +232,7 @@ impl TraceState {
             parent,
             child_seq: 0,
         });
-        self.stamp_as(begin, span, parent);
+        self.stamp_as(rec, span, parent);
     }
 
     /// Closes the innermost frame if `rec` is its span, collecting the
@@ -231,20 +245,20 @@ impl TraceState {
         }
     }
 
-    /// Stamps a point event with the innermost open span's ids.
-    pub(crate) fn stamp(&self, event: &mut Event) {
+    /// Stamps an instant with the innermost open span's ids.
+    pub(crate) fn stamp(&self, rec: &mut SpanRec) {
         let (span, parent) = match self.frames.last() {
             Some(top) => (top.span, top.parent),
             None => (0, self.base_parent),
         };
-        self.stamp_as(event, span, parent);
+        self.stamp_as(rec, span, parent);
     }
 
-    fn stamp_as(&self, event: &mut Event, span: u64, parent: u64) {
-        event.trace_hi = self.trace_hi;
-        event.trace_lo = self.trace_lo;
-        event.span = span;
-        event.parent = parent;
+    fn stamp_as(&self, rec: &mut SpanRec, span: u64, parent: u64) {
+        rec.trace_hi = self.trace_hi;
+        rec.trace_lo = self.trace_lo;
+        rec.span = span;
+        rec.parent = parent;
     }
 }
 
@@ -288,7 +302,7 @@ impl FinishedTrace {
 /// the collected tree. `queue_wait_ns` (time the connection sat in the
 /// bounded accept queue) widens the root span backwards and lands as a
 /// synthetic `wait.queue` child, so queueing is part of request wall
-/// time without the recorder having to pair events across lanes.
+/// time without the recorder having to pair records across lanes.
 ///
 /// While observation is off this is a no-op guard.
 pub fn begin_request(ctx: TraceCtx, name: &'static str, queue_wait_ns: u64) -> RequestGuard {
@@ -353,16 +367,16 @@ impl RequestGuard {
         let dropped = state.collector.dropped.load(Ordering::Relaxed);
         if self.queue_wait_ns > 0 {
             if let Some(root) = spans.iter_mut().find(|s| s.span == self.ctx.span_id) {
-                let handled_start = root.start_ns;
-                root.start_ns = handled_start.saturating_sub(self.queue_wait_ns);
-                let start = root.start_ns;
-                spans.push(SpanRec {
+                let queue = SpanRec {
                     name: "wait.queue",
                     span: mix(self.ctx.span_id, QUEUE_TAG),
                     parent: self.ctx.span_id,
-                    start_ns: start,
-                    end_ns: handled_start,
-                });
+                    start_ns: root.start_ns.saturating_sub(self.queue_wait_ns),
+                    end_ns: root.start_ns,
+                    ..*root
+                };
+                root.start_ns = queue.start_ns;
+                spans.push(queue);
             }
         }
         FinishedTrace {
@@ -446,7 +460,6 @@ impl Drop for AdoptGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::EventKind;
 
     /// Drives the frame stack directly (no [`Span`], no clock), so these
     /// tests cannot race other tests over the global enabled flag.
@@ -468,33 +481,32 @@ mod tests {
         with_stack(|s| s.trace = None);
     }
 
-    /// Opens a frame as a span's entry would; returns the stamped Begin.
-    fn open() -> Event {
-        let mut begin = Event::plain("span", EventKind::Begin, 0);
+    /// Opens a frame as a span's entry would; returns the stamped record.
+    fn open() -> SpanRec {
+        let mut rec = SpanRec::plain("span", 0, 0);
         with_stack(|s| {
             if let Some(trace) = s.trace.as_mut() {
-                trace.open(&mut begin);
+                trace.open(&mut rec);
             }
         });
-        begin
+        rec
     }
 
-    fn close(name: &'static str, ids: Event, start_ns: u64, end_ns: u64) {
+    fn close(name: &'static str, ids: SpanRec, start_ns: u64, end_ns: u64) {
         with_stack(|s| {
             if let Some(trace) = s.trace.as_mut() {
                 trace.close(SpanRec {
                     name,
-                    span: ids.span,
-                    parent: ids.parent,
                     start_ns,
                     end_ns,
+                    ..ids
                 });
             }
         });
     }
 
-    fn current() -> Event {
-        let mut mark = Event::plain("mark", EventKind::Instant, 0);
+    fn current() -> SpanRec {
+        let mut mark = SpanRec::plain("mark", 0, 0);
         with_stack(|s| {
             if let Some(trace) = &s.trace {
                 trace.stamp(&mut mark);
@@ -562,8 +574,8 @@ mod tests {
         let collector = install(ctx);
         let root = open();
         // Opened under no context (id 0), or under another one.
-        close("orphan", Event::plain("orphan", EventKind::Begin, 0), 0, 5);
-        close("stranger", Event { span: 7, ..root }, 0, 5);
+        close("orphan", SpanRec::plain("orphan", 0, 0), 0, 5);
+        close("stranger", SpanRec { span: 7, ..root }, 0, 5);
         assert_eq!(collector.spans.lock().unwrap().len(), 0);
         assert_eq!(current().span, ctx.span_id, "the root is still open");
         uninstall();

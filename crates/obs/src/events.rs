@@ -30,38 +30,28 @@
 //!
 //! # Transport
 //!
-//! [`emit`] is a no-op (one relaxed load) while disabled. When enabled,
-//! each event lands in a bounded in-memory ring (tail-served at
+//! [`emit`] sits behind the crate's one switch, [`crate::enabled`]: it
+//! is a no-op (one relaxed load) while observation is off. While it is
+//! on, each event lands in a bounded in-memory ring (tail-served at
 //! `/eventz`) and, when a sink is installed ([`install_sink`] — the
-//! `--events-out` flag), is appended through the buffered
-//! [`JsonlSink`]. Emission also feeds the SLO windows
-//! ([`crate::slo::observe`]) so `/sloz` is computed from the same
-//! stream the operator reads.
+//! `--events-out` flag, which turns observation on), is appended
+//! through the buffered [`JsonlSink`]. Emission also feeds the SLO
+//! windows ([`crate::slo::observe`]), where an outcome other than
+//! `"ok"` or an HTTP status below 500 counts as an error, so `/sloz` is
+//! computed from the same stream the operator reads.
 
 use crate::json::Value;
 use crate::sink::JsonlSink;
 use crate::slo;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// Events retained in memory for `/eventz` (oldest evicted first).
 pub const EVENT_RING_CAPACITY: usize = 512;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Whether wide events are being captured.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns wide-event capture on or off.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 fn ring() -> &'static Mutex<VecDeque<Value>> {
     static RING: OnceLock<Mutex<VecDeque<Value>>> = OnceLock::new();
@@ -73,15 +63,15 @@ fn sink_slot() -> &'static Mutex<Option<JsonlSink>> {
     SLOT.get_or_init(|| Mutex::new(None))
 }
 
-/// Installs (replacing) the persistent event sink; also enables capture.
-/// The previous sink, if any, is flushed by its drop.
+/// Installs (replacing) the persistent event sink; also turns
+/// observation on. The previous sink, if any, is flushed by its drop.
 pub fn install_sink(sink: JsonlSink) {
     *sink_slot().lock().expect("event sink poisoned") = Some(sink);
-    set_enabled(true);
+    crate::set_enabled(true);
 }
 
 /// Removes and returns the installed sink (buffered lines flush when the
-/// caller drops it). Capture stays in whatever state it was.
+/// caller drops it). Observation stays in whatever state it was.
 pub fn take_sink() -> Option<JsonlSink> {
     sink_slot().lock().expect("event sink poisoned").take()
 }
@@ -190,12 +180,12 @@ impl WideEvent {
 
 /// Emits one event: sequence-stamps it, feeds the SLO windows, appends
 /// it to the in-memory ring, and writes it through the installed sink
-/// (if any). A no-op (one relaxed load) while capture is disabled.
+/// (if any). A no-op (one relaxed load) while observation is off.
 pub fn emit(event: WideEvent) {
-    if !enabled() {
+    if !crate::enabled() {
         return;
     }
-    let ok = event.outcome == "ok";
+    let ok = succeeded(&event.outcome);
     let window_key = if event.stage.is_empty() {
         event.kind.to_owned()
     } else {
@@ -214,6 +204,13 @@ pub fn emit(event: WideEvent) {
     ring.push_back(json);
 }
 
+/// Whether an outcome counts as a success in the SLO windows: `"ok"`,
+/// or an HTTP status below 500 (a client's 4xx is not the service
+/// failing; every 5xx, the declared degraded 503s included, is).
+fn succeeded(outcome: &str) -> bool {
+    outcome == "ok" || outcome.parse::<u16>().is_ok_and(|status| status < 500)
+}
+
 /// Total events emitted since process start (including ones the ring has
 /// since evicted).
 pub fn total_emitted() -> u64 {
@@ -227,10 +224,11 @@ pub fn recent(limit: usize) -> Vec<Value> {
     ring.iter().skip(start).cloned().collect()
 }
 
-/// The `/eventz` body: capture state, totals, and the ring tail.
+/// The `/eventz` body: whether observation is on, totals, and the ring
+/// tail.
 pub fn eventz_json(limit: usize) -> Value {
     Value::object([
-        ("enabled", Value::from(enabled())),
+        ("enabled", Value::from(crate::enabled())),
         ("total", Value::from(total_emitted())),
         ("capacity", Value::from(EVENT_RING_CAPACITY)),
         ("events", Value::Array(recent(limit))),
@@ -299,17 +297,18 @@ pub fn clear_ring() {
 mod tests {
     use super::*;
 
-    /// Capture state is process-global; tests that toggle it must not
+    /// Observation is process-global; tests that toggle it must not
     /// interleave.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        crate::TEST_FLAG_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
     fn disabled_emit_records_nothing() {
         let _l = lock();
-        set_enabled(false);
+        crate::set_enabled(false);
         let before = total_emitted();
         emit(WideEvent::new("unit_test", "nobody"));
         assert_eq!(total_emitted(), before);
@@ -318,7 +317,7 @@ mod tests {
     #[test]
     fn emitted_events_carry_the_schema_and_ride_the_ring() {
         let _l = lock();
-        set_enabled(true);
+        crate::set_enabled(true);
         clear_ring();
         emit(
             WideEvent::new("unit_test", "session-a")
@@ -328,7 +327,7 @@ mod tests {
                 .duration(Duration::from_micros(5))
                 .field("traces", 80u64),
         );
-        set_enabled(false);
+        crate::set_enabled(false);
         let events = recent(16);
         let event = events.last().expect("event in ring");
         check_schema(event).expect("schema holds");
@@ -347,12 +346,12 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_keeps_the_newest() {
         let _l = lock();
-        set_enabled(true);
+        crate::set_enabled(true);
         clear_ring();
         for i in 0..(EVENT_RING_CAPACITY + 8) {
             emit(WideEvent::new("ring_fill", "t").field("i", i as u64));
         }
-        set_enabled(false);
+        crate::set_enabled(false);
         let events = recent(usize::MAX);
         assert_eq!(events.len(), EVENT_RING_CAPACITY);
         let last = events.last().unwrap();
@@ -363,6 +362,16 @@ mod tests {
         // `recent` limits from the tail.
         assert_eq!(recent(3).len(), 3);
         clear_ring();
+    }
+
+    #[test]
+    fn outcomes_below_500_succeed() {
+        for outcome in ["ok", "200", "201", "404", "429"] {
+            assert!(succeeded(outcome), "{outcome}");
+        }
+        for outcome in ["500", "503", "error", "panic", "budget_exceeded", ""] {
+            assert!(!succeeded(outcome), "{outcome}");
+        }
     }
 
     #[test]
@@ -448,7 +457,7 @@ mod tests {
         emit(WideEvent::new("sinked", "t").outcome("ok"));
         let sink = take_sink().expect("sink installed");
         drop(sink); // flush-on-drop
-        set_enabled(false);
+        crate::set_enabled(false);
         let text = std::fs::read_to_string(&path).unwrap();
         let records = crate::sink::parse_jsonl(&text).unwrap();
         assert!(records

@@ -22,10 +22,12 @@
 //! * [`json`] — a minimal JSON value model with a hand-rolled writer and
 //!   parser, used for the perf records and their round-trip tests;
 //! * [`recorder`] — the flight recorder: fixed-capacity per-thread ring
-//!   buffers of timestamped events (span begin/end, instants, counter
-//!   marks), overflow tracked under `obs.recorder.dropped`;
-//! * [`chrome`] — Chrome trace-event JSON export of the recorder (one
-//!   lane per thread, loadable in Perfetto) and the self-time profile;
+//!   buffers of closed spans (one record each, appended when the span
+//!   closes) and instants, overflow tracked under
+//!   `obs.recorder.dropped`;
+//! * [`chrome`] — one nesting pass per lane, feeding the Chrome
+//!   trace-event export of the recorder (one lane per thread, complete
+//!   `X` events, loadable in Perfetto) and the self-time profile;
 //! * [`prom`] — Prometheus text exposition of the registry, plus
 //!   labelled histogram series a caller owns (the `/metrics` body);
 //! * [`ApiHandler`] / [`ApiRequest`] / [`ApiResponse`] — the seam between
@@ -62,9 +64,9 @@
 //! ```
 //!
 //! Counters count even while disabled (they are the workload accounting
-//! the tables rely on); spans, recorder events and request traces exist
-//! only while enabled, so the `--stats` flags and `CABLE_OBS=1` gate
-//! their clock reads.
+//! the tables rely on); spans, recorder records, request traces and wide
+//! events exist only while observation is [`enabled`], so the `--stats`
+//! flags and `CABLE_OBS=1` gate their clock reads.
 
 mod api;
 pub mod chrome;
@@ -101,28 +103,27 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 #[cfg(test)]
 pub(crate) static TEST_FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Whether observation is on: span timing, the flight recorder and
-/// request traces. Counters are unconditional.
+/// Whether observation is on: span timing, the flight recorder, request
+/// traces and wide events. Counters are unconditional.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns observation on or off. Recorder lanes and their contents
-/// survive toggling; only *new* spans and events are gated.
+/// survive toggling; only *new* spans, instants and events are gated.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Enables observation — and the wide-event log — if the `CABLE_OBS`
-/// environment variable is set to anything other than `0` or the empty
-/// string. Returns the resulting state.
+/// Enables observation if the `CABLE_OBS` environment variable is set
+/// to anything other than `0` or the empty string. Returns the
+/// resulting state.
 pub fn init_from_env() -> bool {
     let _ = process_start(); // pin the uptime epoch as early as possible
     if let Ok(v) = std::env::var("CABLE_OBS") {
         if !v.is_empty() && v != "0" {
             set_enabled(true);
-            events::set_enabled(true);
         }
     }
     enabled()

@@ -1,21 +1,17 @@
 //! The flight recorder: fixed-capacity, per-thread ring buffers of
-//! timeline events.
+//! timeline records.
 //!
 //! Counters and histograms (the rest of this crate) aggregate — they
-//! answer *how much*. The recorder answers *when*: every span begin and
-//! end, every instant event (a park, a journal append), and
-//! every counter mark is stamped with a monotonic-clock timestamp and
-//! appended to the recording thread's own ring. Two consumers read the
-//! rings back:
-//!
-//! * [`crate::chrome`] renders them as Chrome trace-event JSON (one lane
-//!   per thread, loadable in Perfetto / `chrome://tracing`) and folds
-//!   them into a self-time profile;
-//! * the HTTP server (`cable-core`'s `server` module) serves the most
-//!   recent spans per lane as `/tracez`.
-//!
-//! Span begin/end pairs come only from [`crate::Span`]; this module's
-//! own entry points are the point events ([`instant`], [`counter_mark`]).
+//! answer *how much*. The recorder answers *when*: every closed span and
+//! every instant (a park, a journal append) is stamped with
+//! monotonic-clock times and appended to the recording thread's own
+//! ring as one [`Record`]. A [`crate::Span`] appends its closed
+//! [`SpanRec`] once, when it closes — the same value its histogram and
+//! its request's span tree receive — so a lane never holds half a span.
+//! Two consumers read the rings back through [`crate::chrome`], which
+//! nests each lane's records by containment: the Chrome trace-event
+//! export (`--trace-out`, and the HTTP server's `/tracez`) and the
+//! self-time profile.
 //!
 //! # Memory model
 //!
@@ -24,28 +20,29 @@
 //! ring (see [`set_capacity`]) whose handle sits in the thread's frame
 //! stack and which is registered in a process-wide table. Only the
 //! owning thread writes its ring; snapshots from other threads take the
-//! lane's mutex briefly, so the single-writer ordering guarantee holds:
-//! **events within a lane are in non-decreasing timestamp order**,
-//! because one thread stamps them from one monotonic clock. No ordering
-//! is implied *across* lanes beyond the shared epoch.
+//! lane's mutex briefly. Records sit in the order they were taken: a
+//! span when it closed, an instant when it happened, so **end times are
+//! non-decreasing within a lane**. No ordering is implied *across* lanes
+//! beyond the shared epoch.
 //!
-//! A full ring overwrites its oldest event (newest wins) and counts the
+//! A full ring overwrites its oldest record (newest wins) and counts the
 //! loss — per lane in [`LaneSnapshot::dropped`] and globally under the
 //! `obs.recorder.dropped` counter. Drops are acceptable by design: the
 //! recorder is a *flight recorder*, not an audit log — the interesting
 //! window is the most recent one, and bounding memory beats completeness
-//! for a long-running session process.
+//! for a long-running session process. Every surviving record is whole,
+//! so a wrapped ring needs no repair.
 //!
-//! While observation is off, [`instant`] and [`counter_mark`] are one
-//! relaxed atomic load.
+//! While observation is off, [`instant`] is one relaxed atomic load.
 
+use crate::context::SpanRec;
 use crate::metrics::Counter;
 use crate::registry::registry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default per-lane ring capacity (events).
+/// Default per-lane ring capacity (records).
 pub const DEFAULT_CAPACITY: usize = 8192;
 
 static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
@@ -53,11 +50,11 @@ static NEXT_LANE: AtomicU64 = AtomicU64::new(1);
 
 /// Sets the ring capacity for lanes created *after* this call (existing
 /// lanes keep their rings). Clamped to at least 2.
-pub fn set_capacity(events: usize) {
-    CAPACITY.store(events.max(2), Ordering::Relaxed);
+pub fn set_capacity(records: usize) {
+    CAPACITY.store(records.max(2), Ordering::Relaxed);
 }
 
-/// The process-wide monotonic epoch every event timestamp counts from.
+/// The process-wide monotonic epoch every recorder timestamp counts from.
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -68,55 +65,21 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// What an [`Event`] marks.
+/// One lane entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A span opened (matched by a later [`EventKind::End`] on the same
-    /// lane).
-    Begin,
-    /// A span closed.
-    End,
-    /// A point in time (a park, a journal append).
-    Instant,
-    /// A counter observation carrying the counter's current value.
-    Counter(u64),
+pub enum Record {
+    /// A span, appended when it closed.
+    Span(SpanRec),
+    /// A point in time (a park, a journal append): `start_ns == end_ns`,
+    /// stamped with the ids of the request span open around it.
+    Instant(SpanRec),
 }
 
-/// One recorded timeline event.
-///
-/// The trace/span id fields are zero outside a request context; while a
-/// [`crate::context`] is active on the recording thread they carry the
-/// originating 128-bit trace id, the event's own span id, and its
-/// parent span id (see [`crate::context`] for how ids are minted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// The span / marker name (static, so recording never allocates).
-    pub name: &'static str,
-    /// What the event marks.
-    pub kind: EventKind,
-    /// Nanoseconds since the recorder epoch.
-    pub ts_ns: u64,
-    /// High half of the originating trace id (0 outside a request).
-    pub trace_hi: u64,
-    /// Low half of the originating trace id (0 outside a request).
-    pub trace_lo: u64,
-    /// This event's span id (0 outside a request).
-    pub span: u64,
-    /// Parent span id (0 at the request root or outside a request).
-    pub parent: u64,
-}
-
-impl Event {
-    /// An event with zeroed causal ids (outside any request context).
-    pub fn plain(name: &'static str, kind: EventKind, ts_ns: u64) -> Event {
-        Event {
-            name,
-            kind,
-            ts_ns,
-            trace_hi: 0,
-            trace_lo: 0,
-            span: 0,
-            parent: 0,
+impl Record {
+    /// The record's name, times and causal ids.
+    pub fn rec(&self) -> &SpanRec {
+        match self {
+            Record::Span(rec) | Record::Instant(rec) => rec,
         }
     }
 }
@@ -124,11 +87,11 @@ impl Event {
 /// A lane's fixed-capacity ring.
 #[derive(Debug)]
 struct Ring {
-    buf: Vec<Event>,
+    buf: Vec<Record>,
     capacity: usize,
-    /// Index the next event is written at (wraps).
+    /// Index the next record is written at (wraps).
     next: usize,
-    /// Total events ever pushed to this lane.
+    /// Total records ever pushed to this lane.
     total: u64,
 }
 
@@ -142,15 +105,15 @@ impl Ring {
         }
     }
 
-    fn push(&mut self, event: Event) -> bool {
+    fn push(&mut self, record: Record) -> bool {
         self.total += 1;
         if self.buf.len() < self.capacity {
-            self.buf.push(event);
+            self.buf.push(record);
             self.next = self.buf.len() % self.capacity;
             false
         } else {
             // Full: overwrite the oldest (newest wins).
-            self.buf[self.next] = event;
+            self.buf[self.next] = record;
             self.next = (self.next + 1) % self.capacity;
             true
         }
@@ -160,8 +123,8 @@ impl Ring {
         self.total.saturating_sub(self.buf.len() as u64)
     }
 
-    /// The surviving events, oldest first.
-    fn ordered(&self) -> Vec<Event> {
+    /// The surviving records, oldest first.
+    fn ordered(&self) -> Vec<Record> {
         if self.buf.len() < self.capacity {
             self.buf.clone()
         } else {
@@ -192,10 +155,10 @@ fn dropped_counter() -> &'static Counter {
     DROPPED.get_or_init(|| registry().counter("obs.recorder.dropped"))
 }
 
-/// Appends `event` to the calling thread's lane, registering the lane
+/// Appends `record` to the calling thread's lane, registering the lane
 /// (labelled with the thread's name) on first use. `lane` is the slot
 /// in the thread's frame stack.
-pub(crate) fn append(lane: &mut Option<Arc<Lane>>, event: Event) {
+pub(crate) fn append(lane: &mut Option<Arc<Lane>>, record: Record) {
     let lane = lane.get_or_insert_with(|| {
         let id = NEXT_LANE.fetch_add(1, Ordering::Relaxed);
         let label = std::thread::current()
@@ -216,39 +179,28 @@ pub(crate) fn append(lane: &mut Option<Arc<Lane>>, event: Event) {
         .ring
         .lock()
         .expect("recorder lane poisoned")
-        .push(event);
+        .push(record);
     if overwrote {
         dropped_counter().incr();
     }
 }
 
-/// Records a point event on the current thread's lane, stamped with the
-/// innermost open span's causal ids. A no-op (one relaxed load) while
+/// Records an instant on the current thread's lane, stamped with the
+/// innermost open request span's ids. A no-op (one relaxed load) while
 /// observation is off.
 #[inline]
-fn mark(name: &'static str, kind: EventKind) {
+pub fn instant(name: &'static str) {
     if !crate::enabled() {
         return;
     }
-    let mut event = Event::plain(name, kind, now_ns());
+    let now = now_ns();
+    let mut rec = SpanRec::plain(name, now, now);
     crate::span::with_stack(|s| {
         if let Some(trace) = &s.trace {
-            trace.stamp(&mut event);
+            trace.stamp(&mut rec);
         }
-        append(&mut s.lane, event);
+        append(&mut s.lane, Record::Instant(rec));
     });
-}
-
-/// Records an instant event.
-#[inline]
-pub fn instant(name: &'static str) {
-    mark(name, EventKind::Instant);
-}
-
-/// Records a counter mark carrying `value`.
-#[inline]
-pub fn counter_mark(name: &'static str, value: u64) {
-    mark(name, EventKind::Counter(value));
 }
 
 /// A point-in-time copy of one lane.
@@ -259,9 +211,10 @@ pub struct LaneSnapshot {
     /// The recording thread's name (`cable-par-N` for pool workers), or
     /// `thread-<id>` for an unnamed thread.
     pub label: String,
-    /// Surviving events, oldest first, timestamps non-decreasing.
-    pub events: Vec<Event>,
-    /// Events lost to ring overflow on this lane.
+    /// Surviving records, oldest first: in the order spans closed and
+    /// instants happened.
+    pub records: Vec<Record>,
+    /// Records lost to ring overflow on this lane.
     pub dropped: u64,
 }
 
@@ -276,7 +229,7 @@ pub fn snapshot() -> Vec<LaneSnapshot> {
             LaneSnapshot {
                 id: lane.id,
                 label: lane.label.clone(),
-                events: ring.ordered(),
+                records: ring.ordered(),
                 dropped: ring.dropped(),
             }
         })
@@ -300,15 +253,18 @@ pub fn clear() {
 mod tests {
     use super::*;
 
+    fn at(ts: u64) -> Record {
+        Record::Instant(SpanRec::plain("t", ts, ts))
+    }
+
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let mut ring = Ring::new(3);
-        let ev = |ts| Event::plain("t", EventKind::Instant, ts);
         for ts in 0..5u64 {
-            ring.push(ev(ts));
+            ring.push(at(ts));
         }
         assert_eq!(ring.dropped(), 2);
-        let ts: Vec<u64> = ring.ordered().iter().map(|e| e.ts_ns).collect();
+        let ts: Vec<u64> = ring.ordered().iter().map(|r| r.rec().end_ns).collect();
         assert_eq!(ts, vec![2, 3, 4], "newest wins, oldest first");
     }
 
@@ -316,7 +272,7 @@ mod tests {
     fn ring_below_capacity_keeps_everything() {
         let mut ring = Ring::new(8);
         for ts in 0..5u64 {
-            ring.push(Event::plain("t", EventKind::Begin, ts));
+            ring.push(Record::Span(SpanRec::plain("t", ts, ts + 1)));
         }
         assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.ordered().len(), 5);
@@ -326,9 +282,9 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let _flag = crate::TEST_FLAG_LOCK.lock().unwrap();
         crate::set_enabled(false);
-        let before: u64 = snapshot().iter().map(|l| l.events.len() as u64).sum();
+        let before: u64 = snapshot().iter().map(|l| l.records.len() as u64).sum();
         instant("test.disabled");
-        let after: u64 = snapshot().iter().map(|l| l.events.len() as u64).sum();
+        let after: u64 = snapshot().iter().map(|l| l.records.len() as u64).sum();
         assert_eq!(before, after);
     }
 

@@ -4,13 +4,13 @@
 //! [`FrameStack`]: the thread's recorder lane (registered on its first
 //! event) and, while a request context is installed or adopted (see
 //! [`crate::context`]), that request's open frames. A [`Span`] reads the
-//! clock once on entry and once on drop, and the closed-span record it
-//! builds on drop feeds three consumers from that one measurement:
+//! clock once on entry and once on drop, and the closed-span record
+//! ([`SpanRec`]) it builds on drop feeds three consumers from that one
+//! measurement:
 //!
 //! * the span's histogram, in the unit its metric name states (names
 //!   ending in `.us` record microseconds, all others nanoseconds);
-//! * the thread's recorder lane, as a `Begin`/`End` pair whose gap is
-//!   exactly the recorded duration;
+//! * the thread's recorder lane, which receives the record once;
 //! * the request's span tree, when a context is active.
 //!
 //! All of it sits behind the one [`crate::enabled`] switch: while it is
@@ -19,7 +19,7 @@
 
 use crate::context::{SpanRec, TraceState};
 use crate::metrics::HistogramHandle;
-use crate::recorder::{self, Event, EventKind, Lane};
+use crate::recorder::{self, Lane, Record};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// This thread's span state: its recorder lane and the request context
 /// (with the request's open frames) installed or adopted on it.
 pub(crate) struct FrameStack {
-    /// The thread's recorder lane, registered on its first event.
+    /// The thread's recorder lane, registered on its first record.
     pub(crate) lane: Option<Arc<Lane>>,
     /// The active request context; [`crate::context`] installs, adopts
     /// and restores it.
@@ -58,10 +58,10 @@ fn ns_per_unit(metric: &str) -> u64 {
 }
 
 /// An RAII span. While observation is [`crate::enabled`], entering
-/// reads the clock, opens a frame (minting the span's ids under an
-/// active request) and records `Begin` on the thread's lane; dropping
-/// reads the clock again and feeds the one closed-span record to the
-/// histogram, the lane (`End`) and the request's span tree.
+/// reads the clock and opens a frame (minting the span's ids under an
+/// active request); dropping reads the clock again and feeds the one
+/// closed-span record to the histogram, the thread's lane and the
+/// request's span tree.
 ///
 /// Spans close in reverse entry order by scoping, even on `?` and panic
 /// paths:
@@ -86,8 +86,8 @@ pub struct Span {
 
 /// An entered span's state, present only while observation was on.
 struct Open {
-    /// The `Begin` event recorded on entry, carrying the span's ids.
-    begin: Event,
+    /// The span's record so far: its name, ids and start.
+    rec: SpanRec,
     /// The histogram the span's duration lands in, if any.
     histogram: Option<&'static HistogramHandle>,
 }
@@ -115,15 +115,15 @@ impl Span {
                 _not_send: PhantomData,
             };
         }
-        let mut begin = Event::plain(name, EventKind::Begin, recorder::now_ns());
+        let now = recorder::now_ns();
+        let mut rec = SpanRec::plain(name, now, now);
         with_stack(|s| {
             if let Some(trace) = s.trace.as_mut() {
-                trace.open(&mut begin);
+                trace.open(&mut rec);
             }
-            recorder::append(&mut s.lane, begin);
         });
         Span {
-            open: Some(Open { begin, histogram }),
+            open: Some(Open { rec, histogram }),
             _not_send: PhantomData,
         }
     }
@@ -140,17 +140,9 @@ impl Drop for Span {
 
 impl Open {
     fn close(self) {
-        let end = Event {
-            kind: EventKind::End,
-            ts_ns: recorder::now_ns(),
-            ..self.begin
-        };
         let rec = SpanRec {
-            name: end.name,
-            span: end.span,
-            parent: end.parent,
-            start_ns: self.begin.ts_ns,
-            end_ns: end.ts_ns,
+            end_ns: recorder::now_ns(),
+            ..self.rec
         };
         if let Some(histogram) = self.histogram {
             histogram
@@ -158,7 +150,7 @@ impl Open {
                 .record(rec.duration_ns() / ns_per_unit(histogram.name()));
         }
         with_stack(|s| {
-            recorder::append(&mut s.lane, end);
+            recorder::append(&mut s.lane, Record::Span(rec));
             if let Some(trace) = s.trace.as_mut() {
                 trace.close(rec);
             }

@@ -3,12 +3,13 @@
 //! A span is `!Send` and closes on the frame stack it opened on, so
 //! spans recorded concurrently from two threads can never garble one
 //! another. This test pins the observable contract with two threads
-//! recording overlapping spans: each thread's spans land as matched,
-//! nested Begin/End pairs on that thread's own recorder lane, and
-//! exactly once in their histograms.
+//! recording overlapping spans: each thread's spans land once each,
+//! nested, on that thread's own recorder lane, and exactly once in
+//! their histograms.
 
 use cable_obs as obs;
-use obs::recorder::{self, EventKind, LaneSnapshot};
+use obs::chrome;
+use obs::recorder::{self, LaneSnapshot, Record};
 use std::sync::{Arc, Barrier};
 
 static SPAN_A: obs::HistogramHandle = obs::HistogramHandle::new("test.concurrent.a_ns");
@@ -27,29 +28,22 @@ fn lane(label: &str) -> LaneSnapshot {
     lanes.remove(0)
 }
 
-/// Checks that a lane holds only `name` spans, as matched, properly
-/// nested Begin/End pairs with non-decreasing timestamps, and returns
-/// (spans closed, sum of Begin→End gaps).
-fn matched_pairs(lane: &LaneSnapshot, name: &str) -> (u64, u64) {
-    let mut open: Vec<u64> = Vec::new();
-    let (mut closed, mut gap_ns) = (0u64, 0u64);
-    let mut last_ts = 0u64;
-    for event in &lane.events {
-        assert_eq!(event.name, name, "lane {} saw a foreign span", lane.label);
-        assert!(event.ts_ns >= last_ts, "lane {} ts ordered", lane.label);
-        last_ts = event.ts_ns;
-        match event.kind {
-            EventKind::Begin => open.push(event.ts_ns),
-            EventKind::End => {
-                let begin = open.pop().expect("End without a matching Begin");
-                closed += 1;
-                gap_ns += event.ts_ns - begin;
-            }
-            other => panic!("unexpected event kind {other:?}"),
-        }
+/// Checks that a lane holds only `name` spans, in the order they
+/// closed, and returns (spans closed, sum of their durations).
+fn closed_spans(lane: &LaneSnapshot, name: &str) -> (u64, u64) {
+    let (mut closed, mut total_ns) = (0u64, 0u64);
+    let mut last_end = 0u64;
+    for record in &lane.records {
+        let Record::Span(rec) = record else {
+            panic!("lane {} saw an instant: {record:?}", lane.label);
+        };
+        assert_eq!(rec.name, name, "lane {} saw a foreign span", lane.label);
+        assert!(rec.end_ns >= last_end, "lane {} in close order", lane.label);
+        last_end = rec.end_ns;
+        closed += 1;
+        total_ns += rec.duration_ns();
     }
-    assert!(open.is_empty(), "lane {} left spans open", lane.label);
-    (closed, gap_ns)
+    (closed, total_ns)
 }
 
 #[test]
@@ -96,13 +90,20 @@ fn overlapping_spans_on_two_threads_keep_their_own_stacks() {
         ("concurrent-a", "test.concurrent.a", &SPAN_A, before_a),
         ("concurrent-b", "test.concurrent.b", &SPAN_B, before_b),
     ] {
-        let (closed, gap_ns) = matched_pairs(&lane(label), name);
+        let lane = lane(label);
+        let (closed, total_ns) = closed_spans(&lane, name);
         assert_eq!(closed, 2 * rounds, "{label}: every span closed on its lane");
+        // Each round closed its inner span, then the outer one around
+        // it: the lane nests every inner span in the outer span that
+        // follows it, and nothing else.
+        for (i, parent) in chrome::nest(&lane.records) {
+            assert_eq!(parent, (i % 2 == 0).then_some(i + 1), "{label} record {i}");
+        }
         // Every span recorded exactly once into its own histogram, with
         // the duration its lane shows.
         let after = histogram.get().snapshot();
         assert_eq!(after.count - before.count, 2 * rounds, "{label}");
-        assert_eq!(after.sum - before.sum, gap_ns, "{label}");
+        assert_eq!(after.sum - before.sum, total_ns, "{label}");
     }
 }
 
@@ -119,14 +120,14 @@ fn a_worker_thread_records_on_its_own_named_lane() {
         .join()
         .expect("worker");
     obs::set_enabled(false);
-    let (closed, _) = matched_pairs(&lane("concurrent-worker"), "test.concurrent.w");
+    let (closed, _) = closed_spans(&lane("concurrent-worker"), "test.concurrent.w");
     assert_eq!(closed, 1);
     // No other lane — this thread's included — saw the worker's span.
     let elsewhere = recorder::snapshot()
         .iter()
         .filter(|l| l.label != "concurrent-worker")
-        .flat_map(|l| &l.events)
-        .filter(|e| e.name == "test.concurrent.w")
+        .flat_map(|l| &l.records)
+        .filter(|r| r.rec().name == "test.concurrent.w")
         .count();
     assert_eq!(elsewhere, 0);
 }

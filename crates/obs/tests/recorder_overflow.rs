@@ -1,10 +1,10 @@
 //! Overflow semantics of the flight recorder under concurrency: tiny
-//! rings filled from many threads keep the newest events per lane,
+//! rings filled from many threads keep the newest records per lane,
 //! account for every drop exactly, and still export well-formed Chrome
 //! trace JSON.
 
 use cable_obs::json::Value;
-use cable_obs::recorder::{self, EventKind};
+use cable_obs::recorder;
 use cable_obs::{chrome, registry, Span};
 use std::sync::{mpsc, Mutex};
 use std::thread;
@@ -32,6 +32,10 @@ fn eight_threads_overflow_tiny_rings_with_exact_accounting() {
 
     const THREADS: usize = 8;
     const EVENTS: u64 = 20;
+    // One instant name per step, so the survivors name their steps.
+    let marks: Vec<&'static str> = (0..EVENTS)
+        .map(|j| &*Box::leak(format!("overflow.mark.{j}").into_boxed_str()))
+        .collect();
     let dropped_before = registry()
         .snapshot()
         .counter("obs.recorder.dropped")
@@ -39,12 +43,13 @@ fn eight_threads_overflow_tiny_rings_with_exact_accounting() {
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
+            let marks = marks.clone();
             // Lanes take their thread's name.
             thread::Builder::new()
                 .name(format!("overflow-acct-{t}"))
                 .spawn(move || {
-                    for j in 0..EVENTS {
-                        recorder::counter_mark("overflow.mark", j);
+                    for mark in marks {
+                        recorder::instant(mark);
                     }
                 })
                 .unwrap()
@@ -59,16 +64,13 @@ fn eight_threads_overflow_tiny_rings_with_exact_accounting() {
     assert_eq!(lanes.len(), THREADS, "one lane per thread");
     for lane in &lanes {
         // Newest wins: exactly the last RING marks survive, in order.
-        let values: Vec<u64> = lane
-            .events
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Counter(v) => v,
-                other => panic!("unexpected event kind {other:?}"),
-            })
-            .collect();
-        let expected: Vec<u64> = (EVENTS - RING as u64..EVENTS).collect();
-        assert_eq!(values, expected, "lane {}", lane.label);
+        let names: Vec<&str> = lane.records.iter().map(|r| r.rec().name).collect();
+        assert_eq!(
+            names,
+            marks[EVENTS as usize - RING..],
+            "lane {}",
+            lane.label
+        );
         assert_eq!(
             lane.dropped,
             EVENTS - RING as u64,
@@ -77,7 +79,9 @@ fn eight_threads_overflow_tiny_rings_with_exact_accounting() {
         );
         // Single-writer lanes stamp non-decreasing timestamps.
         assert!(
-            lane.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns),
+            lane.records
+                .windows(2)
+                .all(|w| w[0].rec().end_ns <= w[1].rec().end_ns),
             "lane {} timestamps ordered",
             lane.label
         );
@@ -108,9 +112,8 @@ fn chrome_export_of_partially_overwritten_ring_is_well_formed() {
     let worker = thread::Builder::new()
         .name("overflow-chrome".to_owned())
         .spawn(move || {
-            // Nested spans pushed past capacity: the surviving window
-            // starts with orphan End events whose Begins were
-            // overwritten.
+            // Nested spans pushed past capacity: the oldest records
+            // are overwritten, and every survivor is a whole span.
             for _ in 0..3 {
                 let _outer = Span::open("outer");
                 let _inner = Span::open("inner");
@@ -137,25 +140,31 @@ fn chrome_export_of_partially_overwritten_ring_is_well_formed() {
         .and_then(Value::as_array)
         .expect("traceEvents array");
 
-    // B/E events are matched per tid and in non-decreasing ts order.
-    let mut depth = 0i64;
+    // Complete X events only, in non-decreasing ts order, each nested
+    // in the X event open around it; the open span is not among them.
+    let mut spans = 0;
+    let mut around: Vec<f64> = Vec::new();
     let mut last_ts = f64::MIN;
     for e in events {
         let ph = e.get("ph").and_then(Value::as_str).unwrap();
         if ph == "M" {
             continue;
         }
+        assert_eq!(ph, "X", "only closed spans: {e}");
+        assert_ne!(e.get("name").and_then(Value::as_str), Some("tail"));
         let ts = e.get("ts").and_then(Value::as_f64).unwrap();
+        let dur = e.get("dur").and_then(Value::as_f64).unwrap();
+        assert!(dur >= 0.0, "dur is non-negative");
         assert!(ts >= last_ts, "ts non-decreasing within the lane");
         last_ts = ts;
-        match ph {
-            "B" => depth += 1,
-            "E" => {
-                depth -= 1;
-                assert!(depth >= 0, "E without a matching B");
-            }
-            _ => {}
+        while around.last().is_some_and(|&end| end <= ts) {
+            around.pop();
         }
+        if let Some(&end) = around.last() {
+            assert!(ts + dur <= end, "an X event overlaps the one around it");
+        }
+        around.push(ts + dur);
+        spans += 1;
     }
-    assert_eq!(depth, 0, "every B has a matching E");
+    assert_eq!(spans, RING, "every surviving record exports");
 }

@@ -1,15 +1,15 @@
 //! One span, one record: the closed-span record a [`Span`] builds on
 //! drop is the only measurement its three consumers see.
 //!
-//! Inside a request, one span's histogram sum delta, its lane's
-//! Begin→End gap and its `SpanRec` duration are the same nanosecond
-//! value (truncated to microseconds for a `*.us` histogram). With the
-//! switch off, none of the three moves. The tests flip the process-wide
+//! Inside a request, one span's lane holds exactly the `SpanRec` its
+//! request tree holds, and its histogram sum delta is that record's
+//! duration (truncated to microseconds for a `*.us` histogram). With
+//! the switch off, none of the three moves. The tests flip the process-wide
 //! flag, so they live in their own integration-test process and
 //! serialise on a local mutex.
 
 use cable_obs::context::{self, FinishedTrace, SpanRec, TraceCtx};
-use cable_obs::recorder::{self, Event, EventKind};
+use cable_obs::recorder::{self, Record};
 use cable_obs::{HistogramHandle, HistogramSnapshot, Span};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -24,7 +24,7 @@ static FLAG_LOCK: Mutex<()> = Mutex::new(());
 struct Observed {
     before: HistogramSnapshot,
     after: HistogramSnapshot,
-    lane: Vec<Event>,
+    lane: Vec<Record>,
     trace: FinishedTrace,
 }
 
@@ -51,8 +51,8 @@ fn one_span_in_a_request(
     let lane = recorder::snapshot()
         .into_iter()
         .filter(|l| l.label == thread)
-        .flat_map(|l| l.events)
-        .filter(|e| e.name == name)
+        .flat_map(|l| l.records)
+        .filter(|r| r.rec().name == name)
         .collect();
     Observed {
         before,
@@ -80,20 +80,19 @@ fn histogram_lane_and_tree_share_one_measurement() {
     for (observed, name, ns_per_unit) in [(&ns, "test.record.work", 1), (&us, "wait.record", 1_000)]
     {
         let rec = the_span(&observed.trace, name);
-        // The lane holds exactly the span's Begin and End, stamped with
-        // the record's times and ids.
-        let kinds: Vec<EventKind> = observed.lane.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec![EventKind::Begin, EventKind::End]);
-        let (begin, end) = (observed.lane[0], observed.lane[1]);
-        assert_eq!((begin.ts_ns, end.ts_ns), (rec.start_ns, rec.end_ns));
-        assert_eq!((begin.span, end.span), (rec.span, rec.span));
+        // The lane holds the span once: the very record the tree holds,
+        // times and ids alike.
+        assert_eq!(observed.lane, vec![Record::Span(rec)]);
+        assert_eq!(
+            (rec.trace_hi, rec.trace_lo),
+            (observed.trace.ctx.trace_hi, observed.trace.ctx.trace_lo)
+        );
         assert_eq!(
             rec.parent, observed.trace.ctx.span_id,
             "parented to the root"
         );
-        let gap = end.ts_ns - begin.ts_ns;
+        let gap = rec.duration_ns();
         assert!(gap >= 2_000_000, "the span covered the sleep: {gap} ns");
-        assert_eq!(rec.duration_ns(), gap);
         // The histogram took that same duration once, in its unit.
         assert_eq!(observed.after.count - observed.before.count, 1);
         assert_eq!(observed.after.sum - observed.before.sum, gap / ns_per_unit);

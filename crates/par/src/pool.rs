@@ -280,23 +280,21 @@ impl Pool {
         } else {
             self.run_job(chunks, &run);
         }
+        // One wall-time sample and one wide event per stage execution
+        // while observation is on; the off path never builds the event.
         if let Some(start) = wall_start {
+            let wall = start.elapsed();
             cable_obs::registry()
                 .histogram(&format!("par.stage.{label}.wall_ns"))
-                .record_duration(start.elapsed());
-        }
-        // One wide event per stage execution. Guarded on enabled() so
-        // the off path never pays the event's String building.
-        if cable_obs::events::enabled() {
-            let mut event = cable_obs::WideEvent::new("par_stage", "par")
-                .stage(label)
-                .field("items", n as u64)
-                .field("chunks", chunks as u64)
-                .field("threads", self.threads() as u64);
-            if let Some(start) = wall_start {
-                event = event.duration(start.elapsed());
-            }
-            cable_obs::events::emit(event);
+                .record_duration(wall);
+            cable_obs::events::emit(
+                cable_obs::WideEvent::new("par_stage", "par")
+                    .stage(label)
+                    .field("items", n as u64)
+                    .field("chunks", chunks as u64)
+                    .field("threads", self.threads() as u64)
+                    .duration(wall),
+            );
         }
         let mut out = Vec::with_capacity(n);
         for slot in slots {

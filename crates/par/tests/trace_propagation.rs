@@ -9,7 +9,7 @@
 //! * the same request shape yields the *bit-identical* span id set on
 //!   1, 2, and 8 logical threads (sequential vs parallel execution);
 //! * every collected span chains to the request root through parent
-//!   links — no orphans — and every recorder event minted under the
+//!   links — no orphans — and every recorder record minted under the
 //!   request carries its trace id;
 //! * two requests running concurrently on one shared pool never bleed
 //!   spans into each other's trees.
@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Barrier, Mutex};
 
 use cable_obs::context::{self, FinishedTrace, TraceCtx};
-use cable_obs::recorder::{self, EventKind};
+use cable_obs::recorder::{self, Record};
 use cable_obs::Span;
 use cable_par::Pool;
 
@@ -127,28 +127,30 @@ fn every_span_chains_to_the_request_root() {
             assert!(hops <= parents.len(), "parent cycle at {:x}", s.span);
         }
     }
-    // The flight recorder saw the same work: every event minted under
-    // this trace id carries a span id from the collected tree.
+    // The flight recorder saw the same work: every record minted under
+    // this trace id carries a span id, and every span on a lane is one
+    // from the collected tree.
     let ids: BTreeSet<u64> = parents.keys().copied().collect();
     let mut seen = 0usize;
     for lane in recorder::snapshot() {
-        for event in &lane.events {
-            if (event.trace_hi, event.trace_lo) != (trace.ctx.trace_hi, trace.ctx.trace_lo) {
+        for record in &lane.records {
+            let rec = record.rec();
+            if (rec.trace_hi, rec.trace_lo) != (trace.ctx.trace_hi, trace.ctx.trace_lo) {
                 continue;
             }
             seen += 1;
-            assert_ne!(event.span, 0, "traced event {} has no span id", event.name);
-            if event.kind == EventKind::Begin {
+            assert_ne!(rec.span, 0, "traced record {} has no span id", rec.name);
+            if let Record::Span(_) = record {
                 assert!(
-                    ids.contains(&event.span),
-                    "event {} span {:x} is not in the collected tree",
-                    event.name,
-                    event.span
+                    ids.contains(&rec.span),
+                    "span {} {:x} is not in the collected tree",
+                    rec.name,
+                    rec.span
                 );
             }
         }
     }
-    assert!(seen > 0, "no recorder events carried the trace id");
+    assert!(seen > 0, "no recorder records carried the trace id");
 }
 
 #[test]

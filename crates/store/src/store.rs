@@ -274,7 +274,7 @@ impl Store {
             stale_journal: stale,
         };
         cable_obs::recorder::instant("store.open");
-        if cable_obs::events::enabled() {
+        if cable_obs::enabled() {
             // Recovery is the store's interesting unit of work: the wide
             // event says what a reopen found, not just that it happened.
             cable_obs::events::emit(
@@ -355,7 +355,7 @@ impl Store {
         if !self.is_degraded() {
             DEGRADED_ENTER.get().incr();
         }
-        if cable_obs::events::enabled() {
+        if cable_obs::enabled() {
             cable_obs::events::emit(
                 cable_obs::WideEvent::new("store_degraded", "store")
                     .stage("store.write")
@@ -548,7 +548,7 @@ impl Store {
         self.republish(data)?;
         self.durability = Durability::Writable;
         DEGRADED_EXIT.get().incr();
-        if cable_obs::events::enabled() {
+        if cable_obs::enabled() {
             cable_obs::events::emit(
                 cable_obs::WideEvent::new("store_recovered", "store")
                     .stage("store.recover")

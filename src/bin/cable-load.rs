@@ -20,9 +20,9 @@
 //! `drill` runs a CI drill from the repository root (DESIGN.md §10, §14,
 //! §17), prints `<drill> drill: PASS` or exits **1** naming the failed
 //! gate, and writes its artifacts (`LOAD_record.json`,
-//! `TRACE_export.json`, `TRACE_attribution.json`; `CHAOS_record.jsonl`,
-//! `CHAOS_load.json`, `CHAOS_degraded_timeline.jsonl`) to the working
-//! directory. Only `cable serve` and the ingest the crash drill kills run
+//! `TRACE_export.json`, `TRACE_lanes.json`, `TRACE_attribution.json`;
+//! `CHAOS_record.jsonl`, `CHAOS_load.json`,
+//! `CHAOS_degraded_timeline.jsonl`) to the working directory. Only `cable serve` and the ingest the crash drill kills run
 //! as child processes — the `cable` built next to this binary — so
 //! `CABLE_FAULTS`, `CABLE_PAR` and `CABLE_OBS` reach them alone. The load,
 //! the gates and the sequential replay run here, the replay making the
@@ -269,9 +269,11 @@ fn service(work: &Path) -> Result<(), String> {
     println!("== gate 1a: {LABELERS} concurrent labelers, zero 5xx allowed");
     let opts = server.options(LABELERS, REQUESTS, SEED, false);
     let report = fleet(opts, Some("LOAD_record.json"))?;
-    println!("== pull the span-tree export before shutdown");
+    println!("== pull the span-tree export and the recorder timeline before shutdown");
     let export = server.get("/tracez/export")?;
     write("TRACE_export.json", &export)?;
+    let lanes = server.get("/tracez?limit=100000")?;
+    write("TRACE_lanes.json", &lanes)?;
     drop(server);
 
     println!("== gate 1b: p99 latency within the committed budget");
@@ -300,6 +302,14 @@ fn service(work: &Path) -> Result<(), String> {
         let coverage = attribution.p99.coverage_pct;
         return Err(format!("p99 coverage {coverage:.1}% below the 95% gate"));
     }
+
+    println!("== gate 3c: the server's timeline is a valid Chrome trace with its workers' lanes");
+    let summary = cable_bench::check_chrome_trace(&lanes).map_err(|p| p.join("\n"))?;
+    if !lanes.contains("\"cable-obs-conn-") {
+        return Err("TRACE_lanes.json has no cable-obs-conn-N lane".into());
+    }
+    let (events, n) = (summary.events, summary.lanes);
+    println!("trace gate: PASS ({events} events across {n} lanes)");
 
     println!("== gate 2: sequential replay reproduces every session digest");
     replay_all(&report.logs, &work.join("replay"), false)

@@ -146,7 +146,6 @@ fn main() {
     let stats = cable::obs::init_from_env() || opts.stats;
     if stats || opts.obs_listen.is_some() {
         cable::obs::set_enabled(true);
-        cable::obs::events::set_enabled(true);
     }
     if let Some(path) = &opts.events_out {
         let sink = cable::obs::JsonlSink::create(path)

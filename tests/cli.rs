@@ -338,6 +338,37 @@ fn serve_exposes_metrics_and_health_over_http() {
     let (status, tracez) = http_get(&addr, "/tracez");
     assert!(status.contains("200"), "{status}");
     assert!(tracez.contains("\"recording\":true"), "{tracez}");
+    // `/tracez` is the Chrome export `--trace-out` writes: it passes the
+    // trace gate, and a connection worker's lane holds a request served
+    // before it as one complete event.
+    cable_bench::check_chrome_trace(&tracez)
+        .unwrap_or_else(|problems| panic!("{problems:?}\n{tracez}"));
+    let tracez = cable_obs::json::Value::parse(tracez.trim()).unwrap();
+    let events = tracez
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .unwrap();
+    let conn_lanes: Vec<u64> = events
+        .iter()
+        .filter(|e| {
+            let name = e.get("args").and_then(|a| a.get("name"));
+            e.get("ph").and_then(|p| p.as_str()) == Some("M")
+                && name
+                    .and_then(|n| n.as_str())
+                    .is_some_and(|n| n.starts_with("cable-obs-conn-"))
+        })
+        .filter_map(|e| e.get("tid").and_then(|t| t.as_u64()))
+        .collect();
+    assert!(
+        events.iter().any(|e| {
+            e.get("ph").and_then(|p| p.as_str()) == Some("X")
+                && e.get("name").and_then(|n| n.as_str()) == Some("http.request")
+                && e.get("tid")
+                    .and_then(|t| t.as_u64())
+                    .is_some_and(|tid| conn_lanes.contains(&tid))
+        }),
+        "no http.request X event on a cable-obs-conn-N lane: {tracez}"
+    );
 
     let (status, _) = http_get(&addr, "/nope");
     assert!(status.contains("404"), "{status}");
