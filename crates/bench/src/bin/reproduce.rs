@@ -22,9 +22,11 @@
 //! `--stats` prints the cable-obs metric report (with the self-time
 //! profile) after the tables, and `--json-out PATH` writes
 //! machine-readable JSONL perf records (conventionally
-//! `BENCH_pipeline.json`): one `table2_spec` record per specification
-//! when table2 runs, then one final `pipeline_snapshot` record with the
-//! whole metric registry and profile. `--trace-out PATH` exports the
+//! `BENCH_pipeline.json`): one timing-free `table1_spec` and
+//! `table3_spec` record per specification when table1 and table3 run
+//! (every column of the markdown row), one `table2_spec` record per
+//! specification when table2 runs, then one final `pipeline_snapshot`
+//! record with the whole metric registry and profile. `--trace-out PATH` exports the
 //! flight recorder as Chrome trace-event JSON (load it in Perfetto),
 //! and `--obs-listen ADDR` serves `/metrics`, `/healthz`, and `/tracez`
 //! while the run lasts. All four flags turn observation on (span
@@ -251,6 +253,22 @@ fn main() {
             println!("| spec | states | transitions | ≡ ground truth | bugs | buggy programs | description |");
             println!("|---|---|---|---|---|---|---|");
             let rows = table1(&registry, seed);
+            if let Some(sink) = &sink {
+                for r in &rows {
+                    let record = Value::object([
+                        ("record", Value::from("table1_spec")),
+                        ("seed", Value::from(seed)),
+                        ("spec", Value::from(r.name.as_str())),
+                        ("states", Value::from(r.states)),
+                        ("transitions", Value::from(r.transitions)),
+                        ("equivalent", Value::from(r.equivalent)),
+                        ("bugs", Value::from(r.bugs)),
+                        ("buggy_programs", Value::from(r.buggy_programs)),
+                        ("description", Value::from(r.description.as_str())),
+                    ]);
+                    sink.write(&record).expect("writing table1 record");
+                }
+            }
             let mut total_bugs = 0;
             for r in &rows {
                 println!(
@@ -339,6 +357,26 @@ fn main() {
             );
             println!("|---|---|---|---|---|---|---|---|");
             let rows = table3(&registry, seed, 16, random_trials, optimal_budget);
+            if let Some(sink) = &sink {
+                for r in &rows {
+                    let record = Value::object([
+                        ("record", Value::from("table3_spec")),
+                        ("seed", Value::from(seed)),
+                        ("spec", Value::from(r.name.as_str())),
+                        ("concepts", Value::from(r.concepts)),
+                        ("baseline", Value::from(r.baseline)),
+                        ("expert", opt_value(r.expert)),
+                        ("top_down", opt_value(r.top_down)),
+                        ("bottom_up", opt_value(r.bottom_up)),
+                        (
+                            "random_mean",
+                            r.random_mean.map_or(Value::Null, Value::from),
+                        ),
+                        ("optimal", opt_value(r.optimal)),
+                    ]);
+                    sink.write(&record).expect("writing table3 record");
+                }
+            }
             let mut expert_total = 0usize;
             let mut baseline_total = 0usize;
             let mut best_ratio: Option<(f64, String, usize, usize)> = None;
@@ -858,7 +896,7 @@ fn usage(msg: &str) -> ! {
          \u{20} --mutants-per-family N  surviving mutants per protocol family for `mutants`\n\
          \u{20}                   (default 36, or 8 with --quick)\n\
          \u{20} --stats           print the metric report and self-time profile to stdout\n\
-         \u{20} --json-out PATH   write JSONL perf records (table2 specs + pipeline snapshot)\n\
+         \u{20} --json-out PATH   write JSONL records (table1/2/3 specs + pipeline snapshot)\n\
          \u{20} --trace-out PATH  export the flight recorder as Chrome trace-event JSON\n\
          \u{20} --events-out PATH write the wide-event log as JSONL (one record per unit of work)\n\
          \u{20} --obs-listen ADDR serve /metrics, /healthz, /tracez, /eventz, /sloz while the run lasts\n\
