@@ -21,7 +21,9 @@ fn scenario_corpus(name: &str) -> Vec<Trace> {
 
 fn main() {
     let mut group = Group::new("learner");
-    for name in ["FilePair", "XtFree"] {
+    // RegionsBig makes the most merges (397), XtFree the most per
+    // state (460 prefix-tree states down to 4).
+    for name in ["FilePair", "XtFree", "RegionsBig"] {
         let traces = scenario_corpus(name);
         group.bench(&format!("pta/{name}"), || {
             black_box(Pta::build(black_box(&traces)));

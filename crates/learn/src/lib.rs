@@ -45,9 +45,10 @@
 pub mod counted;
 pub mod ktails;
 pub mod pta;
+pub mod reference;
 pub mod sk;
 
 pub use counted::CountedFa;
 pub use ktails::KTails;
 pub use pta::Pta;
-pub use sk::SkStrings;
+pub use sk::{SkStrings, SkWork};

@@ -5,8 +5,8 @@
 //! Each test runs a fixed number of seeded cases, so failures reproduce
 //! exactly (`seeded(case)` pins the generator).
 
-use cable_learn::{KTails, Pta, SkStrings};
-use cable_trace::{Event, Trace, Var, Vocab};
+use cable_learn::{reference, KTails, Pta, SkStrings};
+use cable_trace::{Arg, Event, Trace, Var, Vocab};
 use cable_util::rng::{seeded, Rng, SmallRng};
 
 fn traces_of(raw: &[Vec<usize>], vocab: &mut Vocab) -> Vec<Trace> {
@@ -145,4 +145,86 @@ fn counted_totals_are_consistent() {
             .sum();
         assert_eq!(accepted as usize, traces.len(), "case {case}");
     }
+}
+
+/// A training set over a small random alphabet of multi-argument events
+/// (variables and atoms), with empty and repeated traces.
+fn gen_rich_training_set(rng: &mut SmallRng, vocab: &mut Vocab) -> Vec<Trace> {
+    let alphabet: Vec<Event> = (0..rng.gen_range(1usize..6))
+        .map(|_| {
+            let op = vocab.op(&format!("op{}", rng.gen_range(0usize..4)));
+            let args = (0..rng.gen_range(0usize..3))
+                .map(|_| {
+                    if rng.gen_range(0usize..3) == 0 {
+                        Arg::Atom(vocab.atom(&format!("a{}", rng.gen_range(0usize..2))))
+                    } else {
+                        Arg::Var(Var(rng.gen_range(0..2)))
+                    }
+                })
+                .collect();
+            Event::new(op, args)
+        })
+        .collect();
+    let mut traces: Vec<Trace> = Vec::new();
+    for _ in 0..rng.gen_range(1usize..14) {
+        if !traces.is_empty() && rng.gen_range(0usize..4) == 0 {
+            let again = traces[rng.gen_range(0..traces.len())].clone();
+            traces.push(again);
+        } else {
+            let len = rng.gen_range(0usize..8);
+            let events = (0..len)
+                .map(|_| alphabet[rng.gen_range(0..alphabet.len())].clone())
+                .collect();
+            traces.push(Trace::new(events));
+        }
+    }
+    traces
+}
+
+#[test]
+fn sk_strings_matches_the_reference_learner_on_random_sets() {
+    const S_PERCENTS: [f64; 6] = [1.0, 10.0, 33.0, 50.0, 80.0, 100.0];
+    for case in 0..1200u64 {
+        let mut rng = seeded(case);
+        let mut vocab = Vocab::new();
+        let traces = gen_rich_training_set(&mut rng, &mut vocab);
+        let sk = SkStrings {
+            k: rng.gen_range(0usize..5),
+            s_percent: S_PERCENTS[rng.gen_range(0..S_PERCENTS.len())],
+        };
+        assert!(
+            sk.learn_counted(&traces) == reference::learn_counted(&sk, &traces),
+            "case {case}: k={} s={} on {} traces",
+            sk.k,
+            sk.s_percent,
+            traces.len()
+        );
+    }
+}
+
+/// Shrunk from a seeded random set. Recomputing after a merge only the
+/// level-`j` distributions within `j - 1` steps of the kept state learns
+/// a different automaton here: a state exactly `j` steps away still sees
+/// the merge, in the last bits of a summed probability, and that flips
+/// a top set at the 50% threshold.
+#[test]
+fn sk_strings_recomputes_every_state_within_k_steps_of_a_merge() {
+    let mut vocab = Vocab::new();
+    let traces: Vec<Trace> = [
+        "open() read() read() read()",
+        "open() read() read() open(X) read()",
+        "open(X) read()",
+        "open(X) read()",
+        "open() read()",
+        "open() read()",
+        "open() read() read() read()",
+    ]
+    .iter()
+    .map(|t| Trace::parse(t, &mut vocab).unwrap())
+    .collect();
+    let sk = SkStrings {
+        k: 2,
+        s_percent: 50.0,
+    };
+    assert!(sk.learn_counted(&traces) == reference::learn_counted(&sk, &traces));
 }

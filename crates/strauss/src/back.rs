@@ -2,7 +2,18 @@
 
 use cable_fa::Fa;
 use cable_learn::{KTails, SkStrings};
+use cable_obs::{CounterHandle, HistogramHandle, Span};
 use cable_trace::{Trace, TraceSet};
+
+/// Wall-clock cost of back-end learning runs.
+static MINE_NS: HistogramHandle = HistogramHandle::new("strauss.back.mine_ns");
+/// State pairs the sk-strings learner merged.
+static SK_MERGES: CounterHandle = CounterHandle::new("learn.sk.merges");
+/// Level-`k` distributions the sk-strings learner recomputed after a
+/// merge.
+static SK_RECOMPUTED: CounterHandle = CounterHandle::new("learn.sk.recomputed_states");
+/// Rounds in which the sk-strings learner ran its pairwise subset scan.
+static SK_SUBSET_SCANS: CounterHandle = CounterHandle::new("learn.sk.subset_scans");
 
 /// Which automaton learner the back end uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,8 +61,15 @@ pub struct BackEnd {
 impl BackEnd {
     /// Mines a specification FA from scenario traces.
     pub fn mine(&self, scenarios: &[Trace]) -> Fa {
+        let _span = Span::enter("strauss.back.mine", &MINE_NS);
         let counted = match self.learner {
-            Learner::SkStrings(l) => l.learn_counted(scenarios),
+            Learner::SkStrings(l) => {
+                let (counted, work) = l.learn_counted_with_work(scenarios);
+                SK_MERGES.get().add(work.merges);
+                SK_RECOMPUTED.get().add(work.recomputed_states);
+                SK_SUBSET_SCANS.get().add(work.subset_scans);
+                counted
+            }
             Learner::KTails(l) => l.learn_counted(scenarios),
         };
         match self.coring_threshold {

@@ -298,19 +298,20 @@ fn serve_exposes_metrics_and_health_over_http() {
 
     // Bare port 0: binds an ephemeral port on 127.0.0.1 and announces
     // the bound address on stdout.
-    let (mut child, addr) = spawn_serving(&[
+    let server = spawn_serving(&[
         "serve",
         "--obs-listen",
         "0",
         "--store",
         store.to_str().unwrap(),
     ]);
+    let addr = &server.addr;
     assert!(
         addr.starts_with("127.0.0.1:"),
         "bare port binds localhost: {addr}"
     );
 
-    let (status, body) = http_get(&addr, "/healthz");
+    let (status, body) = http_get(addr, "/healthz");
     assert!(status.contains("200"), "{status}");
     assert!(body.contains("\"generation\":0"), "{body}");
     assert!(body.contains("\"journal_lag_bytes\""), "{body}");
@@ -318,7 +319,7 @@ fn serve_exposes_metrics_and_health_over_http() {
     assert!(body.contains("\"version\""), "{body}");
     assert!(body.contains("\"uptime_seconds\""), "{body}");
 
-    let (status, metrics) = http_get(&addr, "/metrics");
+    let (status, metrics) = http_get(addr, "/metrics");
     assert!(status.contains("200"), "{status}");
     // The /healthz hit above was counted, so the request counter is
     // registered and nonzero, and every histogram family carries the
@@ -335,7 +336,7 @@ fn serve_exposes_metrics_and_health_over_http() {
         assert!(series.insert(name), "{name} exposed twice:\n{metrics}");
     }
 
-    let (status, tracez) = http_get(&addr, "/tracez");
+    let (status, tracez) = http_get(addr, "/tracez");
     assert!(status.contains("200"), "{status}");
     assert!(tracez.contains("\"recording\":true"), "{tracez}");
     // `/tracez` is the Chrome export `--trace-out` writes: it passes the
@@ -370,11 +371,10 @@ fn serve_exposes_metrics_and_health_over_http() {
         "no http.request X event on a cable-obs-conn-N lane: {tracez}"
     );
 
-    let (status, _) = http_get(&addr, "/nope");
+    let (status, _) = http_get(addr, "/nope");
     assert!(status.contains("404"), "{status}");
 
-    child.kill().unwrap();
-    child.wait().unwrap();
+    drop(server);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -556,26 +556,12 @@ fn read_status_line(stream: &mut TcpStream) -> String {
 /// the server — it keeps answering, at worst with an immediate 503.
 #[test]
 fn serve_survives_oversized_heads_and_idle_connection_herds() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cable"))
-        .args(["serve", "--obs-listen", "0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve starts");
-    let mut announce = String::new();
-    BufReader::new(child.stdout.take().unwrap())
-        .read_line(&mut announce)
-        .unwrap();
-    let addr = announce
-        .trim()
-        .strip_prefix("serving http://")
-        .and_then(|rest| rest.split('/').next())
-        .expect("address announcement")
-        .to_owned();
+    let server = spawn_serving(&["serve", "--obs-listen", "0"]);
+    let addr = &server.addr;
 
     // Oversized request line + headers: the server answers 431 instead
     // of buffering without bound.
-    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
@@ -589,9 +575,9 @@ fn serve_survives_oversized_heads_and_idle_connection_herds() {
     // The server must still answer promptly — a 503 at the cap is the
     // survival behaviour; anything but a stall is acceptable.
     let idle: Vec<TcpStream> = (0..cable::session::server::MAX_CONNECTIONS)
-        .map(|_| TcpStream::connect(&addr).expect("idle connect"))
+        .map(|_| TcpStream::connect(addr).expect("idle connect"))
         .collect();
-    let mut stream = TcpStream::connect(&addr).expect("connect past the cap");
+    let mut stream = TcpStream::connect(addr).expect("connect past the cap");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
@@ -605,7 +591,7 @@ fn serve_survives_oversized_heads_and_idle_connection_herds() {
     // service resumes.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let (status, body) = http_get(&addr, "/healthz");
+        let (status, body) = http_get(addr, "/healthz");
         if status.contains("200") {
             assert!(body.contains("\"guard\""), "healthz reports guard: {body}");
             break;
@@ -616,14 +602,26 @@ fn serve_survives_oversized_heads_and_idle_connection_herds() {
         );
         std::thread::sleep(Duration::from_millis(200));
     }
-    child.kill().unwrap();
-    child.wait().unwrap();
 }
 
-/// Spawns `cable` with the given args, waits for the `serving http://`
-/// announcement on stdout (skipping any earlier output lines), and
-/// returns the child plus the bound address.
-fn spawn_serving(args: &[&str]) -> (std::process::Child, String) {
+/// A `cable` child serving HTTP, and the address it announced. Dropping
+/// it kills and reaps the child, so a failed assertion cannot leave the
+/// server running after the test binary exits.
+struct Serving {
+    child: std::process::Child,
+    addr: String,
+}
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Spawns `cable` with the given args and waits for the `serving
+/// http://` announcement on stdout (skipping any earlier output lines).
+fn spawn_serving(args: &[&str]) -> Serving {
     let mut child = Command::new(env!("CARGO_BIN_EXE_cable"))
         .args(args)
         .stdout(Stdio::piped())
@@ -631,6 +629,10 @@ fn spawn_serving(args: &[&str]) -> (std::process::Child, String) {
         .spawn()
         .expect("cable starts");
     let mut reader = BufReader::new(child.stdout.take().unwrap());
+    let mut server = Serving {
+        child,
+        addr: String::new(),
+    };
     for _ in 0..32 {
         let mut line = String::new();
         if reader.read_line(&mut line).unwrap_or(0) == 0 {
@@ -641,11 +643,10 @@ fn spawn_serving(args: &[&str]) -> (std::process::Child, String) {
             .strip_prefix("serving http://")
             .and_then(|rest| rest.split('/').next())
         {
-            return (child, addr.to_owned());
+            server.addr = addr.to_owned();
+            return server;
         }
     }
-    let _ = child.kill();
-    let _ = child.wait();
     panic!("cable never announced a serving address");
 }
 
@@ -655,20 +656,21 @@ fn spawn_serving(args: &[&str]) -> (std::process::Child, String) {
 /// silently-clamped success.
 #[test]
 fn serve_validates_limit_queries_and_exposes_eventz_and_sloz() {
-    let (mut child, addr) = spawn_serving(&["serve", "--obs-listen", "0"]);
+    let server = spawn_serving(&["serve", "--obs-listen", "0"]);
+    let addr = &server.addr;
 
-    let (status, body) = http_get(&addr, "/eventz");
+    let (status, body) = http_get(addr, "/eventz");
     assert!(status.contains("200"), "{status}");
     assert!(body.contains("\"events\""), "{body}");
     assert!(body.contains("\"total\""), "{body}");
 
-    let (status, body) = http_get(&addr, "/sloz");
+    let (status, body) = http_get(addr, "/sloz");
     assert!(status.contains("200"), "{status}");
     assert!(body.contains("\"windows\""), "{body}");
     assert!(body.contains("\"error_budget\""), "{body}");
 
     for path in ["/tracez?limit=5", "/eventz?limit=1", "/tracez?limit=100000"] {
-        let (status, _) = http_get(&addr, path);
+        let (status, _) = http_get(addr, path);
         assert!(status.contains("200"), "{path}: {status}");
     }
     for path in [
@@ -679,12 +681,9 @@ fn serve_validates_limit_queries_and_exposes_eventz_and_sloz() {
         "/eventz?limit=",
         "/metrics?frobnicate=1",
     ] {
-        let (status, body) = http_get(&addr, path);
+        let (status, body) = http_get(addr, path);
         assert!(status.contains("400"), "{path}: {status} {body}");
     }
-
-    child.kill().unwrap();
-    child.wait().unwrap();
 }
 
 /// `cable profile diff` over two real resumed sessions: each `session
@@ -709,7 +708,7 @@ fn profile_diff_of_two_resume_runs_is_nonempty_and_stable() {
     // written on shutdown, but kill(2) skips destructors, so wait for a
     // flushed periodic tick before killing.
     let profile_run = || {
-        let (mut child, _addr) = spawn_serving(&[
+        let server = spawn_serving(&[
             "session",
             "resume",
             "--store",
@@ -721,7 +720,7 @@ fn profile_diff_of_two_resume_runs_is_nonempty_and_stable() {
         ]);
         let path = store
             .join("profiles")
-            .join(format!("profile-{}.jsonl", child.id()));
+            .join(format!("profile-{}.jsonl", server.child.id()));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while fs::metadata(&path).map(|m| m.len()).unwrap_or(0) == 0 {
             assert!(
@@ -731,8 +730,7 @@ fn profile_diff_of_two_resume_runs_is_nonempty_and_stable() {
             );
             std::thread::sleep(Duration::from_millis(50));
         }
-        child.kill().unwrap();
-        child.wait().unwrap();
+        drop(server);
         path
     };
     let before = profile_run();
@@ -881,12 +879,10 @@ fn max_connections_rejects_bad_values_and_accepts_good_ones() {
     assert_eq!(out.status.code(), Some(2));
 
     // A valid flag value serves normally.
-    let (mut child, addr) =
-        spawn_serving(&["serve", "--obs-listen", "0", "--max-connections", "2"]);
-    let (status, _) = http_get(&addr, "/healthz");
+    let server = spawn_serving(&["serve", "--obs-listen", "0", "--max-connections", "2"]);
+    let addr = &server.addr;
+    let (status, _) = http_get(addr, "/healthz");
     assert!(status.contains("200"), "{status}");
-    child.kill().unwrap();
-    child.wait().unwrap();
 }
 
 /// A command budget would bound only `serve`'s main thread, not the
@@ -928,7 +924,7 @@ fn serve_rejects_command_budget_flags() {
 fn serve_api_labels_sessions_end_to_end() {
     let dir = tmp_dir("serve-api");
     let root = dir.join("tenants");
-    let (mut child, addr) = spawn_serving(&[
+    let server = spawn_serving(&[
         "serve",
         "--obs-listen",
         "0",
@@ -936,10 +932,11 @@ fn serve_api_labels_sessions_end_to_end() {
         "--store-root",
         root.to_str().unwrap(),
     ]);
+    let addr = &server.addr;
 
     // Open a session for tenant t1.
     let (status, body) = http_post(
-        &addr,
+        addr,
         "/api/sessions",
         "{\"tenant\": \"t1\", \"session\": \"s\", \
          \"traces\": \"fopen(#1) fread(#1) fclose(#1)\\nfopen(#2)\\n\"}",
@@ -949,7 +946,7 @@ fn serve_api_labels_sessions_end_to_end() {
 
     // Ingest more traces into it.
     let (status, body) = http_post(
-        &addr,
+        addr,
         "/api/sessions/s/ingest",
         "{\"tenant\": \"t1\", \"traces\": \"fopen(#3) fwrite(#3) fclose(#3)\\n\"}",
     );
@@ -958,7 +955,7 @@ fn serve_api_labels_sessions_end_to_end() {
 
     // Label the top concept's unlabeled traces.
     let (status, body) = http_post(
-        &addr,
+        addr,
         "/api/sessions/s/label",
         "{\"tenant\": \"t1\", \"concept\": \"c0\", \"selector\": \"unlabeled\", \
          \"label\": \"good\"}",
@@ -967,7 +964,7 @@ fn serve_api_labels_sessions_end_to_end() {
     assert!(body.contains("\"classes_labeled\""), "{body}");
 
     // The read endpoints.
-    let (status, lattice) = http_get(&addr, "/api/sessions/s/lattice?tenant=t1");
+    let (status, lattice) = http_get(addr, "/api/sessions/s/lattice?tenant=t1");
     assert!(status.contains("200"), "{status}");
     assert!(lattice.contains("\"top\""), "{lattice}");
     let top = lattice
@@ -976,49 +973,48 @@ fn serve_api_labels_sessions_end_to_end() {
         .and_then(|rest| rest.split('"').next())
         .expect("top concept id")
         .to_owned();
-    let (status, concepts) = http_get(&addr, "/api/sessions/s/concepts?tenant=t1");
+    let (status, concepts) = http_get(addr, "/api/sessions/s/concepts?tenant=t1");
     assert!(status.contains("200"), "{status}");
     assert!(concepts.contains("\"fully_labeled\""), "{concepts}");
     let (status, focus) = http_get(
-        &addr,
+        addr,
         &format!("/api/sessions/s/focus?tenant=t1&concept={top}"),
     );
     assert!(status.contains("200"), "{status} {focus}");
     assert!(focus.contains("\"concepts\""), "{focus}");
-    let (status, digest) = http_get(&addr, "/api/sessions/s/digest?tenant=t1");
+    let (status, digest) = http_get(addr, "/api/sessions/s/digest?tenant=t1");
     assert!(status.contains("200"), "{status}");
     assert!(digest.contains("\"corpus_digest\""), "{digest}");
 
     // Tenant isolation: the same session name under another tenant is
     // a different (nonexistent) session.
-    let (status, _) = http_get(&addr, "/api/sessions/s/digest?tenant=t2");
+    let (status, _) = http_get(addr, "/api/sessions/s/digest?tenant=t2");
     assert!(status.contains("404"), "{status}");
 
     // Client-error paths: malformed JSON, unknown session, bad method.
-    let (status, body) = http_post(&addr, "/api/sessions", "{not json");
+    let (status, body) = http_post(addr, "/api/sessions", "{not json");
     assert!(status.contains("400"), "{status}");
     assert!(body.contains("malformed"), "{body}");
     let (status, _) = http_post(
-        &addr,
+        addr,
         "/api/sessions/ghost/ingest",
         "{\"tenant\": \"t1\", \"traces\": \"fopen(#9)\\n\"}",
     );
     assert!(status.contains("404"), "{status}");
-    let (status, _) = http_post(&addr, "/metrics", "{}");
+    let (status, _) = http_post(addr, "/metrics", "{}");
     assert!(status.contains("405"), "{status}");
 
     // The per-tenant store layout is on disk: root/tenant/session.
     assert!(root.join("t1").join("s").is_dir());
-    child.kill().unwrap();
-    child.wait().unwrap();
+    drop(server);
 
     // Without `--api`, the API routes answer 404 with a pointer at the
     // flag — the observability endpoints still work.
-    let (mut child, addr) = spawn_serving(&["serve", "--obs-listen", "0"]);
-    let (status, body) = http_get(&addr, "/api/sessions");
+    let server = spawn_serving(&["serve", "--obs-listen", "0"]);
+    let addr = &server.addr;
+    let (status, body) = http_get(addr, "/api/sessions");
     assert!(status.contains("404"), "{status}");
     assert!(body.contains("--api"), "{body}");
-    child.kill().unwrap();
-    child.wait().unwrap();
+    drop(server);
     fs::remove_dir_all(&dir).unwrap();
 }
