@@ -26,12 +26,12 @@
 //! `table3_spec` record per specification when table1 and table3 run
 //! (every column of the markdown row), one `table2_spec` record per
 //! specification when table2 runs, then one final `pipeline_snapshot`
-//! record with the whole metric registry and profile. `--trace-out PATH` exports the
-//! flight recorder as Chrome trace-event JSON (load it in Perfetto),
-//! and `--obs-listen ADDR` serves `/metrics`, `/healthz`, and `/tracez`
-//! while the run lasts. All four flags turn observation on (span
-//! timing, the flight recorder and the wide-event log); so does
-//! `CABLE_OBS=1`.
+//! record with the whole metric registry and profile. `--trace-out
+//! PATH` exports the flight recorder as Chrome trace-event JSON (load
+//! it in Perfetto), and `--obs-listen ADDR` serves `/metrics`,
+//! `/healthz`, and `/tracez` while the run lasts. All four flags turn
+//! observation on (span timing, the flight recorder and the wide-event
+//! log); so does `CABLE_OBS=1`.
 //!
 //! `--deadline-ms N` / `--max-concepts N` install a cable-guard resource
 //! budget on the main thread for the run: table2 then reports the

@@ -1,7 +1,7 @@
 //! The CI perf-regression gate: comparing `reproduce --json-out` runs.
 //!
-//! Two modes, both consuming the JSONL perf records `reproduce table2
-//! --json-out` writes:
+//! Two modes, both consuming the JSONL records `reproduce --json-out`
+//! writes:
 //!
 //! * [`compare`] — baseline vs current. Count fields (`traces`, `unique`,
 //!   `transitions`, `max_row`, `concepts`) and the reference-FA choice
@@ -10,9 +10,10 @@
 //!   `build_ms`) is compared against a percentage tolerance, so noisy CI
 //!   runners don't flake the gate.
 //! * [`diff`] — determinism check between two runs of the same seed at
-//!   different worker counts. Timing (`build_ms`) and the obs deltas are
-//!   stripped, `pipeline_snapshot` records are ignored, and everything
-//!   left must be byte-identical.
+//!   different worker counts, or between a run and the records pinned
+//!   in `testdata/` (Tables 1–3). Timing (`build_ms`) and the obs deltas
+//!   are stripped, `pipeline_snapshot` records are ignored, and
+//!   everything left must be byte-identical.
 
 use cable_obs::json::Value;
 use cable_obs::parse_jsonl;

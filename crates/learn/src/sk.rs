@@ -110,11 +110,12 @@ struct Edge {
 /// The incremental sk-strings merger.
 ///
 /// After `drop` merges into `keep`, a level-`j` distribution can change
-/// only at states that reach `keep` within `j` steps (not `j - 1`: the
-/// level-0 stop term of `keep` itself enters every distribution that
-/// reaches it), so only those are recomputed, with the float operations
-/// of [`CountedFa::k_strings`] in its order. Only the recomputed states
-/// move between the buckets of equal top sets.
+/// only at states that reach `keep` within `j` steps, so only those are
+/// recomputed, with the float operations of [`CountedFa::k_strings`] in
+/// its order. Not `j - 1` steps: where a predecessor's edges to `keep`
+/// and `drop` collapse into one, the summed probability can round
+/// differently, and states `j` steps from `keep` see that. Only the
+/// recomputed states move between the buckets of equal top sets.
 struct Merger {
     k: usize,
     s_percent: f64,
@@ -352,9 +353,11 @@ impl Merger {
     /// Puts `s` into the bucket of `top`.
     fn join(&mut self, s: usize, top: Vec<KString>) {
         let members = self.buckets.entry(top.clone()).or_default();
-        unpair(&mut self.pairs, members);
+        if let Some(pair) = candidate(members) {
+            self.pairs.remove(&pair);
+        }
         members.insert(s);
-        pair(&mut self.pairs, members);
+        self.pairs.extend(candidate(members));
         self.tops[s] = top;
     }
 
@@ -364,9 +367,11 @@ impl Merger {
             .buckets
             .get_mut(&self.tops[s])
             .expect("every live state is bucketed");
-        unpair(&mut self.pairs, members);
+        if let Some(pair) = candidate(members) {
+            self.pairs.remove(&pair);
+        }
         members.remove(&s);
-        pair(&mut self.pairs, members);
+        self.pairs.extend(candidate(members));
         if members.is_empty() {
             self.buckets.remove(&self.tops[s]);
         }
@@ -380,7 +385,10 @@ impl Merger {
         for (r, &s) in live.iter().enumerate() {
             rank[s] = r;
         }
-        let mut ids: Vec<usize> = live.iter().flat_map(|&s| self.out[s].clone()).collect();
+        let mut ids: Vec<usize> = live
+            .iter()
+            .flat_map(|&s| self.out[s].iter().copied())
+            .collect();
         ids.sort_unstable();
         let transitions = ids
             .into_iter()
@@ -399,20 +407,12 @@ impl Merger {
     }
 }
 
-/// Records a bucket's merge candidate, if it has two members.
-fn pair(pairs: &mut BTreeSet<(usize, usize)>, members: &BTreeSet<usize>) {
-    let mut ids = members.iter();
-    if let (Some(&first), Some(&second)) = (ids.next(), ids.next()) {
-        pairs.insert((second, first));
-    }
-}
-
-/// Forgets a bucket's merge candidate, if it has one.
-fn unpair(pairs: &mut BTreeSet<(usize, usize)>, members: &BTreeSet<usize>) {
-    let mut ids = members.iter();
-    if let (Some(&first), Some(&second)) = (ids.next(), ids.next()) {
-        pairs.remove(&(second, first));
-    }
+/// A bucket's merge candidate as `(second, first)` of its ids, if it
+/// has two members.
+fn candidate(members: &BTreeSet<usize>) -> Option<(usize, usize)> {
+    let mut ids = members.iter().copied();
+    let first = ids.next()?;
+    Some((ids.next()?, first))
 }
 
 #[cfg(test)]

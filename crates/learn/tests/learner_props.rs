@@ -205,8 +205,8 @@ fn sk_strings_matches_the_reference_learner_on_random_sets() {
 /// Shrunk from a seeded random set. Recomputing after a merge only the
 /// level-`j` distributions within `j - 1` steps of the kept state learns
 /// a different automaton here: a state exactly `j` steps away still sees
-/// the merge, in the last bits of a summed probability, and that flips
-/// a top set at the 50% threshold.
+/// the merge, in the last bits of a summed probability, and that changes
+/// a top set.
 #[test]
 fn sk_strings_recomputes_every_state_within_k_steps_of_a_merge() {
     let mut vocab = Vocab::new();

@@ -629,6 +629,8 @@ fn spawn_serving(args: &[&str]) -> Serving {
         .spawn()
         .expect("cable starts");
     let mut reader = BufReader::new(child.stdout.take().unwrap());
+    // The guard exists before the address does, so the panic below
+    // kills the child too.
     let mut server = Serving {
         child,
         addr: String::new(),
