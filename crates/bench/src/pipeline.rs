@@ -175,6 +175,31 @@ mod tests {
                 p.session.classes().len(),
                 p.scenarios.identical_classes().len()
             );
+            // Growing a session equals building it: one over the first
+            // 80% of the scenarios, grown by `push_traces` with the rest,
+            // has the same classes, context rows and lattice (concepts
+            // and cover lists, in order).
+            let split = (p.scenarios.len() * 4) / 5;
+            let mut base = TraceSet::new();
+            let mut rest = Vec::new();
+            for (i, (_, t)) in p.scenarios.iter().enumerate() {
+                if i < split {
+                    base.push(t.clone());
+                } else {
+                    rest.push(t.clone());
+                }
+            }
+            let mut grown = CableSession::new(base, p.session.reference_fa().clone());
+            grown.push_traces(rest);
+            assert_eq!(grown.classes(), p.session.classes(), "{}", p.name);
+            assert_eq!(grown.context(), p.session.context(), "{}", p.name);
+            let (a, b) = (grown.lattice(), p.session.lattice());
+            assert_eq!(a.len(), b.len(), "{}", p.name);
+            for id in b.ids() {
+                assert_eq!(a.concept(id), b.concept(id), "{} {id}", p.name);
+                assert_eq!(a.children(id), b.children(id), "{} {id}", p.name);
+                assert_eq!(a.parents(id), b.parents(id), "{} {id}", p.name);
+            }
         }
     }
 

@@ -183,6 +183,17 @@ pub fn table2_with_deltas(registry: &Registry, seed: u64) -> Vec<(Table2Row, cab
         .collect()
 }
 
+/// A store directory that is removed when dropped: after a clean
+/// measurement, and when a guard trip or a failed step unwinds through
+/// [`measure_ingest`].
+struct ScratchDir(std::path::PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Measures the `cable-store` incremental path for a prepared spec:
 /// saves a session over the first ~80% of the scenarios, ingests the
 /// rest through the journal + incremental lattice insert, and compacts.
@@ -207,14 +218,14 @@ fn measure_ingest(p: &PreparedSpec) -> (f64, u64, u64) {
         }
     }
     let session = cable_core::CableSession::new(base, p.session.reference_fa().clone());
-    let dir = std::env::temp_dir().join(format!(
+    let dir = ScratchDir(std::env::temp_dir().join(format!(
         "cable-bench-ingest-{}-{}",
         std::process::id(),
         p.name
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    )));
+    let _ = std::fs::remove_dir_all(&dir.0);
     let mut stored = session
-        .save(p.vocab.clone(), &dir)
+        .save(p.vocab.clone(), &dir.0)
         .expect("saving the bench store");
     let start = Instant::now();
     if rest_count > 0 {
@@ -233,7 +244,6 @@ fn measure_ingest(p: &PreparedSpec) -> (f64, u64, u64) {
     let journal_bytes = stored.store().journal_bytes().unwrap_or(0);
     stored.compact().expect("compacting the bench store");
     let store_bytes = stored.store().snapshot_bytes().unwrap_or(0);
-    let _ = std::fs::remove_dir_all(&dir);
     let per_trace = if rest_count > 0 {
         elapsed_us / rest_count as f64
     } else {

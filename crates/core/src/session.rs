@@ -22,9 +22,9 @@ static CLASSES_LABELED: CounterHandle = CounterHandle::new("core.session.classes
 static SHOW_FA_OPS: CounterHandle = CounterHandle::new("core.session.show_fa_ops");
 /// Focused sub-sessions started.
 static FOCUS_OPS: CounterHandle = CounterHandle::new("core.session.focus_ops");
-/// Traces absorbed live through `push_trace`.
+/// Traces absorbed live through `push_traces`.
 static TRACES_PUSHED: CounterHandle = CounterHandle::new("core.session.traces_pushed");
-/// `push_trace` calls that created a fresh class (lattice insertion).
+/// Pushed traces that founded a fresh class (one lattice insertion each).
 static CLASSES_PUSHED: CounterHandle = CounterHandle::new("core.session.classes_pushed");
 
 /// The labeling state of a concept (§4.1). The original Cable displayed
@@ -418,60 +418,18 @@ impl CableSession {
         }
     }
 
-    /// Incrementally absorbs a freshly reported trace into the live
-    /// session — the §6 "interactive algorithms" extension, built on
-    /// Godin's incremental insertion.
+    /// Incrementally absorbs a batch of freshly reported traces into the
+    /// live session — the §6 "interactive algorithms" extension, built on
+    /// Godin's incremental insertion. This is the one way a session grows:
+    /// the ingest path of a stored session, journal replay, and a single
+    /// trace (a one-element batch) all come through here.
     ///
-    /// If the trace is identical to an existing class it simply joins
-    /// that class (inheriting its label, if any); otherwise a new class
-    /// is created, its executed-transition row computed, and the lattice
-    /// updated in place. Existing labels are untouched either way.
-    ///
-    /// Returns the trace's id and whether a new class was created.
-    pub fn push_trace(&mut self, trace: Trace) -> (TraceId, bool) {
-        TRACES_PUSHED.get().incr();
-        // Identical to an existing class?
-        if let Some(class) = self
-            .classes
-            .iter()
-            .position(|c| self.traces.trace(c.representative).event_key() == trace.event_key())
-        {
-            let id = self.traces.push(trace);
-            self.classes[class].members.push(id);
-            self.class_of.push(class);
-            return (id, false);
-        }
-        CLASSES_PUSHED.get().incr();
-        let executed = self.fa.executed_transitions(&trace);
-        let id = self.traces.push(trace);
-        let class = self.context.push_object(&executed);
-        debug_assert_eq!(class, self.classes.len());
-        self.classes.push(IdenticalClass {
-            representative: id,
-            members: vec![id],
-        });
-        self.class_of.push(class);
-        let pushed = self.labels.push_unlabeled();
-        debug_assert_eq!(pushed, class);
-        // Incremental Godin insertion.
-        let lattice = std::mem::replace(
-            &mut self.lattice,
-            ConceptLattice::from_concepts(vec![cable_fca::Concept {
-                extent: BitSet::new(),
-                intent: BitSet::new(),
-            }]),
-        );
-        self.lattice = lattice.insert_object(class, &executed);
-        (id, true)
-    }
-
-    /// Bulk form of [`CableSession::push_trace`]: absorbs a batch of
-    /// traces with one live [`cable_fca::godin::Inserter`] across every
-    /// new class and a single Hasse rebuild at the end
-    /// ([`ConceptLattice::insert_objects`]), instead of a per-trace
-    /// bucket rebuild. This is the ingest path of a resumed store
-    /// session; the `fca.godin.bucket_reuses` /
-    /// `fca.godin.bucket_rebuilds` counters tell the two apart.
+    /// A trace identical to an existing class joins that class
+    /// (inheriting its label, if any); otherwise it founds a new class,
+    /// unlabeled, whose executed-transition row is computed. The new
+    /// classes enter the lattice in one
+    /// [`ConceptLattice::insert_objects`] batch, so the Hasse diagram is
+    /// rebuilt once. Existing labels are untouched.
     ///
     /// Returns, per trace in order, its id and whether it created a new
     /// class. Duplicates within the batch join the class the batch
@@ -578,22 +536,7 @@ impl CableSession {
                 classes.len()
             ));
         }
-        let mut class_of = vec![0usize; traces.len()];
-        for (c, class) in classes.iter().enumerate() {
-            for &m in &class.members {
-                class_of[m.index()] = c;
-            }
-        }
-        let labels = LabelStore::new(classes.len());
-        Ok(CableSession {
-            traces,
-            classes,
-            class_of,
-            fa,
-            context,
-            lattice,
-            labels,
-        })
+        Ok(Self::assemble(traces, classes, fa, context, lattice))
     }
 
     // ------------------------------------------------------------------
@@ -1003,13 +946,15 @@ mod tests {
     }
 
     #[test]
-    fn push_trace_duplicate_joins_class_and_inherits_label() {
+    fn a_pushed_duplicate_joins_its_class_and_inherits_its_label() {
         let mut v = Vocab::new();
         let mut s = stdio_session(&mut v);
         let n_classes = s.classes().len();
         s.label_traces(s.lattice().top(), &TraceSelector::All, "good");
         let dup = Trace::parse("popen(X) fread(X) pclose(X)", &mut v).unwrap();
-        let (id, new_class) = s.push_trace(dup);
+        let [(id, new_class)] = s.push_traces(vec![dup])[..] else {
+            panic!("one result per pushed trace");
+        };
         assert!(!new_class);
         assert_eq!(s.classes().len(), n_classes);
         assert!(s.label_of_trace(id).is_some(), "inherits the class label");
@@ -1017,27 +962,26 @@ mod tests {
     }
 
     #[test]
-    fn push_trace_new_class_updates_lattice_incrementally() {
+    fn a_pushed_new_class_extends_the_lattice() {
         let mut v = Vocab::new();
         let mut s = stdio_session(&mut v);
         s.label_traces(s.lattice().top(), &TraceSelector::All, "good");
         // A genuinely new shape (still over known events, so the
         // unordered reference FA accepts it).
         let fresh = Trace::parse("popen(X) fwrite(X)", &mut v).unwrap();
-        let (id, new_class) = s.push_trace(fresh.clone());
+        let [(id, new_class)] = s.push_traces(vec![fresh])[..] else {
+            panic!("one result per pushed trace");
+        };
         assert!(new_class);
         assert_eq!(s.label_of_trace(id), None, "new classes arrive unlabeled");
         assert!(!s.all_labeled());
-        // The incremental lattice equals a batch rebuild over the same
-        // traces.
+        // The grown lattice equals a batch rebuild over the same traces:
+        // same concepts in the same order, same covers.
         let rebuilt = CableSession::new(s.traces().clone(), s.reference_fa().clone());
         assert_eq!(s.lattice().len(), rebuilt.lattice().len());
-        for (_, c) in rebuilt.lattice().iter() {
-            assert!(
-                s.lattice().find_by_extent(&c.extent).is_some(),
-                "missing extent {:?}",
-                c.extent
-            );
+        for id in rebuilt.lattice().ids() {
+            assert_eq!(s.lattice().concept(id), rebuilt.lattice().concept(id));
+            assert_eq!(s.lattice().children(id), rebuilt.lattice().children(id));
         }
         // Old labels survived.
         let labeled = (0..s.classes().len())

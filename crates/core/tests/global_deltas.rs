@@ -1,16 +1,18 @@
 //! Tests that assert exact deltas of process-global state — obs counters
-//! and SLO windows — in a binary of their own.
+//! and SLO windows — or arm the process-global fault plane, in a binary
+//! of their own.
 //!
 //! The crate's unit tests build lattices on parallel test threads, and
 //! every Godin insertion moves the process-wide `fca.godin.*` counters,
 //! so a zero-delta assertion there fails whenever a sibling inserts
 //! while it measures. Here each test holds [`serial`] for its whole
-//! body: nothing else in this process inserts, or serves a request,
-//! while one of them measures.
+//! body: nothing else in this process inserts, writes a store, or
+//! serves a request, while one of them measures.
 
 use cable_core::server::ObsServer;
 use cable_core::{CableSession, TraceSelector};
 use cable_fa::{templates, Fa};
+use cable_store::StoreError;
 use cable_trace::{Trace, TraceSet, Vocab};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -127,9 +129,8 @@ fn ingest_journals_then_extends_incrementally() {
     assert_eq!(results.len(), 2);
     assert!(results[0].1, "new shape founds a class");
     assert!(!results[1].1, "duplicate joins its class");
-    // The insert went through live Inserter buckets, not rebuilds.
-    assert_eq!(delta.counter("fca.godin.bucket_rebuilds").unwrap_or(0), 0);
-    assert!(delta.counter("fca.godin.objects_inserted").unwrap_or(0) >= 1);
+    // Only the new class went through Godin insertion.
+    assert_eq!(delta.counter("fca.godin.objects_inserted"), Some(1));
 
     // The journaled state survives a reopen and equals a session
     // built from the whole corpus at once.
@@ -175,12 +176,47 @@ fn stored_label_ops_count_once_and_restores_not_at_all() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A stored label op over N classes journals N records in one write:
+/// `store.journal.appends` still counts records, but the batch makes one
+/// `store.journal.append` fault-plane hit. So under a fault on the
+/// site's second hit the label op succeeds, and the next write op takes
+/// the fault, is refused, and is rolled back off the journal.
 #[test]
-fn push_traces_batch_matches_per_trace_pushes() {
+fn a_label_op_over_many_classes_is_one_journal_write() {
+    let _serial = serial();
+    let dir = tmp_dir("one-write");
+    let (session, vocab) = build(CORPUS);
+    let mut stored = session.save(vocab, &dir).unwrap();
+    let top = stored.session().lattice().top();
+
+    cable_guard::faults::install("5:io@store.journal.append#2").unwrap();
+    let before = cable_obs::registry().snapshot();
+    let labeled = stored.label_traces(top, &TraceSelector::All, "seen");
+    let delta = cable_obs::registry().snapshot().delta_since(&before);
+    let refused = stored.ingest_text("popen(Y) fwrite(Y) pclose(Y)\n", false);
+    cable_guard::faults::uninstall();
+
+    assert_eq!(labeled.expect("the label op is the site's first hit"), 4);
+    assert_eq!(delta.counter("store.journal.appends"), Some(4));
+    assert!(matches!(refused, Err(StoreError::Io(_))), "{refused:?}");
+    assert!(stored.store().is_degraded());
+    assert_eq!(stored.session().classes().len(), 4, "nothing applied");
+
+    // The refused ingest was truncated off the journal: a reopen
+    // replays the label op's four records and nothing else.
+    drop(stored);
+    let (reopened, report) = CableSession::open(&dir).unwrap();
+    assert_eq!(report.replayed, 4);
+    assert_eq!(reopened.session().classes().len(), 4);
+    assert!(reopened.session().all_labeled());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn push_traces_matches_a_session_built_over_the_same_traces() {
     let _serial = serial();
     let mut v = Vocab::new();
-    let mut batch = stdio_session(&mut v);
-    let mut single = batch.clone();
+    let mut grown = stdio_session(&mut v);
     let fresh = [
         "popen(X) fwrite(X)",
         "popen(X) fwrite(X)", // duplicate within the batch
@@ -191,23 +227,24 @@ fn push_traces_batch_matches_per_trace_pushes() {
         .map(|t| Trace::parse(t, &mut v).unwrap())
         .collect();
     let before = cable_obs::registry().snapshot();
-    let results = batch.push_traces(parsed.clone());
+    let results = grown.push_traces(parsed);
     let delta = cable_obs::registry().snapshot().delta_since(&before);
     assert_eq!(
         results.iter().map(|&(_, fresh)| fresh).collect::<Vec<_>>(),
         vec![true, false, true]
     );
-    for t in parsed {
-        single.push_trace(t);
+    // Three traces pushed, two of them new classes, and only those two
+    // went through Godin insertion.
+    assert_eq!(delta.counter("core.session.traces_pushed"), Some(3));
+    assert_eq!(delta.counter("core.session.classes_pushed"), Some(2));
+    assert_eq!(delta.counter("fca.godin.objects_inserted"), Some(2));
+
+    let built = CableSession::new(grown.traces().clone(), grown.reference_fa().clone());
+    assert_sessions_equal(&built, &grown);
+    for id in built.lattice().ids() {
+        assert_eq!(grown.lattice().concept(id), built.lattice().concept(id));
+        assert_eq!(grown.lattice().children(id), built.lattice().children(id));
     }
-    assert_eq!(batch.classes().len(), single.classes().len());
-    assert_eq!(batch.lattice().len(), single.lattice().len());
-    for (_, c) in single.lattice().iter() {
-        assert!(batch.lattice().find_by_extent(&c.extent).is_some());
-    }
-    // The batch went through live buckets, not per-trace rebuilds.
-    assert!(delta.counter("fca.godin.bucket_reuses").unwrap_or(0) >= 2);
-    assert_eq!(delta.counter("fca.godin.bucket_rebuilds").unwrap_or(0), 0);
 }
 
 /// Every request's wide event feeds the `/sloz` window keyed by its

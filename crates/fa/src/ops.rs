@@ -912,7 +912,7 @@ impl Fa {
     }
 
     /// Tests language containment: every trace this automaton accepts is
-    /// accepted by `other`.
+    /// accepted by `other`, i.e. [`Fa::difference`] accepts nothing.
     ///
     /// Useful for validating debugging outcomes, e.g. that a re-mined
     /// specification does not accept behaviour outside the ground truth.
@@ -935,71 +935,17 @@ impl Fa {
     /// # Ok::<(), cable_fa::ParseFaError>(())
     /// ```
     pub fn language_subset_of(&self, other: &Fa) -> bool {
-        let mut alphabet: Vec<TransLabel> = self.concrete_labels().into_iter().cloned().collect();
-        for l in other.concrete_labels() {
-            if !alphabet.contains(l) {
-                alphabet.push(l.clone());
-            }
-        }
-        let a = self.determinize_with_alphabet(&alphabet).complete();
-        let b = other.determinize_with_alphabet(&alphabet).complete();
-        let letters = a.letter_count();
-        let mut seen = std::collections::HashSet::new();
-        let mut queue = VecDeque::from([(a.start(), b.start())]);
-        seen.insert((a.start(), b.start()));
-        while let Some((x, y)) = queue.pop_front() {
-            if a.is_accept(x) && !b.is_accept(y) {
-                return false; // A witness trace separates the languages.
-            }
-            for l in 0..letters {
-                let pair = (
-                    a.step(x, l).expect("complete"),
-                    b.step(y, l).expect("complete"),
-                );
-                if seen.insert(pair) {
-                    queue.push_back(pair);
-                }
-            }
-        }
-        true
+        self.difference(other).is_empty_language()
     }
 
-    /// Tests language equivalence with another automaton.
-    ///
-    /// Both automata are determinised over the union of their concrete
-    /// alphabets and compared by a synchronous product walk.
+    /// Tests language equivalence with another automaton: true when no
+    /// [`Fa::distinguishing_witness`] exists.
     ///
     /// # Panics
     ///
     /// See [`Fa::determinize_with_alphabet`].
     pub fn equivalent(&self, other: &Fa) -> bool {
-        let mut alphabet: Vec<TransLabel> = self.concrete_labels().into_iter().cloned().collect();
-        for l in other.concrete_labels() {
-            if !alphabet.contains(l) {
-                alphabet.push(l.clone());
-            }
-        }
-        let a = self.determinize_with_alphabet(&alphabet).complete();
-        let b = other.determinize_with_alphabet(&alphabet).complete();
-        let letters = a.letter_count();
-        let mut seen = std::collections::HashSet::new();
-        let mut queue = VecDeque::from([(a.start, b.start)]);
-        seen.insert((a.start, b.start));
-        while let Some((x, y)) = queue.pop_front() {
-            if a.is_accept(x) != b.is_accept(y) {
-                return false;
-            }
-            for l in 0..letters {
-                let pair = (
-                    a.step(x, l).expect("complete"),
-                    b.step(y, l).expect("complete"),
-                );
-                if seen.insert(pair) {
-                    queue.push_back(pair);
-                }
-            }
-        }
-        true
+        self.distinguishing_witness(other).is_none()
     }
 }
 

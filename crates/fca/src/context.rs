@@ -58,7 +58,7 @@ impl Context {
     }
 
     /// Appends a new object with the given attribute row, returning its
-    /// index. Companion to [`crate::ConceptLattice::insert_object`] for
+    /// index. Companion to [`crate::ConceptLattice::insert_objects`] for
     /// incremental updates.
     ///
     /// # Panics

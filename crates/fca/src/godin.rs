@@ -16,9 +16,10 @@
 //! Godin's *cardinality buckets*. [`Inserter`] keeps those buckets alive
 //! across insertions: a modified concept keeps its intent (and bucket),
 //! and a created concept is appended to the bucket of its new intent, so
-//! batch construction never re-sorts the concept set per object. The
-//! standalone [`add_object`] entry point (used when a single object joins
-//! an existing lattice) rebuilds the buckets once from the concept set.
+//! no insertion re-sorts the concept set. It is the one insertion loop:
+//! building a lattice from scratch ([`concepts`], [`try_concepts`]) and
+//! growing an existing one
+//! ([`crate::lattice::ConceptLattice::insert_objects`]) both run it.
 //!
 //! The concept *set* is maintained incrementally; the Hasse diagram is
 //! computed once at the end by [`crate::lattice::ConceptLattice::from_concepts`].
@@ -37,11 +38,6 @@ static CONCEPTS_MODIFIED: CounterHandle = CounterHandle::new("fca.godin.concepts
 static CONCEPTS_CREATED: CounterHandle = CounterHandle::new("fca.godin.concepts_created");
 /// Generator candidates skipped because their intent was already seen.
 static CANDIDATES_SKIPPED: CounterHandle = CounterHandle::new("fca.godin.candidates_skipped");
-/// Bucket tables rebuilt from scratch (standalone [`add_object`] calls).
-static BUCKET_REBUILDS: CounterHandle = CounterHandle::new("fca.godin.bucket_rebuilds");
-/// Insertions that reused live buckets — the work the incremental
-/// [`Inserter`] saves over re-sorting per object.
-static BUCKET_REUSES: CounterHandle = CounterHandle::new("fca.godin.bucket_reuses");
 
 /// Computes all concepts of the context by incremental object insertion.
 ///
@@ -56,7 +52,7 @@ pub fn concepts(ctx: &Context) -> Vec<Concept> {
     }];
     let mut inserter = Inserter::new(&concepts, ctx.attribute_count());
     for o in 0..ctx.object_count() {
-        inserter.add_object(&mut concepts, o, ctx.row(o));
+        inserter.insert(&mut concepts, o, ctx.row(o));
     }
     concepts
 }
@@ -103,7 +99,7 @@ pub fn try_concepts(ctx: &Context) -> Result<Vec<Concept>, Box<BudgetStop>> {
                 objects_inserted: o,
             }));
         }
-        inserter.add_object(&mut concepts, o, ctx.row(o));
+        inserter.insert(&mut concepts, o, ctx.row(o));
         if let Err(error) = cable_guard::check_concepts(concepts.len()) {
             // The set is already exact for objects 0..=o; the ceiling
             // just means it grew past what the caller will pay for.
@@ -120,24 +116,6 @@ pub fn try_concepts(ctx: &Context) -> Result<Vec<Concept>, Box<BudgetStop>> {
 /// The name `perfbench`'s lattice workload times: the same sequential
 /// build as [`concepts`].
 pub use self::concepts as concepts_auto;
-
-/// Inserts one object with the given attribute row into an existing
-/// concept set (which must be the concept set of the context restricted
-/// to the previously inserted objects, plus the `(∅, A)` seed).
-///
-/// This rebuilds Godin's cardinality buckets from the concept set; batch
-/// callers inserting many objects should hold an [`Inserter`] instead.
-pub fn add_object(concepts: &mut Vec<Concept>, object: usize, attrs: &BitSet) {
-    BUCKET_REBUILDS.get().incr();
-    let n_attrs = concepts
-        .iter()
-        .map(|c| c.intent.len())
-        .max()
-        .unwrap_or(0)
-        .max(attrs.last().map_or(0, |a| a + 1));
-    let mut inserter = Inserter::new(concepts, n_attrs);
-    inserter.insert(concepts, object, attrs);
-}
 
 /// Godin's intent-cardinality buckets, kept alive across insertions.
 ///
@@ -162,13 +140,10 @@ impl Inserter {
         Inserter { buckets }
     }
 
-    /// Inserts one object, reusing the live buckets.
-    pub fn add_object(&mut self, concepts: &mut Vec<Concept>, object: usize, attrs: &BitSet) {
-        BUCKET_REUSES.get().incr();
-        self.insert(concepts, object, attrs);
-    }
-
-    fn insert(&mut self, concepts: &mut Vec<Concept>, object: usize, attrs: &BitSet) {
+    /// Inserts one object with the given attribute row into `concepts`,
+    /// which must be the concept set these buckets index: that of the
+    /// objects inserted so far, plus the `(∅, A)` seed.
+    pub fn insert(&mut self, concepts: &mut Vec<Concept>, object: usize, attrs: &BitSet) {
         OBJECTS_INSERTED.get().incr();
         // Intents that are already accounted for in the new lattice: those
         // of modified concepts and of concepts created during this
@@ -297,42 +272,5 @@ mod tests {
     fn animals_count_matches_figure_10() {
         let ctx = ctx_of(&[&[0, 1], &[1, 2, 4], &[2, 3], &[2, 4], &[2, 3]], 5);
         assert_eq!(concepts(&ctx).len(), 8);
-    }
-
-    #[test]
-    fn standalone_add_object_matches_batch() {
-        // Insert the animals objects one at a time through the bucket
-        // rebuilding entry point; the result must match `concepts`.
-        let ctx = ctx_of(&[&[0, 1], &[1, 2, 4], &[2, 3], &[2, 4], &[2, 3]], 5);
-        let mut incremental = vec![Concept {
-            extent: BitSet::new(),
-            intent: BitSet::full(5),
-        }];
-        for o in 0..ctx.object_count() {
-            add_object(&mut incremental, o, ctx.row(o));
-        }
-        let batch = concepts(&ctx);
-        let a: std::collections::HashSet<_> = incremental
-            .into_iter()
-            .map(|c| (c.extent, c.intent))
-            .collect();
-        let b: std::collections::HashSet<_> =
-            batch.into_iter().map(|c| (c.extent, c.intent)).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn inserter_counts_saved_sorts() {
-        let before = cable_obs::registry().snapshot();
-        let ctx = ctx_of(&[&[0, 1], &[1, 2, 4], &[2, 3], &[2, 4], &[2, 3]], 5);
-        let _ = concepts(&ctx);
-        let delta = cable_obs::registry().snapshot().delta_since(&before);
-        // Batch construction reuses the buckets for every object (other
-        // tests share the process-wide counters, so bound from below).
-        assert!(delta.counter("fca.godin.bucket_reuses").unwrap_or(0) >= 5);
-        assert!(delta.counter("fca.godin.objects_inserted").unwrap_or(0) >= 5);
-        let modified = delta.counter("fca.godin.concepts_modified").unwrap_or(0);
-        let created = delta.counter("fca.godin.concepts_created").unwrap_or(0);
-        assert!(modified > 0 && created > 0, "{modified} {created}");
     }
 }

@@ -367,66 +367,15 @@ impl ConceptLattice {
         order
     }
 
-    /// Incrementally inserts a new object (Godin's algorithm), returning
-    /// the updated lattice. The concept set is maintained incrementally;
-    /// the Hasse diagram is recomputed.
-    ///
-    /// This is the §6 "interactive algorithms" extension: a live Cable
-    /// session can absorb freshly reported traces without rebuilding the
-    /// whole lattice from its context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` already occurs in an extent (objects are
-    /// inserted once), or `attrs` mentions attributes outside the
-    /// lattice's attribute universe (the bottom intent). Use
-    /// [`ConceptLattice::try_insert_object`] when the row comes from
-    /// untrusted input.
-    pub fn insert_object(self, object: usize, attrs: &cable_util::BitSet) -> ConceptLattice {
-        match self.try_insert_object(object, attrs) {
-            Ok(lattice) => lattice,
-            Err((e, _)) => panic!("{e}"),
-        }
-    }
-
-    /// [`ConceptLattice::insert_object`] with typed errors: a rejected
-    /// insertion hands the untouched lattice back alongside the error.
-    ///
-    /// # Errors
-    ///
-    /// [`LatticeError::UnknownAttributes`] or
-    /// [`LatticeError::DuplicateObject`], paired with `self` unchanged.
-    // The Err variant deliberately hands the (large, by-value) lattice
-    // back to the caller rather than dropping it.
-    #[allow(clippy::result_large_err)]
-    pub fn try_insert_object(
-        self,
-        object: usize,
-        attrs: &cable_util::BitSet,
-    ) -> Result<ConceptLattice, (LatticeError, ConceptLattice)> {
-        let bottom_intent = &self.concepts[self.bottom.index()].intent;
-        if !attrs.is_subset(bottom_intent) {
-            return Err((LatticeError::UnknownAttributes { object }, self));
-        }
-        if self.concepts[self.top.index()].extent.contains(object) {
-            return Err((LatticeError::DuplicateObject { object }, self));
-        }
-        let mut concepts = self.concepts;
-        crate::godin::add_object(&mut concepts, object, attrs);
-        Ok(ConceptLattice::from_concepts(concepts))
-    }
-
     /// Incrementally inserts a batch of new objects (Godin's algorithm),
     /// returning the updated lattice.
     ///
-    /// Unlike repeated [`ConceptLattice::insert_object`] calls, this
-    /// builds the [`crate::godin::Inserter`]'s cardinality buckets once
-    /// and keeps them alive across the whole batch (one
-    /// `fca.godin.bucket_reuses` tick per object, zero
-    /// `fca.godin.bucket_rebuilds`), and recomputes the Hasse diagram
-    /// once at the end. This is the ingest path of a resumed
-    /// `cable-store` session: N appended traces extend the persisted
-    /// lattice without a full Godin rebuild.
+    /// This is the §6 "interactive algorithms" extension and the one way
+    /// to grow a lattice: a live session absorbs freshly reported traces
+    /// without rebuilding the whole lattice from its context. One
+    /// [`crate::godin::Inserter`] keeps Godin's cardinality buckets alive
+    /// across the batch, and the Hasse diagram is recomputed once at the
+    /// end. A single object is a one-element batch.
     ///
     /// # Panics
     ///
@@ -446,16 +395,16 @@ impl ConceptLattice {
 
     /// [`ConceptLattice::insert_objects`] with typed errors.
     ///
-    /// The batch is validated per object *before* its insertion, so on
-    /// error the already-inserted prefix is simply discarded with the
-    /// partially grown concept set — callers that need the prefix should
-    /// validate rows up front or insert one at a time with
-    /// [`ConceptLattice::try_insert_object`].
+    /// Each object is validated before its insertion; on error the
+    /// partially grown concept set is discarded with the lattice.
     ///
     /// # Errors
     ///
-    /// [`LatticeError::UnknownAttributes`] or
-    /// [`LatticeError::DuplicateObject`] for the first offending object.
+    /// [`LatticeError::UnknownAttributes`] for a row with attributes
+    /// outside the lattice's universe, or
+    /// [`LatticeError::DuplicateObject`] for an object that is already
+    /// inserted (earlier in the batch or before it) — whichever the
+    /// first offending object hits.
     pub fn try_insert_objects<'a, I>(self, objects: I) -> Result<ConceptLattice, LatticeError>
     where
         I: IntoIterator<Item = (usize, &'a cable_util::BitSet)>,
@@ -475,7 +424,7 @@ impl ConceptLattice {
                 return Err(LatticeError::DuplicateObject { object });
             }
             inserted.insert(object);
-            inserter.add_object(&mut concepts, object, attrs);
+            inserter.insert(&mut concepts, object, attrs);
         }
         Ok(ConceptLattice::from_concepts(concepts))
     }
@@ -630,79 +579,42 @@ mod tests {
         assert!(!l.is_empty());
     }
 
-    #[test]
-    fn insert_object_matches_batch_build() {
-        // Build the animals lattice incrementally object by object.
-        let mut ctx = Context::new(5, 5);
-        for (o, attrs) in [
-            (0usize, vec![0usize, 1]),
-            (1, vec![1, 2, 4]),
-            (2, vec![2, 3]),
-            (3, vec![2, 4]),
-            (4, vec![2, 3]),
-        ] {
-            for a in attrs {
-                ctx.add(o, a);
-            }
+    /// The same concepts in the same order, with the same cover lists.
+    fn assert_same_lattice(a: &ConceptLattice, b: &ConceptLattice) {
+        assert_eq!(a.len(), b.len());
+        for id in a.ids() {
+            assert_eq!(a.concept(id), b.concept(id), "{id}");
+            assert_eq!(a.children(id), b.children(id), "{id}");
+            assert_eq!(a.parents(id), b.parents(id), "{id}");
         }
-        let batch = ConceptLattice::build(&ctx);
-        let mut incremental = ConceptLattice::from_concepts(vec![Concept {
+    }
+
+    fn seed(n_attrs: usize) -> ConceptLattice {
+        ConceptLattice::from_concepts(vec![Concept {
             extent: BitSet::new(),
-            intent: BitSet::full(5),
-        }]);
-        for o in 0..5 {
-            incremental = incremental.insert_object(o, ctx.row(o));
+            intent: BitSet::full(n_attrs),
+        }])
+    }
+
+    #[test]
+    fn one_object_batches_match_batch_build() {
+        // Grow the animals lattice from the seed, one object per batch.
+        let (ctx, batch) = animals();
+        let mut grown = seed(5);
+        for o in 0..ctx.object_count() {
+            grown = grown.insert_objects([(o, ctx.row(o))]);
         }
-        assert_eq!(incremental.len(), batch.len());
-        for (_, c) in batch.iter() {
-            let id = incremental.find_by_extent(&c.extent).expect("same extents");
-            assert_eq!(incremental.concept(id).intent, c.intent);
-        }
-        // Hasse edges agree too (same canonical order after sorting).
-        for id in batch.ids() {
-            assert_eq!(
-                batch.children(id).len(),
-                incremental.children(id).len(),
-                "{id}"
-            );
-        }
+        assert_same_lattice(&grown, &batch);
     }
 
     #[test]
     fn insert_objects_matches_batch_build() {
         // Split the animals context: build over the first two objects,
         // then batch-insert the remaining three.
-        let mut ctx = Context::new(5, 5);
-        for (o, attrs) in [
-            (0usize, vec![0usize, 1]),
-            (1, vec![1, 2, 4]),
-            (2, vec![2, 3]),
-            (3, vec![2, 4]),
-            (4, vec![2, 3]),
-        ] {
-            for a in attrs {
-                ctx.add(o, a);
-            }
-        }
-        let mut base = Context::new(2, 5);
-        for o in 0..2 {
-            for a in ctx.row(o).iter() {
-                base.add(o, a);
-            }
-        }
-        let before = cable_obs::registry().snapshot();
+        let (ctx, batch) = animals();
+        let base = Context::from_rows((0..2).map(|o| ctx.row(o).clone()).collect(), 5);
         let grown = ConceptLattice::build(&base).insert_objects((2..5).map(|o| (o, ctx.row(o))));
-        let delta = cable_obs::registry().snapshot().delta_since(&before);
-        let batch = ConceptLattice::build(&ctx);
-        assert_eq!(grown.len(), batch.len());
-        for (_, c) in batch.iter() {
-            let id = grown.find_by_extent(&c.extent).expect("same extents");
-            assert_eq!(grown.concept(id).intent, c.intent);
-        }
-        // The whole batch reused one live bucket table. (Counters are
-        // process-wide; `build(&ctx)` ran after the snapshot delta.)
-        assert!(delta.counter("fca.godin.bucket_reuses").unwrap_or(0) >= 3);
-        assert_eq!(delta.counter("fca.godin.bucket_rebuilds").unwrap_or(0), 0);
+        assert_same_lattice(&grown, &batch);
     }
 
     #[test]
@@ -716,34 +628,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "already inserted")]
     fn insert_objects_rejects_duplicates_within_the_batch() {
-        let lattice = ConceptLattice::from_concepts(vec![Concept {
-            extent: BitSet::new(),
-            intent: BitSet::full(2),
-        }]);
         let row = BitSet::singleton(0);
-        let _ = lattice.insert_objects([(0, &row), (0, &row)]);
+        let _ = seed(2).insert_objects([(0, &row), (0, &row)]);
     }
 
     #[test]
     #[should_panic(expected = "already inserted")]
-    fn insert_object_rejects_duplicates() {
-        let lattice = ConceptLattice::from_concepts(vec![Concept {
-            extent: BitSet::new(),
-            intent: BitSet::full(2),
-        }]);
+    fn insert_objects_rejects_an_object_an_earlier_batch_inserted() {
         let row = BitSet::singleton(0);
-        let lattice = lattice.insert_object(0, &row);
-        let _ = lattice.insert_object(0, &row);
+        let lattice = seed(2).insert_objects([(0, &row)]);
+        let _ = lattice.insert_objects([(0, &row)]);
     }
 
     #[test]
     #[should_panic(expected = "outside the lattice's universe")]
-    fn insert_object_rejects_unknown_attributes() {
-        let lattice = ConceptLattice::from_concepts(vec![Concept {
-            extent: BitSet::new(),
-            intent: BitSet::full(2),
-        }]);
-        let _ = lattice.insert_object(0, &BitSet::singleton(7));
+    fn insert_objects_rejects_unknown_attributes() {
+        let _ = seed(2).insert_objects([(0, &BitSet::singleton(7))]);
     }
 
     #[test]

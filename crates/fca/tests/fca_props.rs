@@ -128,27 +128,33 @@ fn bfs_reaches_every_concept() {
     }
 }
 
+/// Growing a lattice equals building it: each context is cut at seeded
+/// points, its prefix built from scratch and the rest added in
+/// `insert_objects` batches. The result must have the same concepts in
+/// the same canonical order, with the same cover lists.
 #[test]
 fn incremental_insertion_matches_batch() {
     for case in 0..128u64 {
-        let ctx = gen_context(&mut seeded(case));
+        let mut rng = seeded(case);
+        let ctx = gen_context(&mut rng);
         let batch = ConceptLattice::build(&ctx);
-        let mut incremental = ConceptLattice::from_concepts(vec![cable_fca::Concept {
-            extent: BitSet::new(),
-            intent: BitSet::full(ctx.attribute_count()),
-        }]);
-        for o in 0..ctx.object_count() {
-            incremental = incremental.insert_object(o, ctx.row(o));
+        let n = ctx.object_count();
+        let mut cuts: Vec<usize> = (0..3).map(|_| rng.gen_range(0..=n)).collect();
+        cuts.sort_unstable();
+        let prefix = Context::from_rows(
+            (0..cuts[0]).map(|o| ctx.row(o).clone()).collect(),
+            ctx.attribute_count(),
+        );
+        let mut grown = ConceptLattice::build(&prefix);
+        for (i, &lo) in cuts.iter().enumerate() {
+            let hi = cuts.get(i + 1).copied().unwrap_or(n);
+            grown = grown.insert_objects((lo..hi).map(|o| (o, ctx.row(o))));
         }
-        assert_eq!(incremental.len(), batch.len(), "case {case}");
-        for (_, c) in batch.iter() {
-            let id = incremental.find_by_extent(&c.extent);
-            assert!(id.is_some(), "case {case}");
-            assert_eq!(
-                &incremental.concept(id.unwrap()).intent,
-                &c.intent,
-                "case {case}"
-            );
+        assert_eq!(grown.len(), batch.len(), "case {case} cuts {cuts:?}");
+        for id in batch.ids() {
+            assert_eq!(grown.concept(id), batch.concept(id), "case {case} {id}");
+            assert_eq!(grown.children(id), batch.children(id), "case {case} {id}");
+            assert_eq!(grown.parents(id), batch.parents(id), "case {case} {id}");
         }
     }
 }

@@ -124,28 +124,6 @@ fn try_from_concepts_reports_structural_errors() {
 }
 
 #[test]
-fn try_insert_object_hands_back_the_untouched_lattice() {
-    let lattice = ConceptLattice::from_concepts(vec![cable_fca::Concept {
-        extent: BitSet::new(),
-        intent: BitSet::full(3),
-    }]);
-    let n = lattice.len();
-    let (err, lattice) = lattice
-        .try_insert_object(0, &BitSet::singleton(9))
-        .expect_err("attribute 9 is outside the universe");
-    assert_eq!(err, LatticeError::UnknownAttributes { object: 0 });
-    assert_eq!(lattice.len(), n);
-
-    let lattice = lattice
-        .try_insert_object(0, &BitSet::singleton(1))
-        .expect("valid insert");
-    let (err, _) = lattice
-        .try_insert_object(0, &BitSet::singleton(1))
-        .expect_err("object 0 is already inserted");
-    assert_eq!(err, LatticeError::DuplicateObject { object: 0 });
-}
-
-#[test]
 fn try_insert_objects_reports_the_offending_object() {
     let lattice = ConceptLattice::from_concepts(vec![cable_fca::Concept {
         extent: BitSet::new(),
@@ -153,7 +131,23 @@ fn try_insert_objects_reports_the_offending_object() {
     }]);
     let rows: Vec<BitSet> = vec![BitSet::singleton(0), BitSet::singleton(5)];
     let err = lattice
+        .clone()
         .try_insert_objects(rows.iter().enumerate())
         .expect_err("second row is out of universe");
     assert_eq!(err, LatticeError::UnknownAttributes { object: 1 });
+
+    // One-element batches: a single object is rejected the same way,
+    // and an object an earlier batch inserted is a duplicate.
+    let err = lattice
+        .clone()
+        .try_insert_objects([(0, &rows[1])])
+        .expect_err("attribute 5 is outside the universe");
+    assert_eq!(err, LatticeError::UnknownAttributes { object: 0 });
+    let lattice = lattice
+        .try_insert_objects([(0, &rows[0])])
+        .expect("valid insert");
+    let err = lattice
+        .try_insert_objects([(0, &rows[0])])
+        .expect_err("object 0 is already inserted");
+    assert_eq!(err, LatticeError::DuplicateObject { object: 0 });
 }

@@ -138,14 +138,12 @@ pub fn mutants_with_stats(
             stats.inapplicable += 1;
             continue;
         };
-        if parent.equivalent(&fa) {
+        // No witness means the mutant is equivalent to its parent.
+        let Some(witness) = parent.distinguishing_witness(&fa) else {
             stats.filtered += 1;
             FILTERED.get().incr();
             continue;
-        }
-        let witness = parent
-            .distinguishing_witness(&fa)
-            .expect("non-equivalent automata have a witness");
+        };
         let witness_trace = parent.realize_witness(&fa, &witness, vocab);
         let parent_accepts_witness = parent.accepts(&witness_trace);
         SURVIVORS.get().incr();

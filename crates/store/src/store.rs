@@ -397,13 +397,18 @@ impl Store {
     /// [`Store::append_all`].
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), StoreError> {
         self.ensure_writable()?;
-        let bytes = journal::encode_record(record);
+        self.write_frames(&journal::encode_record(record), 1)
+    }
+
+    /// Writes `records` encoded frames with one `write_all`: one
+    /// `store.journal.append` fault-plane hit, however many records.
+    fn write_frames(&mut self, bytes: &[u8], records: u64) -> Result<(), StoreError> {
         self.write_step("journal-append", |store| {
-            store.journal.write_all(&bytes).map_err(StoreError::from)
+            store.journal.write_all(bytes).map_err(StoreError::from)
         })?;
         BYTES_WRITTEN.get().add(bytes.len() as u64);
-        JOURNAL_APPENDS.get().incr();
-        self.journal_records += 1;
+        JOURNAL_APPENDS.get().add(records);
+        self.journal_records += records;
         cable_obs::recorder::instant("store.journal.append");
         Ok(())
     }
@@ -419,11 +424,12 @@ impl Store {
     }
 
     /// Appends a batch of records. With `sync_each` every record is
-    /// fsynced individually (durable the moment it returns, at one
-    /// fsync per record — what the crash-recovery drill exercises);
-    /// otherwise the batch is fsynced once at the end.
+    /// written and fsynced on its own (durable the moment it returns, at
+    /// one write and one fsync per record — what prefix-exact crash
+    /// recovery needs); otherwise the whole batch is encoded into one
+    /// buffer, written once and fsynced once.
     ///
-    /// The batch is all-or-nothing *in the journal file*: if any append
+    /// The batch is all-or-nothing *in the journal file*: if any write
     /// or fsync fails partway, the frames this batch already wrote are
     /// truncated back off (see `Store::rollback_batch`) before the
     /// error propagates, so a later [`Store::open`] replays exactly the
@@ -437,16 +443,23 @@ impl Store {
         let acked_len = self.journal_bytes()?;
         let acked_records = self.journal_records;
         let run = |store: &mut Store| -> Result<(), StoreError> {
-            for record in records {
-                store.append(record)?;
-                if sync_each {
+            if sync_each {
+                for record in records {
+                    store.append(record)?;
                     store.sync()?;
                 }
+                return Ok(());
             }
-            if !sync_each {
-                store.sync()?;
+            let mut bytes = Vec::new();
+            let mut count = 0;
+            for record in records {
+                bytes.extend_from_slice(&journal::encode_record(record));
+                count += 1;
             }
-            Ok(())
+            if count > 0 {
+                store.write_frames(&bytes, count)?;
+            }
+            store.sync()
         };
         run(self).inspect_err(|_| self.rollback_batch(acked_len, acked_records))
     }

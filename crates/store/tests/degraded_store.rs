@@ -152,13 +152,14 @@ fn a_failed_batch_rolls_back_its_unacknowledged_frames() {
     let mut store = Store::create(&dir, &snapshot(0)).unwrap();
     store.append_all(&records()[..2], true).unwrap();
 
-    // The batch's second append fails: its first record is already a
-    // complete frame in the journal, but the caller is answered with an
-    // error — nothing in this batch was ever acknowledged.
-    cable_guard::faults::install("5:io@store.journal.append#2").unwrap();
+    // The batch's one write is torn: half its bytes land, so its first
+    // record is already a complete frame in the journal, but the caller
+    // is answered with an error — nothing in this batch was ever
+    // acknowledged.
+    cable_guard::faults::install("5:io:short@store.journal.append").unwrap();
     let err = store
         .append_all(&records()[2..], false)
-        .expect_err("second append in the batch fires");
+        .expect_err("the batch's write is torn");
     cable_guard::faults::uninstall();
     assert!(matches!(err, StoreError::Io(_)), "{err}");
     assert_eq!(store.degraded_cause(), Some("journal-append"));

@@ -7,7 +7,8 @@
 # exit with a structured `injected fault` / `budget exceeded` error on
 # stderr, never a raw unwind escaping the process. A clean re-run with
 # the plane uninstalled must then pass, proving the faults left no
-# residue behind.
+# residue behind. The faulted runs get a TMPDIR of their own, which must
+# hold no temporary store afterwards: a failed run removes what it made.
 #
 # Usage: scripts/fault_drill.sh [path/to/reproduce]
 set -euo pipefail
@@ -15,12 +16,13 @@ set -euo pipefail
 REPRODUCE=${1:-target/release/reproduce}
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+mkdir "$work/tmp"
 
 # Runs Table 2 under a fault spec and requires a clean, typed failure.
 expect_fault() { # expect_fault SPEC
   local spec=$1
   set +e
-  CABLE_FAULTS="$spec" "$REPRODUCE" table2 --quick --threads 4 \
+  CABLE_FAULTS="$spec" TMPDIR="$work/tmp" "$REPRODUCE" table2 --quick --threads 4 \
     >"$work/out.txt" 2>"$work/err.txt"
   local code=$?
   set -e
@@ -48,6 +50,14 @@ done
 
 echo "== artificial budget exhaustion at a checkpoint"
 expect_fault "17:budget@core.persist.ingest#1"
+
+echo "== faulted runs left no temporary store behind"
+leftover=$(find "$work/tmp" -mindepth 1 -maxdepth 1 -name 'cable-bench-ingest-*')
+if [ -n "$leftover" ]; then
+  echo "error: faulted runs left temporary stores behind:" >&2
+  echo "$leftover" >&2
+  exit 1
+fi
 
 echo "== clean re-run with the plane uninstalled"
 "$REPRODUCE" table2 --quick --threads 4 >/dev/null

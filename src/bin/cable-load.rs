@@ -51,9 +51,11 @@ const SEED: u64 = 20260808;
 const CHAOS_FAULTS: &str = "20260808:io@store.journal.append=0.02,io@store.fsync=0.01";
 /// The denser schedule the `CABLE_PAR=1` vs `8` timeline runs under:
 /// one labeler issuing `TIMELINE_REQUESTS` ops, so the two runs compare
-/// at least `TIMELINE_MIN_HITS` fired `(site, hit)` pairs.
+/// at least `TIMELINE_MIN_HITS` fired `(site, hit)` pairs. A write op
+/// is one journal write (and one fsync) however many records it
+/// journals, so few ops hit the plane: 1024 requests fire 39 faults.
 const TIMELINE_FAULTS: &str = "777:io@store.journal.append=0.05,io@store.fsync=0.03";
-const TIMELINE_REQUESTS: usize = 128;
+const TIMELINE_REQUESTS: usize = 1024;
 const TIMELINE_MIN_HITS: usize = 16;
 
 fn usage(msg: &str) -> ! {

@@ -5,7 +5,7 @@
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
 
@@ -24,11 +24,30 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
+/// A fresh directory under `$TMPDIR`. Dropping it removes the directory
+/// and everything in it, so a failed assertion cannot leave a store
+/// behind after the test binary exits.
+struct TmpDir(PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmp_dir(name: &str) -> TmpDir {
     let dir = std::env::temp_dir().join(format!("cable-cli-{}-{name}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    dir
+    TmpDir(dir)
 }
 
 #[test]
@@ -71,7 +90,6 @@ fn trace_parse_errors_name_the_failing_line() {
         "stderr was: {}",
         stderr(&out)
     );
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -154,7 +172,6 @@ fn diff_spec_rejects_incompatible_alphabets_and_bad_usage() {
         "testdata/figure1_buggy.fa",
     ]);
     assert_eq!(out.status.code(), Some(2));
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -258,7 +275,6 @@ fn session_lifecycle_open_ingest_label_resume_compact() {
         state.replace("\"generation\":0", "\"generation\":1"),
         state2
     );
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// One HTTP/1.1 GET against the serve endpoint; returns (status line,
@@ -375,7 +391,6 @@ fn serve_exposes_metrics_and_health_over_http() {
     assert!(status.contains("404"), "{status}");
 
     drop(server);
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -465,7 +480,6 @@ fn keep_going_ingest_skips_bad_lines_and_reports_them() {
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -497,7 +511,6 @@ fn injected_io_fault_is_a_typed_error_and_the_rerun_succeeds() {
     // of the same command succeeds.
     let out = open(None);
     assert!(out.status.success(), "{}", stderr(&out));
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -759,7 +772,6 @@ fn profile_diff_of_two_resume_runs_is_nonempty_and_stable() {
         diff(&before, &after),
         "the report order is stable across invocations"
     );
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -838,7 +850,6 @@ fopen(Z) fclose(Z)
         states[0], states[1],
         "incremental ingest must converge on the batch-built state"
     );
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// One HTTP/1.1 POST with a JSON body; returns (status line, body).
@@ -1018,5 +1029,4 @@ fn serve_api_labels_sessions_end_to_end() {
     assert!(status.contains("404"), "{status}");
     assert!(body.contains("--api"), "{body}");
     drop(server);
-    fs::remove_dir_all(&dir).unwrap();
 }
