@@ -1,8 +1,8 @@
 //! Benchmarks for the miner's back end and Cable's Show FA view: the
-//! sk-strings and k-tails learners.
+//! prefix-tree acceptor and the sk-strings learner.
 
 use cable_bench::harness::Group;
-use cable_learn::{KTails, Pta, SkStrings};
+use cable_learn::{Pta, SkStrings};
 use cable_strauss::FrontEnd;
 use cable_trace::{Trace, Vocab};
 use std::hint::black_box;
@@ -30,9 +30,6 @@ fn main() {
         });
         group.bench(&format!("sk_strings/{name}"), || {
             black_box(SkStrings::default().learn(black_box(&traces)));
-        });
-        group.bench(&format!("k_tails/{name}"), || {
-            black_box(KTails::default().learn(black_box(&traces)));
         });
     }
     group.finish();

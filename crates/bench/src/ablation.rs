@@ -21,7 +21,7 @@ use crate::pipeline::prepare;
 use cable_fca::ConceptLattice;
 use cable_learn::SkStrings;
 use cable_specs::SpecDef;
-use cable_strauss::{BackEnd, Learner};
+use cable_strauss::BackEnd;
 use cable_trace::Trace;
 use std::time::Instant;
 
@@ -74,7 +74,7 @@ pub fn coring_sweep(spec: &SpecDef, seed: u64, thresholds: &[u64]) -> CoringRepo
         .iter()
         .map(|&threshold| {
             let back = BackEnd {
-                learner: Learner::SkStrings(SkStrings::default()),
+                learner: SkStrings::default(),
                 coring_threshold: Some(threshold),
             };
             let fa = back.mine(&scenario_list);

@@ -10,13 +10,17 @@
 //! exact prefix-tree FA (which recognises each trace class along its own
 //! path and is therefore always well-formed).
 //!
+//! Well-formedness is decided on each candidate's context rows
+//! ([`cable_core::wellformed`]); only the chosen one becomes a session.
+//!
 //! One fidelity tweak: the paper wants a *small* reference FA (§2.1 step
 //! 1a, and §5.2's `k` is "typically less than ten"). When the mined FA
 //! is much larger than the scenario alphabet, the unordered template is
 //! tried first.
 
+use cable_core::wellformed::first_clash;
 use cable_core::CableSession;
-use cable_fa::{templates, EventPat, Fa};
+use cable_fa::{templates, Fa};
 use cable_learn::Pta;
 use cable_specs::SpecDef;
 use cable_strauss::{FrontEnd, Miner};
@@ -100,6 +104,42 @@ pub fn prepare(spec: &SpecDef, seed: u64) -> PreparedSpec {
     let scenarios = extract_scenarios(spec, &workload, &vocab);
     let mined_fa = miner.back.mine_set(&scenarios);
     let oracle = spec.oracle(&mut vocab);
+
+    // The classes a session over the scenarios would cluster, and their
+    // oracle labels: each candidate is judged on its rows over them.
+    let classes = scenarios.identical_classes();
+    let representatives: Vec<&Trace> = classes
+        .iter()
+        .map(|class| scenarios.trace(class.representative))
+        .collect();
+    let labels: Vec<&str> = representatives.iter().map(|t| oracle.label(t)).collect();
+    let (reference, fa) = candidates(&scenarios, &mined_fa, &vocab)
+        .into_iter()
+        .find(|(_, fa)| well_formed_on_rows(fa, &representatives, &labels))
+        .expect("the exact PTA reference is always well-formed");
+    let session = CableSession::new(scenarios.clone(), fa);
+    PreparedSpec {
+        name: spec.name().to_owned(),
+        vocab,
+        workload,
+        scenarios,
+        mined_fa,
+        session,
+        reference,
+        oracle,
+        miner,
+    }
+}
+
+/// Whether the lattice `fa` gives the classes is well-formed for their
+/// labels, decided on the classes' executed-transition rows.
+fn well_formed_on_rows(fa: &Fa, representatives: &[&Trace], labels: &[&str]) -> bool {
+    let rows = fa.executed_transitions_batch(representatives);
+    first_clash(&rows, |class| labels[class]).is_none()
+}
+
+/// The candidate reference FAs, in the order `prepare` tries them.
+fn candidates(scenarios: &TraceSet, mined_fa: &Fa, vocab: &Vocab) -> Vec<(ReferenceFaChoice, Fa)> {
     let scenario_list: Vec<Trace> = scenarios.iter().map(|(_, t)| t.clone()).collect();
     let alphabet = templates::distinct_event_pats(&scenario_list);
 
@@ -112,7 +152,7 @@ pub fn prepare(spec: &SpecDef, seed: u64) -> PreparedSpec {
     let mined = (ReferenceFaChoice::Mined, mined_fa.clone());
     let seed_orders = alphabet.iter().map(|pat| {
         (
-            ReferenceFaChoice::SeedOrder(seed_name(pat, &vocab)),
+            ReferenceFaChoice::SeedOrder(vocab.op_name(pat.op).to_owned()),
             templates::seed_order(&alphabet, pat),
         )
     });
@@ -129,36 +169,13 @@ pub fn prepare(spec: &SpecDef, seed: u64) -> PreparedSpec {
         candidates.push(mined);
     }
     candidates.push((ReferenceFaChoice::Exact, Pta::build(&scenario_list).to_fa()));
-
-    let mut chosen = None;
-    for (choice, fa) in candidates {
-        let session = CableSession::new(scenarios.clone(), fa);
-        if session.is_well_formed_for(|t| oracle.label(t)) {
-            chosen = Some((choice, session));
-            break;
-        }
-    }
-    let (reference, session) = chosen.expect("the exact PTA reference is always well-formed");
-    PreparedSpec {
-        name: spec.name().to_owned(),
-        vocab,
-        workload,
-        scenarios,
-        mined_fa,
-        session,
-        reference,
-        oracle,
-        miner,
-    }
-}
-
-fn seed_name(pat: &EventPat, vocab: &Vocab) -> String {
-    vocab.op_name(pat.op).to_owned()
+    candidates
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cable_core::wellformed::ill_formed_concepts;
 
     #[test]
     fn every_spec_prepares_to_a_well_formed_session() {
@@ -199,6 +216,37 @@ mod tests {
                 assert_eq!(a.concept(id), b.concept(id), "{} {id}", p.name);
                 assert_eq!(a.children(id), b.children(id), "{} {id}", p.name);
                 assert_eq!(a.parents(id), b.parents(id), "{} {id}", p.name);
+            }
+        }
+    }
+
+    #[test]
+    fn every_candidate_gets_the_verdict_of_its_lattice() {
+        // The row check `prepare` chooses with, against the lattice walk
+        // over the session each candidate would build: same verdict for
+        // every candidate, so the same choice and the same lattice.
+        for seed in [2003, 11] {
+            for spec in cable_specs::registry().iter() {
+                let p = prepare(spec, seed);
+                let classes = p.scenarios.identical_classes();
+                let representatives: Vec<&Trace> = classes
+                    .iter()
+                    .map(|class| p.scenarios.trace(class.representative))
+                    .collect();
+                let labels: Vec<&str> = representatives.iter().map(|t| p.oracle.label(t)).collect();
+                let mut chosen = None;
+                for (choice, fa) in candidates(&p.scenarios, &p.mined_fa, &p.vocab) {
+                    let on_rows = well_formed_on_rows(&fa, &representatives, &labels);
+                    let session = CableSession::new(p.scenarios.clone(), fa);
+                    let on_lattice =
+                        ill_formed_concepts(session.lattice(), |class| labels[class]).is_empty();
+                    assert_eq!(on_rows, on_lattice, "{}@{seed} {}", p.name, choice.name());
+                    if on_lattice && chosen.is_none() {
+                        chosen = Some((choice, session.lattice().len()));
+                    }
+                }
+                let prepared = (p.reference.clone(), p.session.lattice().len());
+                assert_eq!(chosen, Some(prepared), "{}@{seed}", p.name);
             }
         }
     }

@@ -469,13 +469,9 @@ impl CableSession {
             // `lattice.` names the trace-report stage: incremental Godin
             // work attributed against lock-wait and fsync time.
             let _span = Span::open("lattice.insert");
-            let lattice = std::mem::replace(
-                &mut self.lattice,
-                ConceptLattice::from_concepts(vec![cable_fca::Concept {
-                    extent: BitSet::new(),
-                    intent: BitSet::new(),
-                }]),
-            );
+            // `insert_objects` consumes the lattice; the default one
+            // held meanwhile is assembled without a build.
+            let lattice = std::mem::take(&mut self.lattice);
             self.lattice = lattice.insert_objects(new_rows.iter().map(|(c, row)| (*c, row)));
         }
         results

@@ -12,6 +12,7 @@
 use cable_core::server::ObsServer;
 use cable_core::{CableSession, TraceSelector};
 use cable_fa::{templates, Fa};
+use cable_fca::{ConceptLattice, Context};
 use cable_store::StoreError;
 use cable_trace::{Trace, TraceSet, Vocab};
 use std::io::{Read as _, Write as _};
@@ -244,6 +245,62 @@ fn push_traces_matches_a_session_built_over_the_same_traces() {
     for id in built.lattice().ids() {
         assert_eq!(grown.lattice().concept(id), built.lattice().concept(id));
         assert_eq!(grown.lattice().children(id), built.lattice().children(id));
+    }
+}
+
+/// `push_traces` builds one lattice per batch that founds a class — the
+/// one `insert_objects` returns — and none for a batch of duplicates:
+/// the lattice it holds while `insert_objects` consumes the old one is
+/// not a build.
+#[test]
+fn a_batch_builds_one_lattice_if_it_founds_a_class_and_none_otherwise() {
+    let _serial = serial();
+    let mut v = Vocab::new();
+    let mut session = stdio_session(&mut v);
+    let mut parse = |texts: &[&str]| -> Vec<Trace> {
+        texts
+            .iter()
+            .map(|t| Trace::parse(t, &mut v).unwrap())
+            .collect()
+    };
+    let founding = parse(&["popen(X) fwrite(X)", "popen(X) fread(X)"]);
+    let duplicates = parse(&["popen(X) fread(X)", "fopen(X) fwrite(X)"]);
+
+    let before = cable_obs::registry().snapshot();
+    session.push_traces(founding);
+    let delta = cable_obs::registry().snapshot().delta_since(&before);
+    assert_eq!(delta.counter("core.session.classes_pushed"), Some(1));
+    assert_eq!(delta.counter("fca.lattice.built"), Some(1));
+
+    let before = cable_obs::registry().snapshot();
+    session.push_traces(duplicates);
+    let delta = cable_obs::registry().snapshot().delta_since(&before);
+    assert_eq!(delta.counter("core.session.traces_pushed"), Some(2));
+    assert_eq!(delta.counter("core.session.classes_pushed").unwrap_or(0), 0);
+    assert_eq!(delta.counter("fca.lattice.built").unwrap_or(0), 0);
+}
+
+/// The default lattice `push_traces` holds meanwhile is the lattice of
+/// the empty context, concept for concept and cover for cover, and
+/// making it counts no build.
+#[test]
+fn the_default_lattice_is_the_lattice_of_the_empty_context() {
+    let _serial = serial();
+    let before = cable_obs::registry().snapshot();
+    let stand_in = ConceptLattice::default();
+    let delta = cable_obs::registry().snapshot().delta_since(&before);
+    assert_eq!(delta.counter("fca.lattice.built").unwrap_or(0), 0);
+
+    let built = ConceptLattice::build(&Context::new(0, 0));
+    assert_eq!(stand_in.len(), built.len());
+    assert_eq!(stand_in.top(), built.top());
+    assert_eq!(stand_in.bottom(), built.bottom());
+    for id in built.ids() {
+        let concept = built.concept(id);
+        assert_eq!(stand_in.concept(id), concept);
+        assert_eq!(stand_in.children(id), built.children(id));
+        assert_eq!(stand_in.parents(id), built.parents(id));
+        assert_eq!(stand_in.find_by_extent(&concept.extent), Some(id));
     }
 }
 

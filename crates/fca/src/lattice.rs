@@ -17,7 +17,7 @@ static LATTICES_BUILT: CounterHandle = CounterHandle::new("fca.lattice.built");
 
 /// A formal concept: a pair `(extent, intent)` with `σ(extent) = intent`
 /// and `τ(intent) = extent`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Concept {
     /// The objects of the concept.
     pub extent: BitSet,
@@ -441,6 +441,22 @@ impl ConceptLattice {
             }
         }
         depth.iter().max().copied().unwrap_or(0) + 1
+    }
+}
+
+impl Default for ConceptLattice {
+    /// The lattice of the empty context, `(∅, ∅)` alone, assembled
+    /// without the Hasse pass or a count in `fca.lattice.built`: a free
+    /// stand-in while [`ConceptLattice::insert_objects`] consumes one.
+    fn default() -> Self {
+        ConceptLattice {
+            concepts: vec![Concept::default()],
+            children: vec![Vec::new()],
+            parents: vec![Vec::new()],
+            top: ConceptId(0),
+            bottom: ConceptId(0),
+            extent_index: HashMap::from([(BitSet::new(), ConceptId(0))]),
+        }
     }
 }
 

@@ -1,11 +1,11 @@
 //! Frequency-annotated automata and state merging.
 //!
-//! Both merging learners (sk-strings and k-tails) operate on a
-//! [`CountedFa`]: a nondeterministic automaton whose transitions carry
-//! traversal counts and whose states carry end-of-trace counts. Merging
-//! two states renumbers the automaton, sums the counts of collapsed
-//! parallel edges, and keeps nondeterminism (distinct destinations for
-//! the same label stay distinct).
+//! The sk-strings learner works on a [`CountedFa`]: a nondeterministic
+//! automaton whose transitions carry traversal counts and whose states
+//! carry end-of-trace counts. Merging two states renumbers the
+//! automaton, sums the counts of collapsed parallel edges, and keeps
+//! nondeterminism (distinct destinations for the same label stay
+//! distinct).
 
 use cable_fa::{EventPat, Fa, FaBuilder, TransLabel};
 use std::collections::HashMap;
@@ -70,11 +70,6 @@ impl CountedFa {
     /// End-of-trace count of a state.
     pub fn accept_count(&self, s: usize) -> u64 {
         self.accept_counts[s]
-    }
-
-    /// Tests whether a state is accepting.
-    pub fn is_accept(&self, s: usize) -> bool {
-        self.accept_counts[s] > 0
     }
 
     /// Total outgoing traversal count of a state, including end-of-trace
@@ -306,7 +301,9 @@ mod tests {
         // Two b-edges from merged state remain separate (different dsts).
         assert_eq!(m.outgoing(1).count(), 2);
         // Now merge the two leaves: b-edges collapse, counts sum.
-        let leaves: Vec<usize> = (0..m.state_count()).filter(|&s| m.is_accept(s)).collect();
+        let leaves: Vec<usize> = (0..m.state_count())
+            .filter(|&s| m.accept_count(s) > 0)
+            .collect();
         let m2 = m.merge(leaves[0], leaves[1]);
         assert_eq!(m2.outgoing(1).count(), 1);
         let (_, _, _, count) = m2.outgoing(1).next().unwrap();

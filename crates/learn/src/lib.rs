@@ -12,12 +12,9 @@
 //!   accepts exactly the training traces;
 //! * [`SkStrings`] — the sk-strings learner: states of the PTA are merged
 //!   when their top-`s`% most probable `k`-strings agree, generalising
-//!   the language beyond the training set;
-//! * [`KTails`] — the classical k-tails learner, a simpler alternative
-//!   (two states merge when they admit exactly the same continuations up
-//!   to length `k`).
+//!   the language beyond the training set.
 //!
-//! All learners consume traces whose events are matched *exactly* (each
+//! The learner consumes traces whose events are matched *exactly* (each
 //! distinct event becomes one alphabet letter via
 //! [`cable_fa::EventPat::exact`]).
 //!
@@ -43,12 +40,10 @@
 //! ```
 
 pub mod counted;
-pub mod ktails;
 pub mod pta;
 pub mod reference;
 pub mod sk;
 
 pub use counted::CountedFa;
-pub use ktails::KTails;
 pub use pta::Pta;
 pub use sk::{SkStrings, SkWork};

@@ -5,7 +5,7 @@
 //! Each test runs a fixed number of seeded cases, so failures reproduce
 //! exactly (`seeded(case)` pins the generator).
 
-use cable_learn::{reference, KTails, Pta, SkStrings};
+use cable_learn::{reference, Pta, SkStrings};
 use cable_trace::{Arg, Event, Trace, Var, Vocab};
 use cable_util::rng::{seeded, Rng, SmallRng};
 
@@ -69,22 +69,6 @@ fn sk_strings_accepts_training_set() {
 }
 
 #[test]
-fn k_tails_accepts_training_set() {
-    for case in 0..128u64 {
-        let mut rng = seeded(case);
-        let raw = gen_training_set(&mut rng);
-        let mut vocab = Vocab::new();
-        let traces = traces_of(&raw, &mut vocab);
-        for k in 0..=3 {
-            let fa = KTails { k }.learn(&traces);
-            for t in &traces {
-                assert!(fa.accepts(t), "case {case}: k={k} rejects {raw:?}");
-            }
-        }
-    }
-}
-
-#[test]
 fn learners_never_grow_beyond_the_pta() {
     for case in 0..128u64 {
         let mut rng = seeded(case);
@@ -95,10 +79,6 @@ fn learners_never_grow_beyond_the_pta() {
         let pta_states = Pta::build(&traces).node_count();
         assert!(
             SkStrings::default().learn(&traces).state_count() <= pta_states,
-            "case {case}"
-        );
-        assert!(
-            KTails::default().learn(&traces).state_count() <= pta_states,
             "case {case}"
         );
     }

@@ -1,7 +1,7 @@
 //! The miner's back end: learning a specification from scenarios.
 
 use cable_fa::Fa;
-use cable_learn::{KTails, SkStrings};
+use cable_learn::SkStrings;
 use cable_obs::{CounterHandle, HistogramHandle, Span};
 use cable_trace::{Trace, TraceSet};
 
@@ -15,22 +15,8 @@ static SK_RECOMPUTED: CounterHandle = CounterHandle::new("learn.sk.recomputed_st
 /// Rounds in which the sk-strings learner ran its pairwise subset scan.
 static SK_SUBSET_SCANS: CounterHandle = CounterHandle::new("learn.sk.subset_scans");
 
-/// Which automaton learner the back end uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Learner {
-    /// Raman & Patrick's sk-strings (the paper's choice).
-    SkStrings(SkStrings),
-    /// Classical k-tails.
-    KTails(KTails),
-}
-
-impl Default for Learner {
-    fn default() -> Self {
-        Learner::SkStrings(SkStrings::default())
-    }
-}
-
-/// The back end: a learner plus an optional coring threshold.
+/// The back end: the sk-strings learner plus an optional coring
+/// threshold.
 ///
 /// *Coring* — dropping transitions traversed by fewer than
 /// `coring_threshold` training traces — is the naive error-removal
@@ -52,8 +38,8 @@ impl Default for Learner {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BackEnd {
-    /// The learner.
-    pub learner: Learner,
+    /// The learner: Raman & Patrick's sk-strings (the paper's choice).
+    pub learner: SkStrings,
     /// If set, drop learned transitions with traversal count below this.
     pub coring_threshold: Option<u64>,
 }
@@ -62,16 +48,10 @@ impl BackEnd {
     /// Mines a specification FA from scenario traces.
     pub fn mine(&self, scenarios: &[Trace]) -> Fa {
         let _span = Span::enter("strauss.back.mine", &MINE_NS);
-        let counted = match self.learner {
-            Learner::SkStrings(l) => {
-                let (counted, work) = l.learn_counted_with_work(scenarios);
-                SK_MERGES.get().add(work.merges);
-                SK_RECOMPUTED.get().add(work.recomputed_states);
-                SK_SUBSET_SCANS.get().add(work.subset_scans);
-                counted
-            }
-            Learner::KTails(l) => l.learn_counted(scenarios),
-        };
+        let (counted, work) = self.learner.learn_counted_with_work(scenarios);
+        SK_MERGES.get().add(work.merges);
+        SK_RECOMPUTED.get().add(work.recomputed_states);
+        SK_SUBSET_SCANS.get().add(work.subset_scans);
         match self.coring_threshold {
             Some(min) => counted.to_fa_cored(min),
             None => counted.to_fa(),
@@ -106,18 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn ktails_variant_also_works() {
-        let mut v = Vocab::new();
-        let ts = traces(&["a(X) b(X)", "a(X) b(X)"], &mut v);
-        let be = BackEnd {
-            learner: Learner::KTails(KTails { k: 2 }),
-            coring_threshold: None,
-        };
-        let fa = be.mine(&ts);
-        assert!(fa.accepts(&ts[0]));
-    }
-
-    #[test]
     fn coring_drops_the_rare_error() {
         let mut v = Vocab::new();
         // Nine good traces, one erroneous.
@@ -127,10 +95,10 @@ mod tests {
         }
         ts.push(Trace::parse("open(X) leak_marker(X)", &mut v).unwrap());
         let be = BackEnd {
-            learner: Learner::SkStrings(SkStrings {
+            learner: SkStrings {
                 k: 3,
                 s_percent: 100.0,
-            }),
+            },
             coring_threshold: Some(3),
         };
         let fa = be.mine(&ts);

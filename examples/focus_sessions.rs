@@ -86,7 +86,28 @@ fn main() {
         !session.is_well_formed_for(&oracle),
         "unordered template cannot express the double-free split"
     );
-    println!("the unordered lattice is not well-formed for the true labeling (§4.3)\n");
+    // The reason is a pair of classes with the same row but different
+    // labels: no concept can tell them apart.
+    let (a, b) = session
+        .first_clash_for(&oracle)
+        .expect("an ill-formed lattice has a clashing pair");
+    let rep = |class: usize| {
+        session
+            .traces()
+            .trace(session.classes()[class].representative)
+    };
+    let frees = |t: &Trace| t.iter().filter(|e| e.op == xtfree).count();
+    assert_eq!(
+        (frees(rep(a)), frees(rep(b))),
+        (1, 2),
+        "a correct use and a double free"
+    );
+    println!("the unordered lattice is not well-formed for the true labeling (§4.3):");
+    println!(
+        "  `{}` (good) and `{}` (bad) execute the same transitions\n",
+        rep(a).display(&vocab),
+        rep(b).display(&vocab)
+    );
 
     // Focus: re-cluster the mixed concept's traces with the seed-order
     // template around XtFree.

@@ -14,7 +14,8 @@
 //!   reference FAs from correct ones,
 //! * [`fca`] — formal concept analysis (contexts, Godin's incremental
 //!   lattice algorithm, NextClosure),
-//! * [`learn`] — the sk-strings and k-tails automaton learners,
+//! * [`learn`] — the prefix-tree acceptor and the sk-strings automaton
+//!   learner,
 //! * [`workload`] — the synthetic program-trace generator standing in for
 //!   the paper's X11 trace corpus,
 //! * [`strauss`] — the specification miner (front end + back end),
