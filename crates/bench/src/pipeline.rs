@@ -224,7 +224,9 @@ mod tests {
     fn every_candidate_gets_the_verdict_of_its_lattice() {
         // The row check `prepare` chooses with, against the lattice walk
         // over the session each candidate would build: same verdict for
-        // every candidate, so the same choice and the same lattice.
+        // every candidate, so the same choice and the same lattice. Each
+        // of those lattices also has the covers the all-pairs assembly
+        // finds, list for list.
         for seed in [2003, 11] {
             for spec in cable_specs::registry().iter() {
                 let p = prepare(spec, seed);
@@ -238,6 +240,8 @@ mod tests {
                 for (choice, fa) in candidates(&p.scenarios, &p.mined_fa, &p.vocab) {
                     let on_rows = well_formed_on_rows(&fa, &representatives, &labels);
                     let session = CableSession::new(p.scenarios.clone(), fa);
+                    cable_fca::reference::check_covers(session.lattice(), session.context())
+                        .unwrap_or_else(|e| panic!("{}@{seed} {}: {e}", p.name, choice.name()));
                     let on_lattice =
                         ill_formed_concepts(session.lattice(), |class| labels[class]).is_empty();
                     assert_eq!(on_rows, on_lattice, "{}@{seed} {}", p.name, choice.name());

@@ -88,8 +88,10 @@ impl CableSession {
     /// # Errors
     ///
     /// Returns [`StoreError::Format`] when the snapshot's parts are
-    /// internally inconsistent — wrong counts, unparsable automaton,
-    /// duplicate concept extents.
+    /// internally inconsistent — wrong counts, unparsable automaton, or
+    /// concepts that are not a lattice's (none, a repeated extent, a
+    /// missing meet: whatever `ConceptLattice::try_from_concepts`
+    /// rejects).
     pub fn from_snapshot(data: SnapshotData) -> Result<(CableSession, Vocab), StoreError> {
         let SnapshotData {
             generation: _,
@@ -110,23 +112,14 @@ impl CableSession {
                 n_attributes
             )));
         }
-        if concepts.is_empty() {
-            return Err(StoreError::format("snapshot holds no concepts"));
-        }
-        // `from_concepts` panics on duplicate extents; turn that shape
-        // of damage into an error first.
-        let mut extents: Vec<&cable_util::BitSet> = concepts.iter().map(|(e, _)| e).collect();
-        extents.sort();
-        if extents.windows(2).any(|w| w[0] == w[1]) {
-            return Err(StoreError::format("snapshot concepts repeat an extent"));
-        }
         let context = Context::from_rows(rows, n_attributes);
-        let lattice = ConceptLattice::from_concepts(
+        let lattice = ConceptLattice::try_from_concepts(
             concepts
                 .into_iter()
                 .map(|(extent, intent)| Concept { extent, intent })
                 .collect(),
-        );
+        )
+        .map_err(|e| StoreError::format(format!("snapshot concepts: {e}")))?;
         let mut session =
             CableSession::from_parts(traces, fa, context, lattice).map_err(StoreError::Format)?;
         let n_classes = session.classes().len();
@@ -720,6 +713,27 @@ bad_line_two(((
         let mut bad = good.clone();
         bad.labels.push((u32::MAX, "out of range".to_owned()));
         assert!(CableSession::from_snapshot(bad).is_err());
+
+        // A trace that both reads and writes makes a concept that is the
+        // meet of the readers' and the writers' concepts. Without it the
+        // concept list is not closed under intersection: the cover rule
+        // probes its extent from a parent and finds nothing.
+        let (session, vocab) = build(&format!("{CORPUS}fopen(X) fread(X) fwrite(X) fclose(X)\n"));
+        let good = session.to_snapshot(&vocab, 0);
+        assert!(CableSession::from_snapshot(good.clone()).is_ok());
+        let lattice = session.lattice();
+        let meet = lattice
+            .ids()
+            .find(|&id| lattice.parents(id).len() == 2 && lattice.concept(id).extent.len() == 1)
+            .expect("the read-and-write class's concept");
+        let dropped = &lattice.concept(meet).extent;
+        let mut bad = good.clone();
+        bad.concepts.retain(|(extent, _)| extent != dropped);
+        assert_eq!(bad.concepts.len(), good.concepts.len() - 1);
+        match CableSession::from_snapshot(bad) {
+            Err(StoreError::Format(e)) => assert!(e.contains("not closed"), "{e}"),
+            other => panic!("expected a format error, got {:?}", other.map(|_| ())),
+        }
 
         let mut bad = good;
         bad.rows.pop();

@@ -1,7 +1,28 @@
 //! The concept lattice: concepts, order, and the Hasse diagram.
+//!
+//! [`ConceptLattice::try_from_concepts`] is the one assembly path: every
+//! build (Godin or NextClosure), every [`ConceptLattice::insert_objects`]
+//! batch and every snapshot reopen sorts its concept set (top first) and
+//! finds the covers with Lindig's neighbour rule (Lindig, *Fast Concept
+//! Analysis*, 2000). The lower covers of a concept `(X, Y)` are among the
+//! extents `X ∩ τ(m)` for attributes `m ∉ Y`, and such an `X'` with
+//! intent `Y'` is a cover exactly when `|Y' \ Y|` attributes generate it:
+//! every attribute of a cover's `Y' \ Y` generates it, while a
+//! non-cover lacks the attributes of some concept strictly between. Each
+//! candidate is looked up in the extent index the lattice keeps; `τ(m)`
+//! is the extent of the first concept, in sorted order, whose intent
+//! holds `m`. That is `n · |M|` probes where comparing every pair of
+//! concepts took `n²` subset tests and then a minimality test over all
+//! pairs of supersets; [`crate::reference`] keeps that all-pairs assembly
+//! as the oracle the neighbour rule is tested against, list for list.
+//!
+//! The extent index is keyed with [`cable_util::hash::WordState`], a word
+//! hasher seeded once per process: extents come from untrusted snapshots
+//! too, and nothing iterates the index, so no output depends on the seed.
 
 use crate::context::Context;
 use cable_obs::{CounterHandle, HistogramHandle, Span};
+use cable_util::hash::WordState;
 use cable_util::BitSet;
 use std::collections::HashMap;
 use std::fmt;
@@ -12,8 +33,16 @@ static BUILD_NS: HistogramHandle = HistogramHandle::new("fca.lattice.build_ns");
 static HASSE_NS: HistogramHandle = HistogramHandle::new("fca.lattice.hasse_ns");
 /// Cover edges produced by Hasse-diagram assembly.
 static HASSE_EDGES: CounterHandle = CounterHandle::new("fca.lattice.hasse_edges");
+/// Neighbour-rule probes `X ∩ τ(m)` made by Hasse-diagram assembly.
+static HASSE_INTERSECTIONS: CounterHandle = CounterHandle::new("fca.hasse.intersections");
 /// Lattices assembled via `from_concepts`.
 static LATTICES_BUILT: CounterHandle = CounterHandle::new("fca.lattice.built");
+
+/// The extent index a lattice keeps: each extent's concept.
+pub(crate) type ExtentIndex = HashMap<BitSet, ConceptId, WordState>;
+
+/// Every concept's children and parents, and the probes that found them.
+type Covers = (Vec<Vec<ConceptId>>, Vec<Vec<ConceptId>>, u64);
 
 /// A formal concept: a pair `(extent, intent)` with `σ(extent) = intent`
 /// and `τ(intent) = extent`.
@@ -72,6 +101,10 @@ pub enum LatticeError {
         /// The offending object.
         object: usize,
     },
+    /// The set is not the concept set of any context: a cover probe
+    /// `X ∩ τ(m)` named an extent no concept has, or found a concept
+    /// whose intent does not strictly contain `X`'s.
+    NotClosed,
 }
 
 impl fmt::Display for LatticeError {
@@ -86,6 +119,10 @@ impl fmt::Display for LatticeError {
             LatticeError::DuplicateObject { object } => {
                 write!(f, "object {object} already inserted")
             }
+            LatticeError::NotClosed => write!(
+                f,
+                "concept set is not closed: an extent intersection is missing or its intent does not grow"
+            ),
         }
     }
 }
@@ -120,7 +157,7 @@ pub struct ConceptLattice {
     parents: Vec<Vec<ConceptId>>,
     top: ConceptId,
     bottom: ConceptId,
-    extent_index: HashMap<BitSet, ConceptId>,
+    extent_index: ExtentIndex,
 }
 
 impl ConceptLattice {
@@ -188,67 +225,43 @@ impl ConceptLattice {
     ///
     /// # Errors
     ///
-    /// [`LatticeError::EmptyConceptSet`] or
-    /// [`LatticeError::DuplicateExtent`].
-    pub fn try_from_concepts(mut concepts: Vec<Concept>) -> Result<Self, LatticeError> {
-        if concepts.is_empty() {
-            return Err(LatticeError::EmptyConceptSet);
-        }
-        // Sort by decreasing extent size: index 0 is the top.
-        concepts.sort_by(|a, b| {
-            b.extent
-                .len()
-                .cmp(&a.extent.len())
-                .then_with(|| a.intent.len().cmp(&b.intent.len()))
-                .then_with(|| a.extent.cmp(&b.extent))
-        });
-        let n = concepts.len();
-        let mut extent_index = HashMap::with_capacity(n);
-        for (i, c) in concepts.iter().enumerate() {
-            let prev = extent_index.insert(c.extent.clone(), ConceptId(i as u32));
-            if prev.is_some() {
-                return Err(LatticeError::DuplicateExtent);
-            }
-        }
-        // Hasse diagram: for each concept d, its parents are the minimal
-        // strict supersets of its extent.
+    /// [`LatticeError::EmptyConceptSet`], [`LatticeError::DuplicateExtent`],
+    /// or [`LatticeError::NotClosed`] when the neighbour rule meets an
+    /// extent intersection that is not in the set (or whose intent does
+    /// not grow) — a set no context has as its concepts.
+    pub fn try_from_concepts(concepts: Vec<Concept>) -> Result<Self, LatticeError> {
+        let (concepts, extent_index) = sort_and_index(concepts)?;
         let hasse_span = Span::enter("fca.lattice.hasse", &HASSE_NS);
-        let mut edges = 0u64;
-        let mut children: Vec<Vec<ConceptId>> = vec![Vec::new(); n];
-        let mut parents: Vec<Vec<ConceptId>> = vec![Vec::new(); n];
-        for d in 0..n {
-            // Strict supersets appear strictly earlier in sorted order.
-            let supersets: Vec<usize> = (0..d)
-                .filter(|&c| concepts[d].extent.is_proper_subset(&concepts[c].extent))
-                .collect();
-            for &c in &supersets {
-                let minimal = supersets
-                    .iter()
-                    .all(|&e| e == c || !concepts[e].extent.is_proper_subset(&concepts[c].extent));
-                if minimal {
-                    children[c].push(ConceptId(d as u32));
-                    parents[d].push(ConceptId(c as u32));
-                    edges += 1;
-                }
-            }
-        }
+        let covers = neighbour_covers(&concepts, &extent_index);
         drop(hasse_span);
-        HASSE_EDGES.get().add(edges);
+        let (children, parents, probes) = covers?;
+        HASSE_INTERSECTIONS.get().add(probes);
+        HASSE_EDGES
+            .get()
+            .add(children.iter().map(|c| c.len() as u64).sum());
         LATTICES_BUILT.get().incr();
-        let top = ConceptId(0);
-        let bottom = ConceptId(
-            (0..n)
-                .max_by_key(|&i| concepts[i].intent.len())
-                .expect("nonempty") as u32,
-        );
-        Ok(ConceptLattice {
+        Ok(Self::assemble(concepts, children, parents, extent_index))
+    }
+
+    /// The lattice of concepts sorted by [`sort_and_index`], with these
+    /// cover lists.
+    pub(crate) fn assemble(
+        concepts: Vec<Concept>,
+        children: Vec<Vec<ConceptId>>,
+        parents: Vec<Vec<ConceptId>>,
+        extent_index: ExtentIndex,
+    ) -> Self {
+        let bottom = (0..concepts.len())
+            .max_by_key(|&i| concepts[i].intent.len())
+            .expect("nonempty");
+        ConceptLattice {
             concepts,
             children,
             parents,
-            top,
-            bottom,
+            top: ConceptId(0),
+            bottom: ConceptId(bottom as u32),
             extent_index,
-        })
+        }
     }
 
     /// Number of concepts.
@@ -444,6 +457,104 @@ impl ConceptLattice {
     }
 }
 
+/// Sorts a concept set by decreasing extent size (index 0 is the top),
+/// then increasing intent size, then extent, and indexes the extents.
+///
+/// # Errors
+///
+/// [`LatticeError::EmptyConceptSet`] or [`LatticeError::DuplicateExtent`].
+pub(crate) fn sort_and_index(
+    mut concepts: Vec<Concept>,
+) -> Result<(Vec<Concept>, ExtentIndex), LatticeError> {
+    if concepts.is_empty() {
+        return Err(LatticeError::EmptyConceptSet);
+    }
+    concepts.sort_by(|a, b| {
+        b.extent
+            .len()
+            .cmp(&a.extent.len())
+            .then_with(|| a.intent.len().cmp(&b.intent.len()))
+            .then_with(|| a.extent.cmp(&b.extent))
+    });
+    let mut extent_index = ExtentIndex::with_capacity_and_hasher(concepts.len(), WordState::new());
+    for (i, c) in concepts.iter().enumerate() {
+        if extent_index
+            .insert(c.extent.clone(), ConceptId(i as u32))
+            .is_some()
+        {
+            return Err(LatticeError::DuplicateExtent);
+        }
+    }
+    Ok((concepts, extent_index))
+}
+
+/// Children and parents of every concept of a sorted, indexed concept
+/// set by Lindig's neighbour rule (see the module docs), plus the number
+/// of `X ∩ τ(m)` probes made. Each concept's generated ids are visited
+/// in ascending order, so `children[c]` is ascending and `parents[d]`
+/// gets its ids in ascending order too.
+///
+/// # Errors
+///
+/// [`LatticeError::NotClosed`] when a probe names an extent the index
+/// lacks, or a generated intent does not strictly contain the probing
+/// concept's.
+fn neighbour_covers(
+    concepts: &[Concept],
+    extent_index: &ExtentIndex,
+) -> Result<Covers, LatticeError> {
+    let n = concepts.len();
+    // (m, τ(m)) for every attribute some intent holds: the concept with
+    // the largest extent holding m comes first in sorted order.
+    let mut held = BitSet::new();
+    let mut attributes: Vec<(usize, &BitSet)> = Vec::new();
+    for c in concepts {
+        for m in c.intent.iter() {
+            if held.insert(m) {
+                attributes.push((m, &c.extent));
+            }
+        }
+    }
+    let mut children: Vec<Vec<ConceptId>> = vec![Vec::new(); n];
+    let mut parents: Vec<Vec<ConceptId>> = vec![Vec::new(); n];
+    // generators[d]: how many attributes generated concept d from the
+    // concept being visited; `generated` lists the d with a nonzero count.
+    let mut generators = vec![0u32; n];
+    let mut generated: Vec<u32> = Vec::new();
+    let mut probe = BitSet::new();
+    let mut probes = 0u64;
+    for (c, concept) in concepts.iter().enumerate() {
+        for &(m, tau) in &attributes {
+            if concept.intent.contains(m) {
+                continue;
+            }
+            probes += 1;
+            probe.clone_from(&concept.extent);
+            probe.intersect_with(tau);
+            let d = extent_index.get(&probe).ok_or(LatticeError::NotClosed)?.0;
+            if generators[d as usize] == 0 {
+                generated.push(d);
+            }
+            generators[d as usize] += 1;
+        }
+        generated.sort_unstable();
+        let size = concept.intent.len();
+        for &d in &generated {
+            let lower = &concepts[d as usize].intent;
+            if !concept.intent.is_proper_subset(lower) {
+                return Err(LatticeError::NotClosed);
+            }
+            if generators[d as usize] as usize == lower.len() - size {
+                children[c].push(ConceptId(d));
+                parents[d as usize].push(ConceptId(c as u32));
+            }
+            generators[d as usize] = 0;
+        }
+        generated.clear();
+    }
+    Ok((children, parents, probes))
+}
+
 impl Default for ConceptLattice {
     /// The lattice of the empty context, `(∅, ∅)` alone, assembled
     /// without the Hasse pass or a count in `fca.lattice.built`: a free
@@ -455,7 +566,7 @@ impl Default for ConceptLattice {
             parents: vec![Vec::new()],
             top: ConceptId(0),
             bottom: ConceptId(0),
-            extent_index: HashMap::from([(BitSet::new(), ConceptId(0))]),
+            extent_index: ExtentIndex::from_iter([(BitSet::new(), ConceptId(0))]),
         }
     }
 }

@@ -19,6 +19,10 @@
 //! * [`next_closure`] — Ganter's batch NextClosure enumeration, used as a
 //!   differential-testing reference.
 //!
+//! Both end in one assembly, [`ConceptLattice::try_from_concepts`], which
+//! finds the Hasse diagram with Lindig's neighbour rule; [`reference`](mod@reference)
+//! keeps the all-pairs assembly it replaced as its test oracle.
+//!
 //! # Examples
 //!
 //! The animals example of Figure 9/10 (from Siff's thesis):
@@ -50,6 +54,7 @@ pub mod godin;
 pub mod hac;
 pub mod lattice;
 pub mod next_closure;
+pub mod reference;
 
 pub use context::Context;
 pub use lattice::{Concept, ConceptId, ConceptLattice, LatticeError, PartialBuild};

@@ -7,7 +7,9 @@
 //! Each test runs a fixed number of seeded cases, so failures reproduce
 //! exactly (`seeded(case)` pins the generator).
 
-use cable_fca::{ConceptLattice, Context};
+mod common;
+
+use cable_fca::{reference, ConceptLattice, Context};
 use cable_util::rng::{seeded, Rng, SmallRng};
 use cable_util::BitSet;
 use std::collections::HashSet;
@@ -171,6 +173,47 @@ fn extent_intersection_is_an_extent() {
                 let inter = l.concept(a).extent.intersection(&l.concept(b).extent);
                 assert!(l.find_by_extent(&inter).is_some(), "case {case}");
             }
+        }
+    }
+}
+
+/// A random context of 0–14 objects over 0–9 attributes, each cell set
+/// with a probability drawn from 0.1–0.9.
+fn gen_dense_context(rng: &mut SmallRng) -> Context {
+    let n_objects = rng.gen_range(0usize..=14);
+    let n_attrs = rng.gen_range(0usize..=9);
+    let density = rng.gen_range(0.1..0.9);
+    let rows: Vec<BitSet> = (0..n_objects)
+        .map(|_| (0..n_attrs).filter(|_| rng.gen_bool(density)).collect())
+        .collect();
+    Context::from_rows(rows, n_attrs)
+}
+
+/// The neighbour rule finds the covers the all-pairs assembly finds,
+/// list for list, on lattices built by Godin and by NextClosure.
+#[test]
+fn neighbour_covers_equal_the_all_pairs_assembly() {
+    for case in 0..2_000u64 {
+        let ctx = gen_dense_context(&mut seeded(case));
+        for lattice in [
+            ConceptLattice::build(&ctx),
+            ConceptLattice::build_next_closure(&ctx),
+        ] {
+            reference::check_covers(&lattice, &ctx).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        }
+    }
+}
+
+/// The same on session-shaped contexts of the sizes the lattice
+/// benchmark builds; 100 attributes makes every intent row two words.
+#[test]
+fn neighbour_covers_equal_the_all_pairs_assembly_on_session_shapes() {
+    for attributes in [32, 64, 100] {
+        for objects in [100, 250, 400] {
+            let ctx = common::session_shaped(52, objects, attributes);
+            let lattice = ConceptLattice::build(&ctx);
+            reference::check_covers(&lattice, &ctx)
+                .unwrap_or_else(|e| panic!("{objects} x {attributes}: {e}"));
         }
     }
 }

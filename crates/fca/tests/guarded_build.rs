@@ -123,6 +123,44 @@ fn try_from_concepts_reports_structural_errors() {
     );
 }
 
+/// Concept sets no context has: typed errors, never a panic.
+#[test]
+fn try_from_concepts_rejects_sets_that_are_not_closed() {
+    let concept = |extent: &[usize], intent: &[usize]| cable_fca::Concept {
+        extent: extent.iter().copied().collect(),
+        intent: intent.iter().copied().collect(),
+    };
+    // Objects 0 and 1 hold attributes 0 and 1 respectively, but the
+    // set lacks their meet (∅, {0, 1}): the probe {0} ∩ τ(1) = ∅ finds
+    // no concept.
+    let no_meet = vec![
+        concept(&[0, 1], &[]),
+        concept(&[0], &[0]),
+        concept(&[1], &[1]),
+    ];
+    assert_eq!(
+        ConceptLattice::try_from_concepts(no_meet).err(),
+        Some(LatticeError::NotClosed)
+    );
+    // ({0}, ∅) sits below a top whose intent is {0}: the probe
+    // {0} ∩ τ(0) = {0} finds the concept itself, whose intent does not
+    // grow.
+    let shrinking = vec![concept(&[0, 1], &[0]), concept(&[0], &[])];
+    assert_eq!(
+        ConceptLattice::try_from_concepts(shrinking).err(),
+        Some(LatticeError::NotClosed)
+    );
+    // A closed set still assembles.
+    let closed = vec![
+        concept(&[0, 1], &[]),
+        concept(&[0], &[0]),
+        concept(&[1], &[1]),
+        concept(&[], &[0, 1]),
+    ];
+    let lattice = ConceptLattice::try_from_concepts(closed).expect("closed set");
+    assert_eq!(lattice.children(lattice.top()).len(), 2);
+}
+
 #[test]
 fn try_insert_objects_reports_the_offending_object() {
     let lattice = ConceptLattice::from_concepts(vec![cable_fca::Concept {

@@ -252,30 +252,6 @@ impl CountedFa {
             .map(|s| self.k_strings_memo(s, k, &mut memo))
             .collect()
     }
-
-    /// The top strings of the `k`-string distribution: the smallest
-    /// prefix of the probability-sorted strings whose cumulative mass
-    /// reaches `s_percent`/100.
-    pub fn top_k_strings(&self, state: usize, k: usize, s_percent: f64) -> Vec<Vec<EventPat>> {
-        let dist = self.k_strings(state, k);
-        let mut entries: Vec<(Vec<EventPat>, f64)> = dist.into_iter().collect();
-        entries.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("probabilities are not NaN")
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        let threshold = s_percent / 100.0;
-        let mut cum = 0.0;
-        let mut out = Vec::new();
-        for (string, p) in entries {
-            out.push(string);
-            cum += p;
-            if cum >= threshold {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -345,18 +321,6 @@ mod tests {
         assert!((dist[&vec![b.clone()]] - 0.5).abs() < 1e-9);
         assert!((dist[&vec![c_pat]] - 0.25).abs() < 1e-9);
         assert!((dist[&Vec::new()] - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn top_k_strings_takes_probability_prefix() {
-        let mut v = Vocab::new();
-        let c = counted(&["a(X) b(X)", "a(X) b(X)", "a(X) c(X)", "a(X)"], &mut v);
-        // From state 1, 50% mass is covered by {b} alone.
-        let top = c.top_k_strings(1, 1, 50.0);
-        assert_eq!(top.len(), 1);
-        // 100% needs all three strings.
-        let all = c.top_k_strings(1, 1, 100.0);
-        assert_eq!(all.len(), 3);
     }
 
     #[test]

@@ -30,9 +30,23 @@ const BITS: usize = 64;
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 900]);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct BitSet {
     blocks: Vec<u64>,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            blocks: self.blocks.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s allocation, so a scratch set reused
+    /// across loop iterations allocates once.
+    fn clone_from(&mut self, source: &Self) {
+        self.blocks.clone_from(&source.blocks);
+    }
 }
 
 impl BitSet {
@@ -69,6 +83,19 @@ impl BitSet {
             s.blocks[n / BITS] = (1u64 << rem) - 1;
         }
         s
+    }
+
+    /// Creates the set whose packed blocks are `blocks`: value
+    /// `64 · i + b` is in the set iff bit `b` of `blocks[i]` is set.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let s = cable_util::BitSet::from_blocks(vec![0b101, 1]);
+    /// assert_eq!(s.to_vec(), vec![0, 2, 64]);
+    /// ```
+    pub fn from_blocks(blocks: Vec<u64>) -> Self {
+        BitSet { blocks }
     }
 
     /// Creates a set containing a single value.
@@ -493,6 +520,15 @@ mod tests {
         assert_eq!(format!("{s}"), "{1, 5}");
         assert_eq!(format!("{s:?}"), "{1, 5}");
         assert_eq!(format!("{}", BitSet::new()), "{}");
+    }
+
+    #[test]
+    fn clone_from_and_from_blocks_round_trip() {
+        let a: BitSet = [1usize, 2, 65].into_iter().collect();
+        let mut scratch = BitSet::full(300);
+        scratch.clone_from(&a);
+        assert_eq!(scratch, a);
+        assert_eq!(BitSet::from_blocks(a.canonical_blocks().to_vec()), a);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //!
 //! * [`BitSet`] — a dense, growable bit set used for FCA extents/intents and
 //!   automaton state sets,
+//! * [`hash`] — a seeded word hasher for maps keyed by bit-set words,
 //! * [`Interner`] and [`Symbol`] — cheap interned strings for event names,
 //! * [`rng`] — seeded deterministic random number helpers so that every
 //!   experiment in the reproduction is replayable,
@@ -25,6 +26,7 @@
 //! ```
 
 pub mod bitset;
+pub mod hash;
 pub mod interner;
 pub mod rng;
 pub mod stats;

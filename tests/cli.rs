@@ -999,6 +999,18 @@ fn serve_api_labels_sessions_end_to_end() {
     assert!(status.contains("200"), "{status}");
     assert!(digest.contains("\"corpus_digest\""), "{digest}");
 
+    // The create and the ingest ran Godin insertions and Hasse assembly
+    // in the server, so their work counts are on /metrics.
+    let (status, metrics) = http_get(addr, "/metrics");
+    assert!(status.contains("200"), "{status}");
+    for counter in ["fca_godin_intersections", "fca_hasse_intersections"] {
+        let value: u64 = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(counter)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{counter} missing:\n{metrics}"));
+        assert!(value > 0, "{counter} = {value}");
+    }
+
     // Tenant isolation: the same session name under another tenant is
     // a different (nonexistent) session.
     let (status, _) = http_get(addr, "/api/sessions/s/digest?tenant=t2");
