@@ -24,11 +24,12 @@
 //! Beside its buckets the inserter keeps every intent as a row of
 //! `⌈|M| / 64⌉` words in one flat array, so the scan's subset test and
 //! candidate intersection are word operations that allocate nothing; only
-//! a created concept gets a [`BitSet`] intent. Rows of one or two words
-//! (up to 128 attributes) are scanned by code compiled for that width:
-//! on a 2-vCPU x86-64 host that scan took half the time of a loop over a
-//! width known only at run time. Godin's "already seen" test looks the candidate up among the
-//! rows by content, through a map keyed with [`cable_util::hash::WordState`]:
+//! a created concept gets a [`BitSet`] intent. One-word rows (up to 64
+//! attributes, which covers every registry session and the `lattice-scale`
+//! grid) are scanned by code compiled for that width; wider rows take a
+//! loop over a width known only at run time. Godin's "already seen" test
+//! looks the candidate up among the rows by content, through a map keyed
+//! with [`cable_util::hash::WordState`]:
 //! the rows come from ingested traces, so the hasher is seeded once per
 //! process, and nothing iterates the map, so no output depends on the seed.
 //!
@@ -188,7 +189,6 @@ impl Inserter {
         fill_row(&mut self.attrs, attrs, self.rows.width);
         let created = match self.rows.width {
             1 => self.scan::<1>(concepts, object),
-            2 => self.scan::<2>(concepts, object),
             _ => self.scan::<0>(concepts, object),
         };
         for c in created {

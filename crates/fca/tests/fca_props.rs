@@ -205,7 +205,8 @@ fn neighbour_covers_equal_the_all_pairs_assembly() {
 }
 
 /// The same on session-shaped contexts of the sizes the lattice
-/// benchmark builds; 100 attributes makes every intent row two words.
+/// benchmark builds; 100 attributes makes every intent row two words, so
+/// Godin's run-time-width scan is checked as well as its one-word scan.
 #[test]
 fn neighbour_covers_equal_the_all_pairs_assembly_on_session_shapes() {
     for attributes in [32, 64, 100] {
